@@ -435,7 +435,8 @@ def cmd_kakeya_heisenberg(args) -> tuple[int, str]:
     t0 = time.perf_counter()
     field = make_field(*parse_field_token(args.field))
     rep = kk.heisenberg_example(field)
-    lo, hi = 243 // 4, 4 * 243
+    expected = field.p**5  # |F|^{5/2} for |F| = p^2
+    lo, hi = expected // 4, 4 * expected
     checks = [
         CheckResult("all_lines_contained", rep.containment_ok, None),
         CheckResult("point_count_bracket", lo <= rep.point_count <= hi, float(rep.point_count)),

@@ -104,18 +104,34 @@ def lines_from_text(text: str) -> list[LineSpec]:
     return out
 
 
-# -- shift machinery -----------------------------------------------------------------
+# -- line tables ---------------------------------------------------------------------
+
+# Index entries in one direction chunk of a line table (16 MiB of int64).
+LINE_TABLE_ENTRIES = 1 << 21
 
 
-def _shifted_flats(field: Field, n: int, shift: np.ndarray) -> np.ndarray:
-    """Flat index of x + shift for every x in F^n, in flat order."""
-    coords = field.grid_coords(n)
-    acc = np.zeros(field.order**n, dtype=np.int64)
-    w = np.int64(1)
-    for j in range(n):
-        acc += field.add_arrays(coords[:, j], shift[j]) * w
-        w *= field.order
-    return acc
+def _direction_chunks(m: int):
+    """Consecutive slices of the m directions, each small enough for one table."""
+    step = max(1, LINE_TABLE_ENTRIES // m)
+    for start in range(0, m, step):
+        yield slice(start, min(start + step, m))
+
+
+def _line_table(field: Field, n: int, vfs: slice, t: int) -> np.ndarray:
+    """(directions, |F|^{n-1}) flat indices over F^{n-1} of x0 + vt.
+
+    Rows follow the direction flats in vfs, columns every base point x0 in
+    flat order.  The table is an outer sum of per-axis shift rows, so it
+    needs field addition only on |F| entries per axis and direction.
+    """
+    q = field.order
+    vt = field.mul_arrays(field.grid_coords(n - 1)[vfs], np.int64(t))
+    axis = np.arange(q, dtype=np.int64)
+    table = np.zeros((len(vt), 1), dtype=np.int64)
+    for j in reversed(range(n - 1)):  # coordinate 0 varies fastest
+        row = field.add_arrays(vt[:, j, None], axis) * q**j
+        table = (table[:, :, None] + row[:, None, :]).reshape(len(vt), -1)
+    return table
 
 
 # -- Besicovitch ---------------------------------------------------------------------
@@ -185,22 +201,13 @@ def verify_besicovitch(field: Field, n: int, flat: np.ndarray):
     member = np.zeros(q**n, dtype=bool)
     member[np.asarray(flat, dtype=np.int64)] = True
     slices = member.reshape(m, q, order="F")  # [base-space flat, height]
-    dcoords = field.grid_coords(n - 1)
     assignment = np.full(m, -1, dtype=np.int64)
-    missing = []
-    for vf in range(m):
-        v = dcoords[vf]
-        ok = np.ones(m, dtype=bool)
+    for vfs in _direction_chunks(m):
+        ok = np.ones((vfs.stop - vfs.start, m), dtype=bool)
         for t in range(q):
-            shift = field.mul_arrays(v, np.int64(t))
-            ok &= slices[_shifted_flats(field, n - 1, shift), t]
-            if not ok.any():
-                break
-        hits = np.flatnonzero(ok)
-        if hits.size:
-            assignment[vf] = hits[0]
-        else:
-            missing.append(vf)
+            ok &= slices[:, t].take(_line_table(field, n, vfs, t))
+        assignment[vfs] = np.where(ok.any(axis=1), ok.argmax(axis=1), -1)
+    missing = np.flatnonzero(assignment < 0).tolist()
     return (not missing, missing, assignment)
 
 
@@ -239,48 +246,41 @@ def kakeya_maximal(f: Grid, include_horizontal: bool = False) -> np.ndarray:
         raise UnsupportedDimensionError("horizontal rows are a 2-D exploration only")
     m = q ** (n - 1)
     absf = np.abs(f.values).reshape(m, q, order="F")
-    dcoords = f.field.grid_coords(n - 1)
     out = np.empty(m + (1 if include_horizontal else 0), dtype=np.float64)
-    for vf in range(m):
-        v = dcoords[vf]
-        acc = np.zeros(m, dtype=np.float64)
+    for vfs in _direction_chunks(m):
+        acc = np.zeros((vfs.stop - vfs.start, m), dtype=np.float64)
         for t in range(q):
-            shift = f.field.mul_arrays(v, np.int64(t))
-            acc += absf[_shifted_flats(f.field, n - 1, shift), t]
-        out[vf] = acc.max()
+            acc += absf[:, t].take(_line_table(f.field, n, vfs, t))
+        out[vfs] = acc.max(axis=1)
     if include_horizontal:
         out[m] = absf.sum(axis=0).max()
     return out
 
 
 def kakeya_maximal_direct(f: Grid) -> np.ndarray:
-    """Same maximal function by plain per-line summation.
+    """Same maximal function by a per-direction walk in field arithmetic.
 
-    Deliberately shares no code with kakeya_maximal; certificates are
-    re-evaluated through this path.
+    For each direction v it forms the (heights, base points) array of flat
+    indices of (x0 + vt, t) straight from the coordinate table with
+    field.mul_arrays and field.add_arrays, then sums each column over t and
+    takes the largest.  Deliberately shares no code with kakeya_maximal: no
+    line tables, no direction chunks; certificates are re-evaluated through
+    this path.
     """
-    q = f.field.order
+    field = f.field
+    q = field.order
     n = f.n
     m = q ** (n - 1)
     absf = np.abs(f.values)
-    coords = f.field.grid_coords(n - 1)
+    coords = field.grid_coords(n - 1)
+    ts = np.arange(q, dtype=np.int64)[:, None]
     out = np.zeros(m, dtype=np.float64)
     for vf in range(m):
-        v = tuple(int(c) for c in coords[vf])
-        best = 0.0
-        for xf in range(m):
-            x0 = tuple(int(c) for c in coords[xf])
-            total = 0.0
-            for t in range(q):
-                flat = 0
-                w = 1
-                for j in range(n - 1):
-                    flat += f.field.add(x0[j], f.field.mul(v[j], t)) * w
-                    w *= q
-                total += absf[flat + t * m]
-            if total > best:
-                best = total
-        out[vf] = best
+        flat = ts * m  # [height, base point]
+        for j in range(n - 1):
+            shift = field.mul_arrays(ts, coords[vf, j])
+            flat = flat + field.add_arrays(coords[None, :, j], shift) * q**j
+        out[vf] = absf[flat].sum(axis=0).max()
     return out
 
 
@@ -380,7 +380,7 @@ def kakeya_norm_certificates(
             meta.update({"seed": seed, "tried": count, "best_index": best[2]})
         else:
             raise UnknownWitnessError(f"no Kakeya witness named {name!r}")
-        value = _maximal_ratio(f, p, q)
+        value = best[0] if name == "random_sets" else _maximal_ratio(f, p, q)
         out.append(
             _kakeya_cert(
                 field, n, "lower", "witness", p, q, value,
@@ -430,15 +430,14 @@ def line_sum_grid(field: Field, n: int, g: np.ndarray, x0map: np.ndarray) -> Gri
     m = q ** (n - 1)
     g = np.asarray(g, dtype=np.float64)
     coords = field.grid_coords(n - 1)
+    vfs = np.flatnonzero(g != 0)
+    x0, v = coords[np.asarray(x0map, dtype=np.int64)[vfs]], coords[vfs]
+    ts = np.arange(q, dtype=np.int64)
+    flat = np.tile(ts * m, (len(vfs), 1))  # [direction, height], directions in order
+    for j in range(n - 1):
+        flat += field.add_arrays(x0[:, j, None], field.mul_arrays(v[:, j, None], ts)) * q**j
     vals = np.zeros(q**n, dtype=np.complex128)
-    for vf in range(m):
-        if g[vf] == 0:
-            continue
-        line = LineSpec(
-            tuple(int(c) for c in coords[int(x0map[vf])]),
-            tuple(int(c) for c in coords[vf]),
-        )
-        vals[line_flat_points(field, line)] += g[vf]
+    np.add.at(vals, flat, g[vfs, None])
     vals /= float(m)
     return Grid(field, n, vals, Side.SPACE)
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from fflab import kakeya
 from fflab.certificates import certificate_consistency
 from fflab.errors import (
     BudgetExceededError,
@@ -103,6 +104,41 @@ def test_verify_besicovitch_detects_gaps(f7):
     assert np.any(assignment < 0)
 
 
+def besicovitch_oracle(field, n, flat):
+    """Smallest flat base point of a contained line per direction, or -1."""
+    q = field.order
+    members = set(int(x) for x in flat)
+    coords = [tuple(int(c) for c in row) for row in field.grid_coords(n - 1)]
+    out = []
+    for v in coords:
+        hit = -1
+        for xf, x0 in enumerate(coords):
+            if all(
+                sum(field.add(x0[j], field.mul(v[j], t)) * q**j for j in range(n - 1))
+                + t * q ** (n - 1) in members
+                for t in range(q)
+            ):
+                hit = xf
+                break
+        out.append(hit)
+    return out
+
+
+def test_verify_besicovitch_against_oracle(f5, f7):
+    rng = np.random.default_rng(11)
+    cases = [
+        (f7, 2, besicovitch_2d(f7).flat[1:]),
+        (f5, 3, np.flatnonzero(rng.random(5**3) < 0.5)),
+    ]
+    for field, n, flat in cases:
+        expected = besicovitch_oracle(field, n, flat)
+        ok, missing, assignment = verify_besicovitch(field, n, flat)
+        assert assignment.tolist() == expected
+        assert missing == [vf for vf, x in enumerate(expected) if x < 0]
+        assert ok == (not missing)
+        assert missing and len(missing) < len(expected)  # both outcomes occur
+
+
 def test_variety_probe(f5):
     # {x = 0} misses every slanted direction
     ok, missing, _ = variety_besicovitch_probe(f5, 2, [lambda f, c: c[:, 0]])
@@ -141,6 +177,46 @@ def test_maximal_paths_agree(f5, n):
     rng = np.random.default_rng(n)
     f = Grid.random(f5, n, rng)
     assert np.abs(kakeya_maximal(f) - kakeya_maximal_direct(f)).max() < 1e-12
+
+
+@pytest.mark.parametrize(
+    "p, k, n",
+    [(5, 1, 2), (5, 1, 3), (5, 1, 4), (7, 1, 2), (7, 1, 3), (7, 1, 4),
+     (3, 2, 2), (3, 2, 3), (5, 2, 2), (5, 2, 3)],
+)
+def test_maximal_paths_identical(p, k, n):
+    field = make_field(p, k)
+    f = Grid.random(field, n, np.random.default_rng(100 * p + 10 * k + n))
+    assert np.array_equal(kakeya_maximal(f), kakeya_maximal_direct(f))
+
+
+def test_uneven_direction_chunks(monkeypatch, f5, f7):
+    rng = np.random.default_rng(5)
+    f = Grid.random(f7, 3, rng)
+    flat = np.flatnonzero(rng.random(5**3) < 0.5)
+    ok, missing, assignment = verify_besicovitch(f5, 3, flat)
+    # 49 directions in chunks of 5, then 25 directions in chunks of 7
+    monkeypatch.setattr(kakeya, "LINE_TABLE_ENTRIES", 5 * 49)
+    assert np.array_equal(kakeya_maximal(f), kakeya_maximal_direct(f))
+    monkeypatch.setattr(kakeya, "LINE_TABLE_ENTRIES", 7 * 25)
+    chunked = verify_besicovitch(f5, 3, flat)
+    assert chunked[:2] == (ok, missing)
+    assert np.array_equal(chunked[2], assignment)
+
+
+def test_recheck_independent_of_line_tables(monkeypatch, f7):
+    certs = kakeya_norm_certificates(
+        f7, 3, 2, 4, witnesses=("point", "line", "full_space", "random_sets"), count=2
+    )
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the recheck must not build line tables")
+
+    monkeypatch.setattr(kakeya, "_line_table", refuse)
+    monkeypatch.setattr(kakeya, "_direction_chunks", refuse)
+    with pytest.raises(AssertionError):
+        kakeya_maximal(Grid.delta(f7, 3))
+    assert all(verify_lower(c) for c in certs)
 
 
 def test_maximal_horizontal_row(f5):
@@ -215,6 +291,26 @@ def test_line_sum_mass(f7):
     g = np.arange(1.0, 8.0)
     tg = line_sum_grid(f7, 2, g, wit.assignment)
     assert tg.values.sum().real == pytest.approx(7 * g.sum() / 7)
+
+
+def test_line_sum_against_per_line_loop(f5, f7):
+    rng = np.random.default_rng(2)
+    for field, n in ((f7, 2), (f5, 3)):
+        m = field.order ** (n - 1)
+        coords = field.grid_coords(n - 1)
+        g = rng.random(m)
+        g[rng.random(m) < 0.3] = 0.0
+        g[0] = 0.0
+        x0map = rng.integers(0, m, m)
+        expected = np.zeros(field.order**n, dtype=np.complex128)
+        for vf in range(m):
+            if g[vf] != 0:
+                line = LineSpec(
+                    tuple(int(c) for c in coords[x0map[vf]]), tuple(int(c) for c in coords[vf])
+                )
+                expected[line_flat_points(field, line)] += g[vf]
+        expected /= float(m)
+        assert np.array_equal(line_sum_grid(field, n, g, x0map).values, expected)
 
 
 def test_cordoba_constant_weight_deficit(f7):
@@ -398,6 +494,12 @@ def test_heisenberg_frozen(f9):
     assert rep.line_ratio == pytest.approx(96 / 81)
     with pytest.raises(NotQuadraticExtensionError):
         heisenberg_example(make_field(7))
+
+
+def test_heisenberg_point_count_scales():
+    rep = heisenberg_example(make_field(5, 2))
+    assert rep.point_count == 3125  # |F|^{5/2} = 5^5
+    assert rep.containment_ok
 
 
 # -- slope projections -----------------------------------------------------------------

@@ -248,6 +248,12 @@ def test_cli_heisenberg(capsys):
     assert code == 0 and "F_3^2" in out
 
 
+def test_cli_heisenberg_bracket_scales(capsys):
+    # the point-count bracket follows |F|^{5/2}: |P| = 3125 over F_25
+    code, out, _ = run_cli(capsys, "kakeya", "heisenberg", "--field", "5^2")
+    assert code == 0 and "|P| = 3125" in out
+
+
 def test_cli_figure1_table(capsys):
     code, out, _ = run_cli(
         capsys, "table", "figure1", "--fields", "5,7", "--restarts", "2", "--iters", "40"
