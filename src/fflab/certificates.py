@@ -162,6 +162,12 @@ class NormCertificate:
         )
 
 
+def recheck_agrees(cert: NormCertificate, value: float) -> bool:
+    """True when an independently recomputed value confirms ``cert.value``:
+    relative error at most RECHECK_REL_TOL, absolute below magnitude 1."""
+    return abs(value - cert.value) <= RECHECK_REL_TOL * max(1.0, abs(cert.value))
+
+
 def certificate_consistency(certs) -> list[str]:
     """Cross-check a batch: every lower bound must sit below every upper bound
     for the same quantity at the same exponent pair.  Returns violation

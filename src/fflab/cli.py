@@ -93,11 +93,40 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _finish(args, report: ExperimentReport) -> tuple[int, str]:
+# Parsed arguments that cannot change a run's result, so they do not identify it.
+NOT_CONFIG = ("command", "subcommand", "func", "out", "fmt", "budget")
+
+
+def _report(
+    args, t0, checks, config=None, *, field=None, n=0, surface=None, p=None, q=None,
+    certificates=(), experiment=None, note=None,
+) -> tuple[int, str]:
+    """Build, render and store one run's report; exit 1 if any check failed.
+
+    The run's config is every parsed argument that can change its result,
+    with exponent arguments recorded as the resolved ``p``/``q``, plus the
+    command's derived values in ``config``; ``note`` is appended to text
+    output only.
+    """
+    run_config = {k: v for k, v in vars(args).items() if k not in NOT_CONFIG}
+    run_config["command"] = f"{args.command} {args.subcommand}"
+    for name, value in (("p", p), ("q", q)):
+        if name in run_config:
+            run_config[name] = exponent_str(value)
+    run_config.update(config or {})
+    report = ExperimentReport(
+        experiment=experiment or f"{args.command}-{args.subcommand}",
+        char=field.p if field else 0, degree=field.k if field else 0,
+        n=n, surface=surface, p=p, q=q,
+        certificates=list(certificates), checks=checks,
+        runtime_ms=(time.perf_counter() - t0) * 1000.0,
+        seed=args.seed, config=run_config,
+    )
     rendered = report.render(args.fmt)
     store_report(report)
-    code = EXIT_OK if report.all_passed else EXIT_VIOLATION
-    return code, rendered
+    if note and args.fmt == "text":
+        rendered += "\n" + note
+    return (EXIT_OK if report.all_passed else EXIT_VIOLATION), rendered
 
 
 # -- restriction ----------------------------------------------------------------------
@@ -138,20 +167,10 @@ def cmd_restriction_estimate(args) -> tuple[int, str]:
 
     violations = certificate_consistency(certs)
     checks.append(CheckResult("certificate_consistency", not violations, None))
-    report = ExperimentReport(
-        experiment="restriction-estimate",
-        char=field.p, degree=field.k, n=args.dim, surface=args.surface,
-        p=p, q=q, certificates=certs, checks=checks,
-        runtime_ms=(time.perf_counter() - t0) * 1000.0,
-        seed=args.seed,
-        config={
-            "command": "restriction estimate", "field": args.field, "dim": args.dim,
-            "surface": args.surface, "p": exponent_str(p), "q": exponent_str(q),
-            "method": method, "restarts": args.restarts, "iters": args.iters,
-            "tol": args.tol, "seed": args.seed,
-        },
+    return _report(
+        args, t0, checks,
+        field=field, n=args.dim, surface=args.surface, p=p, q=q, certificates=certs,
     )
-    return _finish(args, report)
 
 
 def cmd_restriction_region(args) -> tuple[int, str]:
@@ -163,22 +182,10 @@ def cmd_restriction_region(args) -> tuple[int, str]:
         CheckResult(label, bool(test(p, q)), None) for label, test in region.constraints()
     ]
     inside = all(c.passed for c in checks)
-    report = ExperimentReport(
-        experiment="restriction-region",
-        char=0, degree=0, n=args.dim, surface=None, p=p, q=q,
-        checks=checks,
-        runtime_ms=(time.perf_counter() - t0) * 1000.0,
-        seed=args.seed,
-        config={
-            "command": "restriction region", "dim": args.dim,
-            "surface_dim": args.surface_dim, "subspace_dim": args.subspace_dim,
-            "p": exponent_str(p), "q": exponent_str(q), "seed": args.seed,
-        },
+    _, rendered = _report(
+        args, t0, checks,
+        n=args.dim, p=p, q=q, note=f"inside necessary region: {'yes' if inside else 'no'}",
     )
-    rendered = report.render(args.fmt)
-    if args.fmt == "text":
-        rendered += f"\ninside necessary region: {'yes' if inside else 'no'}"
-    store_report(report)
     # a point outside the region is an answer, not a failure
     return EXIT_OK, rendered
 
@@ -191,19 +198,10 @@ def cmd_restriction_witness(args) -> tuple[int, str]:
     q = parse_exponent(args.q)
     cert = rl.rstar_lower_witness(surface, p, q, args.witness)
     checks = [CheckResult("witness_recheck", rl.verify_lower(cert), None)]
-    report = ExperimentReport(
-        experiment="restriction-witness",
-        char=field.p, degree=field.k, n=args.dim, surface=args.surface,
-        p=p, q=q, certificates=[cert], checks=checks,
-        runtime_ms=(time.perf_counter() - t0) * 1000.0,
-        seed=args.seed,
-        config={
-            "command": "restriction witness", "field": args.field, "dim": args.dim,
-            "surface": args.surface, "p": exponent_str(p), "q": exponent_str(q),
-            "witness": args.witness, "seed": args.seed,
-        },
+    return _report(
+        args, t0, checks,
+        field=field, n=args.dim, surface=args.surface, p=p, q=q, certificates=[cert],
     )
-    return _finish(args, report)
 
 
 # -- verify ---------------------------------------------------------------------------
@@ -276,18 +274,7 @@ def cmd_verify_identities(args) -> tuple[int, str]:
     checks: list[CheckResult] = []
     for name in names:
         SUITES[name](fields, checks, rng)
-    report = ExperimentReport(
-        experiment=f"verify-identities:{args.suite}",
-        char=0, degree=0, n=0, surface=None, p=None, q=None,
-        checks=checks,
-        runtime_ms=(time.perf_counter() - t0) * 1000.0,
-        seed=args.seed,
-        config={
-            "command": "verify identities", "suite": args.suite,
-            "fields": args.fields, "seed": args.seed,
-        },
-    )
-    return _finish(args, report)
+    return _report(args, t0, checks, experiment=f"verify-identities:{args.suite}")
 
 
 # -- kakeya ---------------------------------------------------------------------------
@@ -311,19 +298,10 @@ def cmd_kakeya_maximal(args) -> tuple[int, str]:
         certs.append(kk.kakeya_upper_overlap(field, n))
     violations = certificate_consistency(certs)
     checks.append(CheckResult("certificate_consistency", not violations, None))
-    report = ExperimentReport(
-        experiment="kakeya-maximal",
-        char=field.p, degree=field.k, n=n, surface=f"lines(n={n})",
-        p=p, q=q, certificates=certs, checks=checks,
-        runtime_ms=(time.perf_counter() - t0) * 1000.0,
-        seed=args.seed,
-        config={
-            "command": "kakeya maximal", "field": args.field, "dim": n,
-            "p": exponent_str(p), "q": exponent_str(q), "witnesses": args.witnesses,
-            "seed": args.seed,
-        },
+    return _report(
+        args, t0, checks,
+        field=field, n=n, surface=f"lines(n={n})", p=p, q=q, certificates=certs,
     )
-    return _finish(args, report)
 
 
 def cmd_kakeya_besicovitch(args) -> tuple[int, str]:
@@ -338,21 +316,10 @@ def cmd_kakeya_besicovitch(args) -> tuple[int, str]:
         CheckResult("contains_line_every_direction", ok, float(len(missing))),
         CheckResult("size_formula", wit.size == expected, float(abs(wit.size - expected))),
     ]
-    report = ExperimentReport(
-        experiment="kakeya-besicovitch",
-        char=field.p, degree=field.k, n=2, surface=None, p=None, q=None,
-        checks=checks,
-        runtime_ms=(time.perf_counter() - t0) * 1000.0,
-        seed=args.seed,
-        config={
-            "command": "kakeya besicovitch", "construct": args.construct,
-            "field": args.field, "size": wit.size, "seed": args.seed,
-        },
+    return _report(
+        args, t0, checks, {"size": wit.size},
+        field=field, n=2, note=f"size: {wit.size}  verified: {ok}",
     )
-    code, rendered = _finish(args, report)
-    if args.fmt == "text":
-        rendered += f"\nsize: {wit.size}  verified: {ok}"
-    return code, rendered
 
 
 def cmd_kakeya_cordoba(args) -> tuple[int, str]:
@@ -367,19 +334,11 @@ def cmd_kakeya_cordoba(args) -> tuple[int, str]:
         x0map = rng.integers(0, m, m)
         worst = min(worst, kk.cordoba_check(field, n, g, x0map))
     checks = [CheckResult("deficit_nonnegative", worst >= -1e-9, worst)]
-    report = ExperimentReport(
-        experiment="kakeya-cordoba",
-        char=field.p, degree=field.k, n=n, surface=f"lines(n={n})",
-        p=Fraction(2), q=Fraction(2 * n - 2), checks=checks,
+    return _report(
+        args, t0, checks,
+        field=field, n=n, surface=f"lines(n={n})", p=Fraction(2), q=Fraction(2 * n - 2),
         certificates=[kk.kakeya_upper_overlap(field, n)],
-        runtime_ms=(time.perf_counter() - t0) * 1000.0,
-        seed=args.seed,
-        config={
-            "command": "kakeya cordoba", "field": args.field, "dim": n,
-            "trials": args.trials, "seed": args.seed,
-        },
     )
-    return _finish(args, report)
 
 
 def _wolff_family(args, field: Field) -> list[kk.LineSpec]:
@@ -410,25 +369,15 @@ def cmd_kakeya_wolff(args) -> tuple[int, str]:
     lines = _wolff_family(args, field)
     rep = kk.wolff_axiom_check(field, lines, mode=args.mode)
     checks = [CheckResult("plane_spread_measured", True, rep.ratio)]
-    report = ExperimentReport(
-        experiment="kakeya-wolff-check",
-        char=field.p, degree=field.k, n=3, surface=None, p=None, q=None,
-        checks=checks,
-        runtime_ms=(time.perf_counter() - t0) * 1000.0,
-        seed=args.seed,
-        config={
-            "command": "kakeya wolff-check", "field": args.field, "family": args.family,
-            "mode": args.mode, "lines": len(lines), "max_lines_in_plane": rep.max_lines,
-            "ratio": rep.ratio, "seed": args.seed,
-        },
-    )
-    code, rendered = _finish(args, report)
-    if args.fmt == "text":
-        rendered += (
-            f"\nlines: {len(lines)}  max in one plane: {rep.max_lines}"
+    return _report(
+        args, t0, checks,
+        {"lines": len(lines), "max_lines_in_plane": rep.max_lines, "ratio": rep.ratio},
+        field=field, n=3,
+        note=(
+            f"lines: {len(lines)}  max in one plane: {rep.max_lines}"
             f"  ratio to |F|: {rep.ratio:.4f}"
-        )
-    return code, rendered
+        ),
+    )
 
 
 def cmd_kakeya_heisenberg(args) -> tuple[int, str]:
@@ -442,26 +391,17 @@ def cmd_kakeya_heisenberg(args) -> tuple[int, str]:
         CheckResult("point_count_bracket", lo <= rep.point_count <= hi, float(rep.point_count)),
         CheckResult("duplicate_direction_exists", rep.duplicate_direction is not None, None),
     ]
-    report = ExperimentReport(
-        experiment="kakeya-heisenberg",
-        char=field.p, degree=field.k, n=3, surface=None, p=None, q=None,
-        checks=checks,
-        runtime_ms=(time.perf_counter() - t0) * 1000.0,
-        seed=args.seed,
-        config={
-            "command": "kakeya heisenberg", "field": args.field,
-            "points": rep.point_count, "lines": rep.line_count,
-            "point_ratio": rep.point_ratio, "line_ratio": rep.line_ratio,
-            "seed": args.seed,
-        },
-    )
-    code, rendered = _finish(args, report)
-    if args.fmt == "text":
-        rendered += (
-            f"\n|P| = {rep.point_count} (|F|^5/2 ratio {rep.point_ratio:.4f})"
+    derived = {
+        "points": rep.point_count, "lines": rep.line_count,
+        "point_ratio": rep.point_ratio, "line_ratio": rep.line_ratio,
+    }
+    return _report(
+        args, t0, checks, derived, field=field, n=3,
+        note=(
+            f"|P| = {rep.point_count} (|F|^5/2 ratio {rep.point_ratio:.4f})"
             f"  |L| = {rep.line_count} (|F|^2 ratio {rep.line_ratio:.4f})"
-        )
-    return code, rendered
+        ),
+    )
 
 
 def cmd_kakeya_sd(args) -> tuple[int, str]:
@@ -470,21 +410,11 @@ def cmd_kakeya_sd(args) -> tuple[int, str]:
     coords = field.grid_coords(2)[1:]  # all nonzero points of F^2
     rep = rl.selfdot_incidence_count(field, coords)
     checks = [CheckResult("incidence_bound", rep.satisfied, float(rep.count))]
-    report = ExperimentReport(
-        experiment="kakeya-sd",
-        char=field.p, degree=field.k, n=2, surface=None, p=None, q=None,
-        checks=checks,
-        runtime_ms=(time.perf_counter() - t0) * 1000.0,
-        seed=args.seed,
-        config={
-            "command": "kakeya sd", "field": args.field, "points": int(rep.point_count),
-            "count": int(rep.count), "bound": rep.bound, "seed": args.seed,
-        },
+    return _report(
+        args, t0, checks,
+        {"points": int(rep.point_count), "count": int(rep.count), "bound": rep.bound},
+        field=field, n=2, note=f"incidences: {rep.count}  bound: {rep.bound:.2f}",
     )
-    code, rendered = _finish(args, report)
-    if args.fmt == "text":
-        rendered += f"\nincidences: {rep.count}  bound: {rep.bound:.2f}"
-    return code, rendered
 
 
 def cmd_kakeya_slices(args) -> tuple[int, str]:
@@ -504,18 +434,7 @@ def cmd_kakeya_slices(args) -> tuple[int, str]:
                 float(chk.projection_size - chk.slice_size),
             )
         )
-    report = ExperimentReport(
-        experiment="kakeya-slices",
-        char=field.p, degree=field.k, n=2, surface=None, p=None, q=None,
-        checks=checks,
-        runtime_ms=(time.perf_counter() - t0) * 1000.0,
-        seed=args.seed,
-        config={
-            "command": "kakeya slices", "field": args.field, "t0": args.t0,
-            "t_inf": args.t_inf, "slopes": args.slopes, "seed": args.seed,
-        },
-    )
-    return _finish(args, report)
+    return _report(args, t0, checks, field=field, n=2)
 
 
 # -- figure 1 table -------------------------------------------------------------------

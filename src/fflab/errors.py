@@ -98,12 +98,8 @@ class ConstraintViolatedError(FFLabError):
     pass
 
 
-# budgets and caching
+# budgets and stored results
 class BudgetExceededError(FFLabError):
-    pass
-
-
-class CacheMissError(FFLabError):
     pass
 
 

@@ -18,7 +18,6 @@ absolute trace down to F_p; it is non-principal and fixed once per field.
 from __future__ import annotations
 
 import functools
-import math
 
 import numpy as np
 
@@ -389,13 +388,3 @@ class Field:
 def make_field(p: int, k: int = 1) -> Field:
     """Cached field constructor; fields are immutable so sharing is safe."""
     return Field(p, k)
-
-
-def character(field: Field) -> np.ndarray:
-    """The fixed additive character table e(a) = exp(2*pi*i*lift(trace(a))/p)."""
-    return field.character
-
-
-def gauss_quadratic_modulus(field: Field) -> float:
-    """|sum_t e(x t^2)| for x != 0 equals sqrt(|F|); exposed for reference."""
-    return math.sqrt(field.order)

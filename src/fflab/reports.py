@@ -1,4 +1,4 @@
-"""Experiment reports and the content-addressed result cache.
+"""Experiment reports and the per-run results store.
 
 A report is one self-contained record per run: the experiment name, the
 field and geometry, the exponent pair, every certificate produced, every
@@ -6,9 +6,10 @@ named check with its pass flag and deviation, the runtime, the package
 version, and the seed.  Floating-point numbers are rendered as decimal
 strings in JSON so that readers in other languages reparse them exactly.
 
-Reports persist under a results directory (environment variable
-FFLAB_RESULTS_DIR overrides the default ./.fflab-cache), keyed by the
-sha256 of the canonical JSON of the configuration.
+Each run writes its report under a results directory (environment variable
+FFLAB_RESULTS_DIR overrides the default ./.fflab-cache), named by the sha256
+of the canonical JSON of its configuration.  The store is a record of runs:
+nothing reads a report back to answer a later run.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from pathlib import Path
 
 from . import __version__
 from .certificates import NormCertificate, exponent_str, parse_exponent
-from .errors import CacheMissError, VersionMismatchError
+from .errors import VersionMismatchError
 
 RESULTS_ENV = "FFLAB_RESULTS_DIR"
 DEFAULT_RESULTS_DIR = ".fflab-cache"
@@ -173,7 +174,7 @@ class ExperimentReport:
         raise ValueError(f"unknown format {fmt!r}")
 
 
-# -- cache ----------------------------------------------------------------------------
+# -- results store --------------------------------------------------------------------
 
 
 def results_dir() -> Path:
@@ -196,20 +197,6 @@ def store_report(report: ExperimentReport, directory: Path | None = None) -> Pat
     path = d / f"{config_key(report.config)}.json"
     path.write_text(report.to_json())
     return path
-
-
-def load_report(config: dict, directory: Path | None = None) -> ExperimentReport:
-    """Load by configuration key; a newer major version is rejected."""
-    d = directory or results_dir()
-    path = d / f"{config_key(config)}.json"
-    if not path.exists():
-        raise CacheMissError(f"no cached report for key {config_key(config)[:12]}...")
-    report = ExperimentReport.from_json(path.read_text())
-    if _major(report.version) > _major(__version__):
-        raise VersionMismatchError(
-            f"cached report from version {report.version}, running {__version__}"
-        )
-    return report
 
 
 def cache_gc(directory: Path | None = None) -> tuple[int, int]:

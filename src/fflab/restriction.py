@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .certificates import (
     exponent_str,
     holder_dual,
     parse_exponent,
+    recheck_agrees,
 )
 from .errors import (
     MinusOneIsSquareError,
@@ -426,9 +427,8 @@ def recheck_lower(cert: NormCertificate) -> float:
     raise UnknownWitnessError(f"unknown witness form {form!r}")
 
 
-def verify_lower(cert: NormCertificate, rel_tol: float = 1e-9) -> bool:
-    value = recheck_lower(cert)
-    return abs(value - cert.value) <= rel_tol * max(1.0, abs(cert.value))
+def verify_lower(cert: NormCertificate) -> bool:
+    return recheck_agrees(cert, recheck_lower(cert))
 
 
 def lambda_q_ratio(cert: NormCertificate) -> float:
@@ -586,7 +586,7 @@ def selfdot_incidence_count(field: Field, points: np.ndarray) -> IncidenceReport
     )
     self_dots = np.diagonal(dots)
     count = int(np.sum(dots == self_dots[:, None]))
-    bound = min(math.sqrt(m) * m + m, m * math.sqrt(m) + m)
+    bound = math.sqrt(m) * m + m  # |P| = |L| = m, so both terms of the min agree
     return IncidenceReport(count, m, m, bound, count <= bound)
 
 

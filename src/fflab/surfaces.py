@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -31,7 +31,7 @@ from .errors import (
     WrongSurfaceKindError,
 )
 from .field import Field
-from .grid import Grid, Side, flat_points, fourier_inverse, point_index
+from .grid import Grid, Side, flat_points, fourier_inverse
 
 DEFAULT_TUPLE_BUDGET = 10**9
 
@@ -389,11 +389,6 @@ def surface_sum_table(surface: SurfaceMeasure, k: int, budget: int = DEFAULT_TUP
         flat = sum(cols[j] * pw[j] for j in range(n))
         table += np.bincount(flat, minlength=total)
     return table
-
-
-def surface_sum_count(surface, k, eta, budget: int = DEFAULT_TUPLE_BUDGET) -> int:
-    table = surface_sum_table(surface, k, budget)
-    return int(table[point_index(surface.field, eta)])
 
 
 def surface_sum_max(

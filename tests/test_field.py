@@ -13,8 +13,6 @@ from fflab.errors import (
 )
 from fflab.field import (
     Field,
-    character,
-    gauss_quadratic_modulus,
     is_prime,
     make_field,
     prime_factors,
@@ -100,7 +98,7 @@ def test_trace_into_prime_field(f9):
 
 
 def test_character_is_additive_and_unimodular(f9):
-    e = character(f9)
+    e = f9.character
     assert np.allclose(np.abs(e), 1.0)
     for a in range(9):
         for b in range(9):
@@ -158,7 +156,3 @@ def test_grid_coords_little_endian(f5):
     assert list(coords[25]) == [0, 0, 1]
     flat = coords[:, 0] + 5 * coords[:, 1] + 25 * coords[:, 2]
     assert np.array_equal(flat, np.arange(125))
-
-
-def test_gauss_quadratic_modulus_reference(f7):
-    assert gauss_quadratic_modulus(f7) == pytest.approx(np.sqrt(7))

@@ -1,4 +1,4 @@
-"""Report serialization, the result cache, and the command-line surface."""
+"""Report serialization, the results store, and the command-line surface."""
 
 import json
 import math
@@ -7,14 +7,12 @@ import pytest
 
 from fflab import cli
 from fflab.certificates import NormCertificate
-from fflab.errors import CacheMissError, VersionMismatchError
 from fflab.field import make_field
 from fflab.reports import (
     CheckResult,
     ExperimentReport,
     cache_gc,
     config_key,
-    load_report,
     results_dir,
     store_report,
 )
@@ -76,21 +74,17 @@ def test_all_passed_flag():
     assert not rep.all_passed
 
 
-# -- cache -----------------------------------------------------------------------------
+# -- results store ---------------------------------------------------------------------
 
 
 def test_store_load_roundtrip():
     rep = sample_report()
     path = store_report(rep)
     assert path.parent == results_dir()
-    loaded = load_report(rep.config)
+    assert path.name == f"{config_key(rep.config)}.json"
+    loaded = ExperimentReport.from_json(path.read_text())
     assert loaded.to_json() == rep.to_json()
     assert path.read_text() == rep.to_json()
-
-
-def test_cache_miss():
-    with pytest.raises(CacheMissError):
-        load_report({"command": "never ran"})
 
 
 def test_config_key_depends_on_seed():
@@ -98,24 +92,17 @@ def test_config_key_depends_on_seed():
     assert config_key({"a": 1, "b": 2}) == config_key({"b": 2, "a": 1})
 
 
-def test_version_mismatch_on_newer_major():
-    rep = sample_report()
-    rep.version = "2.0.0"
-    store_report(rep)
-    with pytest.raises(VersionMismatchError):
-        load_report(rep.config)
-
-
 def test_cache_gc_drops_bad_entries():
     keep = sample_report(seed=1)
-    store_report(keep)
+    kept_path = store_report(keep)
     stale = sample_report(seed=2)
     stale.version = "2.0.0"
-    store_report(stale)
+    stale_path = store_report(stale)
     (results_dir() / "corrupt.json").write_text("{ not json")
     kept, removed = cache_gc()
     assert (kept, removed) == (1, 2)
-    assert load_report(keep.config).seed == 1
+    assert not stale_path.exists()
+    assert ExperimentReport.from_json(kept_path.read_text()).seed == 1
 
 
 # -- command line ----------------------------------------------------------------------
@@ -275,3 +262,107 @@ def test_cli_cache_gc(capsys):
     code, out, _ = run_cli(capsys, "cache", "gc")
     assert code == 0
     assert "kept 1" in out and "removed 1" in out
+
+
+# -- one report path: every report subcommand over F_5, F_7 and F_9 ----------------------
+
+# -1 is a square in F_5 and F_9 and a non-square in F_7.
+MATRIX_FIELDS = ("5", "7", "3^2")
+MATRIX_COMMANDS = {
+    "restriction estimate": "--dim 2 --surface parabola --p 2 --q 4 --restarts 2 --iters 30",
+    "restriction witness": "--dim 2 --surface parabola --p 2 --q 4 --witness dirac",
+    "verify identities": "--suite gauss",
+    "kakeya maximal": "--dim 2",
+    "kakeya besicovitch": "--construct 2d",
+    "kakeya cordoba": "--trials 5",
+    "kakeya wolff-check": "--mode pairs",
+    "kakeya wolff-check heisenberg": "--family heisenberg",
+    "kakeya wolff-check random": "--family random --count 20",
+    "kakeya heisenberg": "",
+    "kakeya sd": "",
+    "kakeya slices": "--slopes 0,1,inf",
+    "restriction region": "--dim 3 --surface-dim 2 --p 2 --q 8/3",
+}
+# the Heisenberg family needs F_{p^2}; the self-dot lines need -1 to be a non-square
+MATRIX_CONFIG_ERRORS = {
+    ("kakeya wolff-check heisenberg", "5"), ("kakeya wolff-check heisenberg", "7"),
+    ("kakeya heisenberg", "5"), ("kakeya heisenberg", "7"),
+    ("kakeya sd", "5"), ("kakeya sd", "3^2"),
+}
+# values a command derives from its run and records beside its arguments
+MATRIX_DERIVED = {
+    "kakeya besicovitch": {"size"},
+    "kakeya wolff-check": {"lines", "max_lines_in_plane", "ratio"},
+    "kakeya heisenberg": {"points", "lines", "point_ratio", "line_ratio"},
+    "kakeya sd": {"points", "count", "bound"},
+}
+MATRIX_CELLS = [
+    (name, fld)
+    for name in MATRIX_COMMANDS
+    for fld in ((None,) if name == "restriction region" else MATRIX_FIELDS)
+]
+
+
+@pytest.mark.parametrize("name,fld", MATRIX_CELLS)
+def test_cli_matrix_single_report_path(capsys, tmp_path, name, fld):
+    command, subcommand = name.split()[:2]
+    argv = [command, subcommand]
+    if fld is not None:
+        argv += ["--fields" if command == "verify" else "--field", fld]
+    argv += MATRIX_COMMANDS[name].split()
+    argv += ["--seed", "3", "--budget", "123456789", "--out", str(tmp_path / "out.txt")]
+    argv += ["--format", "json"]
+    code, out, err = run_cli(capsys, *argv)
+    stored = sorted(results_dir().glob("*.json"))
+    if (name, fld) in MATRIX_CONFIG_ERRORS:
+        assert code == 2 and out == "" and "error:" in err
+        assert stored == []
+        return
+    assert code == 0 and err == ""
+    assert len(stored) == 1
+    report = json.loads(out)
+    config = report["config"]
+    assert stored[0].name == f"{config_key(config)}.json"
+    assert stored[0].read_text() + "\n" == out
+    assert (tmp_path / "out.txt").read_text() == out
+    assert config["command"] == f"{command} {subcommand}"
+    assert config["seed"] == 3 and report["seed"] == 3
+    suffix = ":gauss" if command == "verify" else ""
+    assert report["experiment"] == f"{command}-{subcommand}{suffix}"
+    assert MATRIX_DERIVED.get(f"{command} {subcommand}", set()) <= set(config)
+    assert not {"budget", "out", "fmt", "format", "func", "subcommand"} & set(config)
+    # every option given on the command line identifies the run
+    flags = {a[2:].replace("-", "_") for a in argv if a.startswith("--")}
+    assert flags - {"budget", "out", "format"} <= set(config)
+
+
+def test_cli_wolff_count_identifies_the_run(capsys):
+    keys = []
+    for count in ("20", "21"):
+        code, out, _ = run_cli(
+            capsys, "kakeya", "wolff-check", "--field", "7", "--family", "random",
+            "--count", count, "--format", "json",
+        )
+        assert code == 0
+        config = json.loads(out)["config"]
+        assert config["count"] == int(count)
+        keys.append(config_key(config))
+    assert keys[0] != keys[1]
+    assert len(list(results_dir().glob("*.json"))) == 2
+
+
+def test_cli_config_records_resolved_exponents(capsys):
+    code, out, _ = run_cli(
+        capsys, "restriction", "estimate", "--field", "5", "--dim", "2",
+        "--surface", "parabola", "--p", "4/2", "--q", "6/3", "--method", "closed",
+        "--format", "json",
+    )
+    assert code == 0
+    config = json.loads(out)["config"]
+    assert (config["p"], config["q"]) == ("2", "2")
+    # kakeya maximal records its defaulted exponents, resolved from --dim
+    code, out, _ = run_cli(capsys, "kakeya", "maximal", "--field", "5", "--dim", "3",
+                           "--format", "json")
+    assert code == 0
+    config = json.loads(out)["config"]
+    assert (config["p"], config["q"]) == ("2", "4")
