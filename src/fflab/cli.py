@@ -13,6 +13,8 @@ as "7", "3^2", comma lists, and prime ranges "3..97".
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import sys
@@ -449,7 +451,7 @@ def _pick_field(fields, want) -> tuple[int, int] | None:
     return None
 
 
-def _figure1_rows(fields, seed, restarts, iters):
+def _figure1_rows(fields, seed, restarts, iters, budget):
     """One row per headline surface: the sharp or best-known exponent pairs
     with measured certificates, and the conjectured pair's witness ratio."""
     rows = []
@@ -501,7 +503,7 @@ def _figure1_rows(fields, seed, restarts, iters):
             if p == 2 and q in (Fraction(4), Fraction(6)):
                 k = int(q // 2)
                 try:
-                    upper = rl.rstar_upper_even(surface, k)
+                    upper = rl.rstar_upper_even(surface, k, budget=budget)
                 except FFLabError:
                     upper = None
             lower = rl.rstar_lower_power(
@@ -569,13 +571,22 @@ def _render_figure1(rows, fmt: str) -> str:
 
 def cmd_table_figure1(args) -> tuple[int, str]:
     fields = parse_fields(args.fields)
-    rows = _figure1_rows(fields, args.seed, args.restarts, args.iters)
+    rows = _figure1_rows(fields, args.seed, args.restarts, args.iters, args.budget)
     return EXIT_OK, _render_figure1(rows, args.fmt)
 
 
 def cmd_cache_gc(args) -> tuple[int, str]:
     kept, removed = cache_gc()
-    return EXIT_OK, f"cache at {results_dir()}: kept {kept}, removed {removed}"
+    where = results_dir()
+    if args.fmt == "json":
+        return EXIT_OK, json.dumps({"cache": str(where), "kept": kept, "removed": removed})
+    if args.fmt == "csv":
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerows(
+            [("cache", "kept", "removed"), (where, kept, removed)]
+        )
+        return EXIT_OK, out.getvalue().rstrip("\n")
+    return EXIT_OK, f"cache at {where}: kept {kept}, removed {removed}"
 
 
 # -- parser ---------------------------------------------------------------------------

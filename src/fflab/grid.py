@@ -128,14 +128,23 @@ def _transform_matrices(field: Field):
     return mats
 
 
-def _apply_axes(values: np.ndarray, mat: np.ndarray, q: int, n: int) -> np.ndarray:
-    arr = values.reshape((q,) * n, order="F")
-    for axis in range(n):
-        arr = np.moveaxis(arr, axis, 0)
-        shp = arr.shape
-        arr = mat @ arr.reshape(q, -1)
-        arr = np.moveaxis(arr.reshape(shp), 0, axis)
-    return arr.reshape(-1, order="F")
+def transform_axes(
+    values: np.ndarray, mat: np.ndarray, q: int, n: int, n_axes: int | None = None
+) -> np.ndarray:
+    """Apply the 1-D kernel ``mat`` along coordinates 0 .. n_axes-1 (default all n).
+
+    With the flat index sum_i x_i |F|^i, coordinate i is the middle axis of the
+    C-order view (|F|^{n-1-i}, |F|, |F|^i), so each contraction is a reshape and
+    a (batched) matmul: no axis is moved and no input is copied.
+    """
+    arr = values
+    for axis in range(n if n_axes is None else n_axes):
+        outer, inner = q ** (n - 1 - axis), q**axis
+        if inner == 1:
+            arr = arr.reshape(outer, q) @ mat.T
+        else:
+            arr = np.matmul(mat, arr.reshape(outer, q, inner))
+    return arr.reshape(-1)
 
 
 def fourier_forward(f: Grid) -> Grid:
@@ -143,7 +152,7 @@ def fourier_forward(f: Grid) -> Grid:
     if f.side != Side.SPACE:
         raise WrongSideError("forward transform expects a space-side grid")
     minus, _ = _transform_matrices(f.field)
-    out = _apply_axes(f.values, minus, f.field.order, f.n)
+    out = transform_axes(f.values, minus, f.field.order, f.n)
     return Grid(f.field, f.n, out, Side.FREQUENCY)
 
 
@@ -152,7 +161,7 @@ def fourier_inverse(g: Grid) -> Grid:
     if g.side != Side.FREQUENCY:
         raise WrongSideError("inverse transform expects a frequency-side grid")
     _, plus = _transform_matrices(g.field)
-    out = _apply_axes(g.values, plus, g.field.order, g.n)
+    out = transform_axes(g.values, plus, g.field.order, g.n)
     out *= float(g.field.order) ** (-g.n)
     return Grid(g.field, g.n, out, Side.SPACE)
 

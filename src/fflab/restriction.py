@@ -63,6 +63,7 @@ from .surfaces import (
     double_paraboloid,
     double_paraboloid_index,
     extension,
+    extension_adjoint,
     extension_direct,
     indicator_grid,
     paraboloid,
@@ -188,53 +189,79 @@ def _phase(z: np.ndarray) -> np.ndarray:
     return np.where(a > 0, z / np.where(a > 0, a, 1.0), 1.0)
 
 
-def _dual_on_grid(u: np.ndarray, q: Exponent, norm: float) -> np.ndarray:
-    """L^q-norming element on the counting side: <u, dual> = ||u||_q, ||dual||_{q'} = 1."""
-    if q == math.inf:
-        out = np.zeros_like(u)
-        i = int(np.argmax(np.abs(u)))
-        out[i] = _phase(u[i : i + 1])[0]
-        return out
-    qf = as_float(q)
-    return np.abs(u) ** (qf - 1.0) * _phase(u) / norm ** (qf - 1.0)
+def _abs2(z: np.ndarray) -> np.ndarray:
+    return (z * z.conj()).real
 
 
-def _renorm_on_surface(w: np.ndarray, p: Exponent, surface: SurfaceMeasure) -> np.ndarray:
-    """Map the adjoint output to the next unit-L^p(dsigma) iterate."""
-    if p == math.inf:
-        g = _phase(w)
-    elif p == 1:
-        g = np.zeros_like(w)
-        i = int(np.argmax(np.abs(w)))
-        g[i] = _phase(w[i : i + 1])[0]
-    else:
-        pf = as_float(p)
-        g = np.abs(w) ** (1.0 / (pf - 1.0)) * _phase(w)
-    sf = SurfaceFunction(surface, g)
-    nrm = surface_lp_norm(sf, p)
-    if nrm == 0:
-        g = np.ones_like(w)
-        nrm = 1.0
-    return g / nrm
+def _power0(x: np.ndarray, e: float) -> np.ndarray:
+    """x^e for x >= 0, with 0 wherever x = 0 and e < 0 (0^e is infinite there)."""
+    if e >= 0:
+        return x**e
+    out = np.zeros_like(x)
+    np.power(x, e, out=out, where=x > 0)
+    return out
+
+
+def _point_mass(z: np.ndarray) -> np.ndarray:
+    """The unit-modulus point mass at the largest |z|, with z's phase there."""
+    out = np.zeros_like(z)
+    i = int(np.argmax(np.abs(z)))
+    out[i] = _phase(z[i : i + 1])[0]
+    return out
 
 
 def _power_ascent(surface, p, q, g0, max_iters, tol):
-    g = _renorm_on_surface(np.asarray(g0, dtype=np.complex128), p, surface)
+    """Alternate g -> Eg -> dual of Eg in L^q -> E* -> dual in L^p(dsigma).
+
+    Both duals are signed powers |z|^a phase(z), computed as
+    (|z|^2)^{(a-1)/2} z so zeros map to 0.  The grid-side dual omits its
+    positive factor ||Eg||_q^{1-q}, because the surface-side renormalization
+    to unit L^p(dsigma) norm is scale-invariant.
+    """
+    field, n, m = surface.field, surface.n, surface.size
+    qf = as_float(q)
+    pf = as_float(p)
+    grid_exp = (qf - 2.0) / 2.0  # |u|^{q-1} phase(u) = (|u|^2)^{(q-2)/2} u
+    if 1 < pf < math.inf:
+        surf_exp = (2.0 - pf) / (2.0 * (pf - 1.0))  # |w|^{1/(p-1)} phase(w)
+        norm_exp = pf / (2.0 * (pf - 1.0))  # |g|^p = (|w|^2)^{p/(2(p-1))}
+
+    def renorm(w):
+        if 1 < pf < math.inf:
+            a2 = _abs2(w)
+            g = _power0(a2, surf_exp) * w
+            nrm = (float(np.sum(a2**norm_exp)) / m) ** (1.0 / pf)
+        else:
+            g = _phase(w) if pf == math.inf else _point_mass(w)
+            nrm = surface_lp_norm(SurfaceFunction(surface, g), p)
+        if nrm == 0:
+            return np.ones_like(w)
+        return g / nrm
+
+    g = renorm(np.asarray(g0, dtype=np.complex128))
     prev = -math.inf
     iters = 0
     converged = False
     for iters in range(1, max_iters + 1):
         u = extension(SurfaceFunction(surface, g)).values
-        ratio = lp_norm(Grid(surface.field, surface.n, u, Side.SPACE), q)
+        if qf == math.inf:
+            ratio = float(np.abs(u).max())
+        else:
+            a2 = _abs2(u)
+            t = _power0(a2, grid_exp)
+            ratio = float(np.dot(t, a2)) ** (1.0 / qf)
         if abs(ratio - prev) <= tol * max(1.0, ratio):
             converged = True
             break
         prev = ratio
-        dual = _dual_on_grid(u, q, ratio)
-        w = restriction(
-            fourier_forward(Grid(surface.field, surface.n, dual, Side.SPACE)), surface
-        ).values
-        g = _renorm_on_surface(w, p, surface)
+        if qf == math.inf:
+            dual = _point_mass(u)
+        elif qf == 1:
+            dual = _phase(u)  # sign(u), and 1 where u = 0
+        else:
+            dual = t * u
+        w = extension_adjoint(Grid(field, n, dual, Side.SPACE), surface).values
+        g = renorm(w)
     return g, prev if prev > -math.inf else 0.0, iters, converged
 
 
@@ -262,6 +289,8 @@ def rstar_lower_power(
         raise ValueError("need at least one restart")
     m = surface.size
     best: tuple[float, int, np.ndarray, int, bool] | None = None
+    restart_iterations = []
+    restarts_converged = 0
     for idx in range(restarts):
         if idx == 0:
             g0 = np.ones(m, dtype=np.complex128)
@@ -272,6 +301,8 @@ def rstar_lower_power(
             rng = np.random.default_rng(seed + idx)
             g0 = np.exp(2j * np.pi * rng.random(m))
         g, val, iters, conv = _power_ascent(surface, p, q, g0, max_iters, tol)
+        restart_iterations.append(iters)
+        restarts_converged += bool(conv)
         if best is None or val > best[0] + 1e-15:
             best = (val, idx, g, iters, conv)
     assert best is not None
@@ -290,6 +321,8 @@ def rstar_lower_power(
             "best_restart": idx,
             "iterations": iters,
             "converged": bool(conv),
+            "restart_iterations": restart_iterations,
+            "restarts_converged": restarts_converged,
             "transform_value": float(val),
         },
     )

@@ -28,12 +28,24 @@ from .errors import (
     CharacteristicTooSmallError,
     DegenerateKernelError,
     UnsupportedDimensionError,
+    WrongSideError,
     WrongSurfaceKindError,
 )
 from .field import Field
-from .grid import Grid, Side, flat_points, fourier_inverse
+# fourier_inverse is not called here; it stays importable from this module
+# because perfbench's tracer test expects to rebind it here as well.
+from .grid import (  # noqa: F401
+    Grid,
+    Side,
+    _transform_matrices,
+    flat_points,
+    fourier_inverse,
+    transform_axes,
+)
 
 DEFAULT_TUPLE_BUDGET = 10**9
+# Index entries gathered at once when shifting the pair table (k = 3 counting).
+SHIFT_CHUNK_ENTRIES = 2**16
 
 
 class SurfaceKind(str, enum.Enum):
@@ -218,14 +230,94 @@ def build_surface(kind, field: Field, n: int, polynomials=None, include_origin=F
 # -- extension / restriction ------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class _TransformPlan:
+    """A surface's points laid out for the sparse-last-axis transforms.
+
+    A point's head is the flat index of its first n - 1 coordinates and its
+    tail tau its last coordinate.  ``order`` sorts the points by head (stably);
+    ``heads`` is each sorted point's head, ``starts`` the first sorted position
+    of each distinct head (None when no two points share a head) and
+    ``columns`` the distinct heads (None when every head of F^{n-1} occurs).
+    Column s of ``lift`` is e(x_{n-1} tau_s) / |S| and of ``sample``
+    e(-x_{n-1} tau_s) for the s-th sorted point, x_{n-1} running down the rows.
+    """
+
+    order: np.ndarray
+    heads: np.ndarray
+    starts: np.ndarray | None
+    columns: np.ndarray | None
+    lift: np.ndarray
+    sample: np.ndarray
+
+
+def _transform_plan(surface: SurfaceMeasure) -> _TransformPlan:
+    """The surface's transform plan, built on first use and cached on it."""
+    plan = getattr(surface, "_plan", None)
+    if plan is not None:
+        return plan
+    fld = surface.field
+    n = surface.n
+    scale = 1.0 / surface.size
+    minus, plus = _transform_matrices(fld)
+    heads = flat_points(fld, surface.points[:, : n - 1])
+    order = np.argsort(heads, kind="stable")
+    heads = heads[order]
+    tau = surface.points[order, n - 1]
+    first = np.flatnonzero(np.concatenate([[True], heads[1:] != heads[:-1]]))
+    plan = _TransformPlan(
+        order=order,
+        heads=heads,
+        starts=first if len(first) < len(heads) else None,
+        columns=heads[first] if len(first) < fld.order ** (n - 1) else None,
+        lift=np.ascontiguousarray(plus[:, tau] * scale),
+        sample=np.ascontiguousarray(minus[:, tau]),
+    )
+    object.__setattr__(surface, "_plan", plan)
+    return plan
+
+
 def extension(sf: SurfaceFunction) -> Grid:
-    """(g dsigma)_ as a space-side grid, via the axis-wise transform."""
+    """(g dsigma)_ as a space-side grid, via the surface's transform plan.
+
+    The sparse last axis goes first: each point adds g(s) e(x_{n-1} tau_s) / |S|
+    to its head's column (q |S| work instead of q^{n+1}), points sharing a head
+    are merged, and the first n - 1 axes run as dense contractions.
+    """
     surf = sf.surface
     q = surf.field.order
-    total = q**surf.n
-    emb = np.zeros(total, dtype=np.complex128)
-    emb[surf.flat] = sf.values * (total / surf.size)
-    return fourier_inverse(Grid(surf.field, surf.n, emb, Side.FREQUENCY))
+    n = surf.n
+    plan = _transform_plan(surf)
+    _, plus = _transform_matrices(surf.field)
+    cols = plan.lift * sf.values[plan.order]
+    if plan.starts is not None:
+        cols = np.add.reduceat(cols, plan.starts, axis=1)
+    if plan.columns is not None:
+        dense = np.zeros((q, q ** (n - 1)), dtype=np.complex128)
+        dense[:, plan.columns] = cols
+        cols = dense
+    return Grid(surf.field, n, transform_axes(cols, plus, q, n, n - 1), Side.SPACE)
+
+
+def extension_adjoint(f: Grid, surface: SurfaceMeasure) -> SurfaceFunction:
+    """f^ on the surface, sum_x f(x) e(-x.s): the adjoint of ``extension``.
+
+    Equals restriction(fourier_forward(f), surface).  The first n - 1 axes run
+    as dense contractions; each point then sums over x_{n-1} against
+    e(-x_{n-1} tau_s) in its head's column.
+    """
+    if f.side != Side.SPACE:
+        raise WrongSideError("the extension adjoint expects a space-side grid")
+    if f.n != surface.n or f.field != surface.field:
+        raise ValueError("grid and surface do not match")
+    q = surface.field.order
+    n = surface.n
+    plan = _transform_plan(surface)
+    minus, _ = _transform_matrices(surface.field)
+    part = transform_axes(f.values, minus, q, n, n - 1).reshape(q, q ** (n - 1))
+    vals = np.empty(surface.size, dtype=np.complex128)
+    vals[plan.order] = np.einsum("ts,ts->s", plan.sample, part[:, plan.heads])
+    return SurfaceFunction(surface, vals)
 
 
 def extension_direct(sf: SurfaceFunction) -> Grid:
@@ -351,44 +443,71 @@ def paraboloid_kernel_formula_check(field: Field, n: int) -> float:
 def surface_sum_table(surface: SurfaceMeasure, k: int, budget: int = DEFAULT_TUPLE_BUDGET) -> np.ndarray:
     """Dense table of ordered k-tuple sums: table[flat(eta)] = #{tuples summing to eta}.
 
-    Iterates over tuples (chunked), never over eta, so counts are exact int64.
+    k = 2 bins all |S|^2 pair sums.  k = 3 adds one shifted copy of that table
+    per surface point, table_3(eta) = sum_{s in S} table_2(eta - s).  Counts
+    stay exact int64.  The budget bounds that work, |S|^2 for k = 2 and
+    |S|^2 + |S| |F|^n for k = 3, and is checked before any table is built.
     """
     if k not in (2, 3):
         raise ValueError("tuple length must be 2 or 3")
     m = surface.size
-    if m**k > budget:
-        raise BudgetExceededError(f"|S|^{k} = {m**k} exceeds budget {budget}")
+    total = surface.field.order**surface.n
+    work = m * m if k == 2 else m * m + m * total
+    if work > budget:
+        what = "|S|^2" if k == 2 else "|S|^2 + |S| |F|^n"
+        raise BudgetExceededError(f"{what} = {work} exceeds budget {budget}")
+    table = _pair_table(surface)
+    return table if k == 2 else _shifted_sum(surface, table)
+
+
+def _pair_table(surface: SurfaceMeasure) -> np.ndarray:
+    """table_2 from all ordered pair sums, chunked over the first point."""
     fld = surface.field
     q = fld.order
     n = surface.n
+    m = surface.size
     pts = surface.points
-    total = q**n
     pw = q ** np.arange(n, dtype=np.int64)
-
-    # all pair sums, chunked over the first index
-    table = np.zeros(total, dtype=np.int64)
+    table = np.zeros(q**n, dtype=np.int64)
     chunk = max(1, min(m, 1 + 10**7 // max(m, 1)))
-    pair_flat_chunks = []
     for lo in range(0, m, chunk):
         hi = min(m, lo + chunk)
         cols = [
             fld.add_arrays(pts[lo:hi, None, j], pts[None, :, j]) for j in range(n)
         ]
         flat = sum(cols[j] * pw[j] for j in range(n)).reshape(-1)
-        if k == 2:
-            table += np.bincount(flat, minlength=total)
-        else:
-            pair_flat_chunks.append(flat)
-    if k == 2:
-        return table
-
-    pair_flat = np.concatenate(pair_flat_chunks)
-    pair_coords = [(pair_flat // pw[j]) % q for j in range(n)]
-    for r in range(m):
-        cols = [fld.add_arrays(pair_coords[j], pts[r, j]) for j in range(n)]
-        flat = sum(cols[j] * pw[j] for j in range(n))
-        table += np.bincount(flat, minlength=total)
+        table += np.bincount(flat, minlength=q**n)
     return table
+
+
+def _shifted_sum(surface: SurfaceMeasure, table: np.ndarray) -> np.ndarray:
+    """sum_{s in S} table(eta - s) for every eta, in exact int64.
+
+    Row s of ``shift[j]`` holds the flat-index contribution of coordinate j of
+    eta - s for each value of eta_j (field subtraction, so F_{p^2} works); the
+    outer sum of the n rows indexes the shifted table.
+    """
+    fld = surface.field
+    q = fld.order
+    n = surface.n
+    m = surface.size
+    total = q**n
+    values = np.arange(q, dtype=np.int64)
+    shift = [
+        fld.sub_arrays(values[None, :], surface.points[:, j, None]) * q**j for j in range(n)
+    ]
+    out = np.zeros(total, dtype=np.int64)
+    chunk = max(1, SHIFT_CHUNK_ENTRIES // total)
+    for lo in range(0, m, chunk):
+        hi = min(m, lo + chunk)
+        # coordinate j on axis n - j, so the C-order flattening is sum_j eta_j q^j
+        idx = np.zeros((hi - lo,) + (1,) * n, dtype=np.int64)
+        for j in range(n):
+            shape = [hi - lo] + [1] * n
+            shape[n - j] = q
+            idx = idx + shift[j][lo:hi].reshape(shape)
+        out += table[idx.reshape(hi - lo, total)].sum(axis=0)
+    return out
 
 
 def surface_sum_max(

@@ -1,5 +1,7 @@
 """Report serialization, the results store, and the command-line surface."""
 
+import csv
+import io
 import json
 import math
 
@@ -254,6 +256,43 @@ def test_cli_figure1_table(capsys):
     assert code2 == 0
     data = json.loads(out2)
     assert data["table"] == "figure1" and data["rows"]
+
+
+def test_cli_figure1_budget(capsys):
+    argv = ("table", "figure1", "--fields", "5,7", "--restarts", "2", "--iters", "40",
+            "--format", "json")
+
+    def uppers(*extra):
+        code, out, _ = run_cli(capsys, *argv, *extra)
+        assert code == 0
+        return {
+            (row["surface"], e["p"], e["q"]): e["upper"]
+            for row in json.loads(out)["rows"] for e in row["entries"]
+        }, out
+
+    default, default_out = uppers()
+    assert sum(v is not None for v in default.values()) == 4
+    assert uppers("--budget", str(10**9))[1] == default_out
+    assert all(v is None for v in uppers("--budget", "1")[0].values())
+    # work: moment curve k = 3 at F_5 25 + 5 * 125 = 650, parabola k = 2 25,
+    # paraboloid k = 2 625, cone k = 2 576
+    kept = {key[0] for key, v in uppers("--budget", "600")[0].items() if v is not None}
+    assert kept == {"parabola", "cone"}
+    code, out, _ = run_cli(capsys, *argv[:-2], "--budget", "1")
+    assert code == 0 and all(line.rstrip().endswith("-") for line in out.splitlines()[1:])
+
+
+def test_cli_cache_gc_formats(capsys):
+    store_report(sample_report())
+    (results_dir() / "junk.json").write_text("broken")
+    code, out, _ = run_cli(capsys, "cache", "gc", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"cache": str(results_dir()), "kept": 1, "removed": 1}
+    code, out, _ = run_cli(capsys, "cache", "gc", "--format", "csv")
+    assert code == 0
+    assert list(csv.reader(io.StringIO(out))) == [
+        ["cache", "kept", "removed"], [str(results_dir()), "1", "0"],
+    ]
 
 
 def test_cli_cache_gc(capsys):

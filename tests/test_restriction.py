@@ -44,7 +44,9 @@ from fflab.restriction import (
     tomas_stein_threshold,
     verify_lower,
 )
-from fflab.surfaces import cone, moment_curve, paraboloid
+from fflab import restriction as rl
+from fflab import surfaces
+from fflab.surfaces import SurfaceFunction, cone, extension, moment_curve, paraboloid
 
 
 # -- exponents ------------------------------------------------------------------------
@@ -128,6 +130,48 @@ def test_power_is_deterministic(f5):
     assert repr(a.value) == repr(b.value)
     assert a.witness == b.witness
     assert a.meta["best_restart"] == b.meta["best_restart"]
+
+
+def test_power_records_every_restart(f5):
+    surface = paraboloid(f5, 3)
+    cert = rstar_lower_power(surface, 2, 3, restarts=6, max_iters=5, seed=0)
+    iters = cert.meta["restart_iterations"]
+    assert len(iters) == 6 and all(1 <= i <= 5 for i in iters)
+    assert max(iters) == 5  # at least one restart hit the cap
+    assert sum(i < 5 for i in iters) <= cert.meta["restarts_converged"] < 6
+    assert cert.meta["iterations"] == iters[cert.meta["best_restart"]]
+
+
+@pytest.mark.parametrize("p,q", [(3, 3), (4, 1)])
+def test_power_maps_zeros_to_zero(f7, p, q):
+    # for p > 2 the surface-side dual |w|^{1/(p-1)} phase(w) is a negative
+    # power of |w|^2, and a point mass start has zeros everywhere but one point
+    surface = paraboloid(f7, 3)
+    point = np.zeros(surface.size, dtype=np.complex128)
+    point[0] = 1.0
+    g, val, _, _ = rl._power_ascent(
+        surface, parse_exponent(p), parse_exponent(q), point, 20, 1e-10
+    )
+    assert np.all(np.isfinite(g)) and math.isfinite(val) and val > 0
+
+
+def test_recheck_independent_of_transform_plan(monkeypatch, f5, f7):
+    certs = [
+        rstar_lower_power(paraboloid(f5, 3), 2, 4, restarts=3, max_iters=60),
+        rstar_lower_power(paraboloid(f7, 3), 3, 3, restarts=3, max_iters=60),
+        rstar_lower_power(cone(f7), Fraction(8, 5), 4, restarts=3, max_iters=60),
+        rstar_lower_power(moment_curve(f7, 3), 2, math.inf, restarts=3, max_iters=60),
+        rstar_lower_witness(paraboloid(f5, 3), 2, 4, "constant"),
+    ]
+    assert all(math.isfinite(c.value) and c.value > 0 for c in certs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the recheck must not use the transform plan")
+
+    monkeypatch.setattr(surfaces, "_transform_plan", refuse)
+    with pytest.raises(AssertionError):
+        extension(SurfaceFunction.constant(paraboloid(f5, 2)))
+    assert all(verify_lower(c) for c in certs)
 
 
 # -- explicit witnesses ----------------------------------------------------------------

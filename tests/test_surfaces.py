@@ -7,10 +7,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fflab import surfaces
 from fflab.errors import (
+    BudgetExceededError,
     CharacteristicTooSmallError,
     DegenerateKernelError,
     UnsupportedDimensionError,
+    WrongSideError,
     WrongSurfaceKindError,
 )
 from fflab.field import make_field
@@ -26,6 +29,7 @@ from fflab.surfaces import (
     double_paraboloid,
     double_paraboloid_index,
     extension,
+    extension_adjoint,
     extension_direct,
     fourier_dimension,
     galilean_transform,
@@ -119,6 +123,50 @@ def test_extension_two_paths_agree(make):
     fast = extension(g).values
     slow = extension_direct(g).values
     assert np.abs(fast - slow).max() < 1e-10 * max(1.0, np.abs(slow).max())
+
+
+def _circle_cone(field):
+    """x0^2 + x1^2 = x2^2: zero, one or two points over each (x0, x1)."""
+    def sq(c):
+        return field.mul_arrays(c, c)
+
+    return custom_variety(
+        field, 3,
+        [lambda f, c: f.sub_arrays(f.add_arrays(sq(c[:, 0]), sq(c[:, 1])), sq(c[:, 2]))],
+    )
+
+
+PLAN_SURFACES = {
+    "paraboloid": lambda f: paraboloid(f, 3),
+    "parabola": lambda f: paraboloid(f, 2),
+    "cone": cone,
+    "cone_with_origin": lambda f: cone(f, include_origin=True),
+    "moment_curve": lambda f: moment_curve(f, 3 if f.p > 3 else 2),
+    "double_paraboloid": lambda f: double_paraboloid(f, 2),
+    "custom": _circle_cone,
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLAN_SURFACES))
+@pytest.mark.parametrize("pk", [(5, 1), (7, 1), (3, 2)])
+def test_plan_matches_direct_paths(pk, name):
+    field = make_field(*pk)
+    surface = PLAN_SURFACES[name](field)
+    rng = np.random.default_rng(surface.size)
+    g = SurfaceFunction(
+        surface, rng.standard_normal(surface.size) + 1j * rng.standard_normal(surface.size)
+    )
+    slow = extension_direct(g).values
+    assert np.abs(extension(g).values - slow).max() <= 1e-12 * max(1.0, np.abs(slow).max())
+    f = Grid.random(field, surface.n, rng)
+    slow = restriction_direct(f, surface).values
+    fast = extension_adjoint(f, surface).values
+    assert np.abs(fast - slow).max() <= 1e-12 * max(1.0, np.abs(slow).max())
+
+
+def test_adjoint_requires_space_side(f5):
+    with pytest.raises(WrongSideError):
+        extension_adjoint(Grid.constant(f5, 2, 1.0, Side.FREQUENCY), paraboloid(f5, 2))
 
 
 def test_extension_of_delta_is_character_wave(f5):
@@ -239,6 +287,55 @@ def test_pair_sums_against_oracle(f5, f7):
     assert surface_sum_max(surface, 2) == pair_sum_oracle(surface, f5) == 2
     surface = paraboloid(f7, 3)
     assert surface_sum_max(surface, 2) == pair_sum_oracle(surface, f7) == 8
+
+
+def triple_sum_oracle(surface, field):
+    """#{(a, b, c) on S^3 : a + b + c = eta} for every eta, by explicit loops."""
+    from collections import Counter
+
+    counts = Counter()
+    pts = [tuple(int(c) for c in row) for row in surface.points]
+    for a in pts:
+        for b in pts:
+            ab = tuple(field.add(x, y) for x, y in zip(a, b))
+            for c in pts:
+                counts[tuple(field.add(x, y) for x, y in zip(ab, c))] += 1
+    return counts
+
+
+@pytest.mark.parametrize("make", [
+    lambda: paraboloid(make_field(7), 2),
+    lambda: paraboloid(make_field(5), 3),
+    lambda: cone(make_field(5)),
+    lambda: paraboloid(make_field(3, 2), 2),
+])
+def test_triple_sums_against_oracle(monkeypatch, make):
+    surface = make()
+    field = surface.field
+    table = surface_sum_table(surface, 3)
+    expect = np.zeros_like(table)
+    for eta, count in triple_sum_oracle(surface, field).items():
+        expect[point_index(field, eta)] = count
+    assert table.dtype == np.int64
+    assert np.array_equal(table, expect)
+    # shifts gathered 4 surface points at a time: the last chunk is short
+    monkeypatch.setattr(surfaces, "SHIFT_CHUNK_ENTRIES", 4 * field.order**surface.n)
+    assert np.array_equal(surface_sum_table(surface, 3), expect)
+
+
+def test_triple_budget_refuses_before_pair_table(monkeypatch, f5):
+    surface = paraboloid(f5, 3)
+    work = 25**2 + 25 * 5**3  # |S|^2 pair sums + |S| |F|^n shifted reads
+    assert surface_sum_table(surface, 3, budget=work).sum() == 25**3
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the budget must refuse before the pair table is built")
+
+    monkeypatch.setattr(surfaces, "_pair_table", refuse)
+    with pytest.raises(BudgetExceededError):
+        surface_sum_table(surface, 3, budget=work - 1)
+    with pytest.raises(AssertionError):
+        surface_sum_table(surface, 3, budget=work)
 
 
 def test_tuple_sum_counts_frozen(f5, f7):
