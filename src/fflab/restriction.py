@@ -67,7 +67,6 @@ from .surfaces import (
     extension_direct,
     indicator_grid,
     paraboloid,
-    restriction,
     restriction_direct,
     surface_lp_norm,
     surface_sum_max,
@@ -425,7 +424,7 @@ def rstar_lower_witness(surface: SurfaceMeasure, p, q, name: str, line=None) -> 
             raise WrongSurfaceKindError("the dual set witness lives on the cone")
         x_set = cone_counterexample_set(fld)
         f = indicator_grid(fld, 3, x_set, Side.SPACE)
-        sampled = restriction(fourier_forward(f), surface)
+        sampled = extension_adjoint(f, surface)
         value = surface_lp_norm(sampled, holder_dual(p)) / lp_norm(f, holder_dual(q))
         return _base_cert(
             surface, "lower", "witness", p, q, value,
