@@ -3,15 +3,18 @@
 
 Boundedness of this ratio across fields would say the surface characters
 behave like a nearly orthogonal system at exponent q.  The ratio is measured
-from power-iteration lower certificates and reported per field; whether it
-stays bounded is exactly what is not known, so nothing is asserted.
+from power-iteration lower certificates, each rechecked by direct summation
+(the script stops if a recheck disagrees), and reported per field; whether
+the ratio stays bounded is exactly what is not known, so nothing about it is
+asserted.
 """
 
 import argparse
+import sys
 
 from fflab.certificates import parse_exponent
 from fflab.field import make_field
-from fflab.restriction import lambda_q_ratio, rstar_lower_power
+from fflab.restriction import lambda_q_ratio, rstar_lower_power, verify_lower
 from fflab.surfaces import build_surface
 
 
@@ -36,6 +39,8 @@ def main() -> None:
         cert = rstar_lower_power(
             surface, 2, q, restarts=args.restarts, max_iters=args.iters, seed=args.seed
         )
+        if not verify_lower(cert):
+            sys.exit(f"F_{char}: lower bound {cert.value!r} failed its direct-summation recheck")
         print(f"{char:>6}  {cert.value:>15.8f}  {lambda_q_ratio(cert):>10.6f}")
 
 

@@ -179,7 +179,7 @@ def cmd_restriction_region(args) -> tuple[int, str]:
     t0 = time.perf_counter()
     p = parse_exponent(args.p)
     q = parse_exponent(args.q)
-    region = rl.necessary_region(args.dim, Fraction(args.surface_dim), args.subspace_dim)
+    region = rl.ExponentRegion(args.dim, Fraction(args.surface_dim), args.subspace_dim)
     checks = [
         CheckResult(label, bool(test(p, q)), None) for label, test in region.constraints()
     ]
@@ -309,8 +309,6 @@ def cmd_kakeya_maximal(args) -> tuple[int, str]:
 def cmd_kakeya_besicovitch(args) -> tuple[int, str]:
     t0 = time.perf_counter()
     field = make_field(*parse_field_token(args.field))
-    if args.construct != "2d":
-        raise FFLabError(f"unknown construction {args.construct!r}")
     wit = kk.besicovitch_2d(field)
     ok, missing, _ = kk.verify_besicovitch(field, 2, wit.flat)
     expected = (field.order**2 + field.order) // 2
@@ -453,8 +451,10 @@ def _pick_field(fields, want) -> tuple[int, int] | None:
 
 def _figure1_rows(fields, seed, restarts, iters, budget):
     """One row per headline surface: the sharp or best-known exponent pairs
-    with measured certificates, and the conjectured pair's witness ratio."""
+    with measured certificates, and the conjectured pair's witness ratio.
+    Also returns whether every lower certificate passed its recheck."""
     rows = []
+    rechecked = True
     specs = [
         {
             "surface": "moment_curve", "n": 3,
@@ -509,6 +509,7 @@ def _figure1_rows(fields, seed, restarts, iters, budget):
             lower = rl.rstar_lower_power(
                 surface, p, q, restarts=restarts, max_iters=iters, seed=seed,
             )
+            rechecked &= rl.verify_lower(lower)
             entries.append(
                 {
                     "label": label,
@@ -526,7 +527,7 @@ def _figure1_rows(fields, seed, restarts, iters, budget):
                 "entries": entries,
             }
         )
-    return rows
+    return rows, rechecked
 
 
 def _render_figure1(rows, fmt: str) -> str:
@@ -571,8 +572,8 @@ def _render_figure1(rows, fmt: str) -> str:
 
 def cmd_table_figure1(args) -> tuple[int, str]:
     fields = parse_fields(args.fields)
-    rows = _figure1_rows(fields, args.seed, args.restarts, args.iters, args.budget)
-    return EXIT_OK, _render_figure1(rows, args.fmt)
+    rows, rechecked = _figure1_rows(fields, args.seed, args.restarts, args.iters, args.budget)
+    return (EXIT_OK if rechecked else EXIT_VIOLATION), _render_figure1(rows, args.fmt)
 
 
 def cmd_cache_gc(args) -> tuple[int, str]:
@@ -662,7 +663,6 @@ def build_parser() -> argparse.ArgumentParser:
     kmax.set_defaults(func=cmd_kakeya_maximal)
 
     kbes = kasub.add_parser("besicovitch", help="small sets containing every direction")
-    kbes.add_argument("--construct", default="2d")
     kbes.add_argument("--field", required=True)
     _add_common(kbes)
     kbes.set_defaults(func=cmd_kakeya_besicovitch)

@@ -78,10 +78,6 @@ class NotAMajorantError(FFLabError):
 
 
 # kakeya machinery
-class NonZeroRequiredError(FFLabError):
-    pass
-
-
 class NotInjectiveError(FFLabError):
     pass
 

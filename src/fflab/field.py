@@ -120,7 +120,8 @@ class Field:
         self.trace_lift = self._trace_table()
         self.character = np.exp(2j * np.pi * self.trace_lift / p)
         self.character.setflags(write=False)
-        self._root_lists = self._square_root_lists()
+        self.squares = self._square_table()
+        self.squares.setflags(write=False)
         self._coords_cache: dict[int, np.ndarray] = {}
 
     # -- construction helpers -------------------------------------------------
@@ -213,13 +214,12 @@ class Field:
             raise AssertionError("trace left the prime subfield")
         return acc
 
-    def _square_root_lists(self) -> list[tuple[int, ...]]:
-        roots: list[list[int]] = [[] for _ in range(self.order)]
+    def _square_table(self) -> np.ndarray:
+        """squares[a] is True exactly when a = t*t for some t."""
         t = np.arange(self.order, dtype=np.int64)
-        sq = self.mul_arrays(t, t)
-        for base, s in enumerate(sq):
-            roots[int(s)].append(base)
-        return [tuple(sorted(r)) for r in roots]
+        table = np.zeros(self.order, dtype=bool)
+        table[self.mul_arrays(t, t)] = True
+        return table
 
     # -- scalar arithmetic ----------------------------------------------------
 
@@ -301,16 +301,6 @@ class Field:
         out[nz] = self._exp[(self._log[a[nz]] + self._log[b[nz]]) % (self.order - 1)]
         return out
 
-    def inv_arrays(self, a) -> np.ndarray:
-        a = np.asarray(a, dtype=np.int64)
-        if (a == 0).any():
-            raise ZeroDivisionError("0 has no multiplicative inverse")
-        if self.k == 1:
-            # batched Fermat inversion
-            return np.array([pow(int(x), self.p - 2, self.p) for x in a.ravel()],
-                            dtype=np.int64).reshape(a.shape)
-        return self._exp[(-self._log[a]) % (self.order - 1)]
-
     # -- structure maps ---------------------------------------------------------
 
     def frobenius(self, a: int) -> int:
@@ -339,25 +329,16 @@ class Field:
     # -- squares -----------------------------------------------------------------
 
     def is_square(self, a: int) -> bool:
-        return len(self._root_lists[a]) > 0
-
-    def square_roots(self, a: int) -> tuple[int, ...]:
-        return self._root_lists[a]
+        return bool(self.squares[a])
 
     def nonzero_squares(self) -> np.ndarray:
-        vals = [a for a in range(1, self.order) if self.is_square(a)]
-        return np.array(vals, dtype=np.int64)
+        return np.flatnonzero(self.squares[1:]) + 1
 
     @property
     def minus_one(self) -> int:
         return self.neg(1)
 
     # -- misc ---------------------------------------------------------------------
-
-    def digits(self, a: int) -> tuple[int, ...]:
-        if self.k == 1:
-            return (a,)
-        return tuple(int(d) for d in self._digits[a])
 
     def grid_coords(self, m: int) -> np.ndarray:
         """(order**m, m) table of coordinates of flat indices over F^m.

@@ -60,6 +60,12 @@ def flat_points(field: Field, points: np.ndarray) -> np.ndarray:
     return points @ pw
 
 
+def affine_line(field: Field, a, b) -> np.ndarray:
+    """(|F|, n) coordinate rows of the points a + t b, in the order t = 0, 1, ..."""
+    ts = np.arange(field.order, dtype=np.int64)[:, None]
+    return field.add_arrays(a, field.mul_arrays(ts, b))
+
+
 @dataclass(frozen=True)
 class Grid:
     field: Field
@@ -76,10 +82,6 @@ class Grid:
         self.values.setflags(write=False)
 
     # constructors
-
-    @classmethod
-    def from_values(cls, field, n, values, side=Side.SPACE):
-        return cls(field, n, np.array(values, dtype=np.complex128).ravel(), Side(side))
 
     @classmethod
     def delta(cls, field, n, point=None, side=Side.SPACE):
@@ -101,10 +103,6 @@ class Grid:
 
     def with_values(self, values) -> "Grid":
         return Grid(self.field, self.n, np.asarray(values, dtype=np.complex128), self.side)
-
-    def to_nd(self) -> np.ndarray:
-        q = self.field.order
-        return self.values.reshape((q,) * self.n, order="F")
 
     def __getitem__(self, point) -> complex:
         return complex(self.values[point_index(self.field, point)])

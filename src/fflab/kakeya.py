@@ -18,7 +18,7 @@ import warnings
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -28,14 +28,13 @@ from .errors import (
     ConstraintViolatedError,
     DegenerateHeightsError,
     ImproperSlopeError,
-    NonZeroRequiredError,
     NotInjectiveError,
     NotQuadraticExtensionError,
     UnknownWitnessError,
     UnsupportedDimensionError,
 )
 from .field import Field
-from .grid import Grid, Side, flat_points, grid_from_bytes, grid_to_bytes, lp_norm
+from .grid import Grid, Side, affine_line, flat_points, grid_from_bytes, grid_to_bytes, lp_norm
 
 MAXIMAL_BUDGET_ORDER = 31  # largest |F| allowed at n >= 4
 
@@ -61,47 +60,11 @@ class LineSpec:
 
 def line_points(field: Field, line: LineSpec) -> np.ndarray:
     """(|F|, n) coordinate rows of the line's points."""
-    d = len(line.x0)
-    ts = np.arange(field.order, dtype=np.int64)
-    cols = [
-        field.add_arrays(np.full_like(ts, line.x0[j]), field.mul_arrays(ts, line.v[j]))
-        for j in range(d)
-    ]
-    cols.append(ts)
-    return np.stack(cols, axis=1)
+    return affine_line(field, (*line.x0, 0), (*line.v, 1))
 
 
 def line_flat_points(field: Field, line: LineSpec) -> np.ndarray:
     return flat_points(field, line_points(field, line))
-
-
-def points_to_text(points: np.ndarray) -> str:
-    """One point per line, coordinates space-separated."""
-    return "\n".join(" ".join(str(int(c)) for c in row) for row in np.asarray(points))
-
-
-def points_from_text(text: str) -> np.ndarray:
-    rows = [
-        [int(tok) for tok in line.split()]
-        for line in text.splitlines()
-        if line.strip() and not line.lstrip().startswith("#")
-    ]
-    return np.asarray(rows, dtype=np.int64)
-
-
-def lines_to_text(lines: Sequence[LineSpec]) -> str:
-    """One line per row: base-point coordinates then direction coordinates."""
-    return "\n".join(
-        " ".join(str(c) for c in (*ln.x0, *ln.v)) for ln in lines
-    )
-
-
-def lines_from_text(text: str) -> list[LineSpec]:
-    out = []
-    for row in points_from_text(text):
-        half = len(row) // 2
-        out.append(LineSpec(tuple(int(c) for c in row[:half]), tuple(int(c) for c in row[half:])))
-    return out
 
 
 # -- line tables ---------------------------------------------------------------------
@@ -166,10 +129,6 @@ class BesicovitchWitness:
                 )
         return out
 
-    def assignment_text(self) -> str:
-        """Base-point flat indices in direction order, one per row."""
-        return "\n".join(str(int(x)) for x in self.assignment)
-
 
 def besicovitch_2d(field: Field) -> BesicovitchWitness:
     """E = {(x, t) : x + t^2 is a square}, of size (|F|^2 + |F|)/2.
@@ -181,9 +140,7 @@ def besicovitch_2d(field: Field) -> BesicovitchWitness:
     xs = np.tile(np.arange(q, dtype=np.int64), q)
     ts = np.repeat(np.arange(q, dtype=np.int64), q)
     shifted = field.add_arrays(xs, field.mul_arrays(ts, ts))
-    sq = np.zeros(q, dtype=bool)
-    sq[[s for s in range(q) if field.is_square(s)]] = True
-    keep = sq[shifted]
+    keep = field.squares[shifted]
     flat = (xs + q * ts)[keep]
     inv4 = field.inv(field.rational(4))
     vs = np.arange(q, dtype=np.int64)
@@ -210,22 +167,6 @@ def verify_besicovitch(field: Field, n: int, flat: np.ndarray):
         assignment[vfs] = np.where(ok.any(axis=1), ok.argmax(axis=1), -1)
     missing = np.flatnonzero(assignment < 0).tolist()
     return (not missing, missing, assignment)
-
-
-def variety_besicovitch_probe(
-    field: Field,
-    n: int,
-    polynomials: Sequence[Callable[[Field, np.ndarray], np.ndarray]],
-):
-    """verify_besicovitch on the union of the polynomials' zero sets."""
-    coords = field.grid_coords(n)
-    union = np.zeros(coords.shape[0], dtype=bool)
-    for poly in polynomials:
-        vals = np.asarray(poly(field, coords), dtype=np.int64)
-        if not np.any(vals):
-            raise NonZeroRequiredError("a polynomial vanishing everywhere is not allowed")
-        union |= vals == 0
-    return verify_besicovitch(field, n, np.flatnonzero(union))
 
 
 # -- maximal function ----------------------------------------------------------------

@@ -9,15 +9,15 @@ nonlinear power iteration.  Every Lower certificate embeds its witness and is
 re-evaluated through the direct-summation path before being trusted.
 
 The module also houses the surrounding checks: necessary exponent regions,
-the interpolation shape bound, the self-dot incidence count, the
-pseudoconformal substitution identity, the lift identities connecting
-restriction to line families, and the even-exponent majorant property.
+the self-dot incidence count, the pseudoconformal substitution identity, the
+lift identities connecting restriction to line families, and the
+even-exponent majorant property.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -45,6 +45,7 @@ from .field import Field, make_field
 from .grid import (
     Grid,
     Side,
+    affine_line,
     convolve,
     flat_points,
     fourier_forward,
@@ -278,9 +279,10 @@ def rstar_lower_power(
 
     Restart 0 is the constant, restart 1 a point mass, the rest random unit
     phases with per-restart seed = seed + index.  Whatever the optimizer
-    does, the reported value is recomputed from the best witness through the
-    direct-summation extension, so the certificate is always a true lower
-    bound.  Ties across restarts break toward the lowest index.
+    does, the reported value is the best witness's ratio recomputed through
+    the transform plan; ``verify_lower`` re-evaluates it by direct summation,
+    so a rechecked certificate is a true lower bound within the 1e-9 recheck
+    tolerance.  Ties across restarts break toward the lowest index.
     """
     p = parse_exponent(p)
     q = parse_exponent(q)
@@ -307,7 +309,7 @@ def rstar_lower_power(
     assert best is not None
     val, idx, g, iters, conv = best
     witness = SurfaceFunction(surface, g)
-    certified = lp_norm(extension_direct(witness), q) / surface_lp_norm(witness, p)
+    certified = lp_norm(extension(witness), q) / surface_lp_norm(witness, p)
     return _base_cert(
         surface, "lower", "power_iteration", p, q, certified,
         witness=np.asarray(g, dtype=np.complex128).tobytes(),
@@ -350,14 +352,9 @@ def find_affine_line(surface: SurfaceMeasure, limit: int = 10**4):
         lead = next(int(x) for x in c if x != 0)
         if lead == 1:
             reps.append(c)
-    ts = np.arange(fld.order, dtype=np.int64)
     for a in surface.points:
         for b in reps:
-            pts = np.stack(
-                [fld.add_arrays(np.full_like(ts, a[j]), fld.mul_arrays(ts, b[j])) for j in range(n)],
-                axis=1,
-            )
-            if all(int(f) in flats for f in flat_points(fld, pts)):
+            if all(int(f) in flats for f in flat_points(fld, affine_line(fld, a, b))):
                 return np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
     raise SubspaceNotFoundError("no affine line inside the surface")
 
@@ -397,15 +394,7 @@ def rstar_lower_witness(surface: SurfaceMeasure, p, q, name: str, line=None) -> 
             a, b = find_affine_line(surface)
         else:
             a, b = (np.asarray(x, dtype=np.int64) for x in line)
-        ts = np.arange(fld.order, dtype=np.int64)
-        pts = np.stack(
-            [
-                fld.add_arrays(np.full_like(ts, a[j]), fld.mul_arrays(ts, b[j]))
-                for j in range(surface.n)
-            ],
-            axis=1,
-        )
-        lf = set(int(x) for x in flat_points(fld, pts))
+        lf = set(int(x) for x in flat_points(fld, affine_line(fld, a, b)))
         vals = np.array([1.0 if int(f) in lf else 0.0 for f in surface.flat], dtype=np.complex128)
         g = SurfaceFunction(surface, vals)
         value = lp_norm(extension(g), q) / surface_lp_norm(g, p)
@@ -527,63 +516,6 @@ def _exp_ge(a: Exponent, b: Exponent) -> bool:
     return Fraction(a) >= Fraction(b)
 
 
-def necessary_region(n: int, d, k_subspace: int | None = None) -> ExponentRegion:
-    return ExponentRegion(n, Fraction(d), k_subspace)
-
-
-def region_test(region: ExponentRegion, p, q) -> bool:
-    """Exact membership test; boundary points count as inside."""
-    p = parse_exponent(p)
-    q = parse_exponent(q)
-    return all(check(p, q) for _, check in region.constraints())
-
-
-# -- interpolation shape bound -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ShapeBound:
-    """A bound that holds only up to an absolute constant.
-
-    Not a certificate: the consistency gate must ignore it.
-    """
-
-    value: float
-    p: Exponent
-    q: Exponent
-    label: str = "up to an absolute constant"
-    meta: dict = dc_field(default_factory=dict)
-
-
-def tomas_stein_bound(theta, d_tilde, base: NormCertificate) -> ShapeBound:
-    """Interpolation against kernel decay: R*(p -> q/theta) is at most
-    1 + base^theta |F|^{-d_tilde (1-theta)/4} up to an absolute constant.
-    """
-    th = Fraction(theta) if not isinstance(theta, float) else Fraction(theta).limit_denominator(10**9)
-    if not (0 < th <= 1):
-        raise ValueError("theta must lie in (0, 1]")
-    size = float(base.char**base.degree)
-    dt = Fraction(d_tilde)
-    value = 1.0 + base.value ** float(th) * size ** float(-dt * (1 - th) / 4)
-    q_out = _exp_scale(1 / th, base.q) if base.q != math.inf else math.inf
-    return ShapeBound(
-        value=value,
-        p=base.p,
-        q=q_out,
-        meta={"theta": str(th), "d_tilde": str(dt), "base_value": base.value},
-    )
-
-
-def tomas_stein_threshold(n: int, d, d_tilde) -> tuple[Fraction, Fraction]:
-    """(theta, q) where the two summands balance when the base is the L^2
-    closed form: theta = d~/(2(n-d) + d~) and q = 2 + 4(n-d)/d~.
-    """
-    d = Fraction(d)
-    dt = Fraction(d_tilde)
-    theta = dt / (2 * (n - d) + dt)
-    return theta, 2 + 4 * (n - d) / dt
-
-
 # -- self-dot incidences ---------------------------------------------------------------
 
 
@@ -654,21 +586,6 @@ def pseudoconformal_identity_check(g: Grid) -> float:
 # -- lift identities -------------------------------------------------------------------
 
 
-def _line_indicator(field: Field, x0: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """chi of {(x0 + vt, t)} as a flat space array over F^n, n = len(x0) + 1."""
-    d = len(x0)
-    n = d + 1
-    out = np.zeros(field.order**n, dtype=np.complex128)
-    ts = np.arange(field.order, dtype=np.int64)
-    pts = np.stack(
-        [field.add_arrays(np.full_like(ts, x0[j]), field.mul_arrays(ts, v[j])) for j in range(d)]
-        + [ts],
-        axis=1,
-    )
-    out[flat_points(field, pts)] = 1.0
-    return out
-
-
 def _surface_phase(field: Field, point: np.ndarray, n: int) -> np.ndarray:
     """e(x . point) over the flat space grid F^n."""
     xs = field.grid_coords(n)
@@ -735,9 +652,8 @@ def bridge_identity_checks(field: Field, n: int, seed: int = 0, trials: int = 5)
         for eta_flat in range(m):
             nf = int(neg_flat[eta_flat])
             xline = _surface_phase(field, surf.points[eta_flat], n)
-            yline = _line_indicator(
-                field, coords[x0map[nf]], field.neg_arrays(coords[eta_flat])
-            )
+            x0, v = coords[x0map[nf]], field.neg_arrays(coords[eta_flat])
+            yline = indicator_grid(field, n, affine_line(field, (*x0, 0), (*v, 1))).values
             rhs += math.sqrt(h[nf]) * np.multiply.outer(yline, xline).reshape(-1)
         rhs *= float(q) ** (1 - n)
         dev["line_sum"] = max(dev["line_sum"], _rel_dev(lhs, rhs))

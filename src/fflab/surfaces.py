@@ -521,43 +521,7 @@ def surface_sum_max(
     return int(table.max())
 
 
-# -- symmetries and special sets -------------------------------------------------------
-
-
-def galilean_permutation(surface: SurfaceMeasure, a: Sequence[int]) -> np.ndarray:
-    """Index permutation of the paraboloid under (xi, tau) -> (xi+a, tau+2 xi.a+a.a)."""
-    if surface.kind != SurfaceKind.PARABOLOID:
-        raise WrongSurfaceKindError("Galilean maps act on the paraboloid")
-    fld = surface.field
-    d = surface.n - 1
-    a = np.asarray(a, dtype=np.int64)
-    if a.shape != (d,):
-        raise ValueError(f"shift must have {d} coordinates")
-    xi = surface.points[:, :d]
-    tau = surface.points[:, d]
-    new_xi = fld.add_arrays(xi, a[None, :])
-    cross = _pair_dot(fld, xi, np.broadcast_to(a[None, :], xi.shape))
-    a_dot = int(_self_dot(fld, a[None, :])[0])
-    two_cross = fld.mul_arrays(np.int64(2 % fld.p), cross)
-    new_tau = fld.add_arrays(tau, fld.add_arrays(two_cross, a_dot))
-    new_flat = flat_points(fld, np.concatenate([new_xi, new_tau[:, None]], axis=1))
-    lookup = {int(f): i for i, f in enumerate(surface.flat)}
-    perm = np.array([lookup[int(f)] for f in new_flat], dtype=np.int64)
-    return perm
-
-
-def galilean_transform(obj, a):
-    """Apply a Galilean symmetry to a paraboloid point set or surface function."""
-    if isinstance(obj, SurfaceMeasure):
-        perm = galilean_permutation(obj, a)
-        pts = obj.points[np.argsort(perm)]  # same set, transformed order
-        return SurfaceMeasure(obj.field, obj.n, pts, obj.kind, obj.label)
-    if isinstance(obj, SurfaceFunction):
-        perm = galilean_permutation(obj.surface, a)
-        vals = np.empty_like(obj.values)
-        vals[perm] = obj.values
-        return SurfaceFunction(obj.surface, vals)
-    raise TypeError("expected a paraboloid SurfaceMeasure or SurfaceFunction")
+# -- special sets ---------------------------------------------------------------------
 
 
 def cone_counterexample_set(field: Field) -> np.ndarray:

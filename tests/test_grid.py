@@ -12,6 +12,7 @@ from fflab.field import make_field
 from fflab.grid import (
     Grid,
     Side,
+    affine_line,
     convolve,
     flat_points,
     fourier_forward,
@@ -51,6 +52,33 @@ def test_point_index_roundtrip(f7):
     assert list(flat_points(f7, pts)) == [point_index(f7, p) for p in pts]
     with pytest.raises(ValueError):
         point_index(f7, (7, 0))
+
+
+def affine_line_stack(field, a, b) -> np.ndarray:
+    """a + t b by one add_arrays/mul_arrays pair per coordinate."""
+    ts = np.arange(field.order, dtype=np.int64)
+    cols = [
+        field.add_arrays(np.full_like(ts, a[j]), field.mul_arrays(ts, b[j]))
+        for j in range(len(a))
+    ]
+    return np.stack(cols, axis=1)
+
+
+@pytest.mark.parametrize("p,k", [(7, 1), (3, 2)])
+def test_affine_line_matches_coordinate_stack(p, k):
+    field = make_field(p, k)
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 3):
+        for b_last in (0, 1):
+            a = rng.integers(0, field.order, n)
+            b = np.append(rng.integers(0, field.order, n - 1), b_last)
+            got = affine_line(field, a, b)
+            assert got.dtype == np.int64 and got.shape == (field.order, n)
+            assert np.array_equal(got, affine_line_stack(field, a, b))
+            assert np.array_equal(got[0], a)  # rows in t order, t = 0 first
+    # tuples of ints, as LineSpec passes them
+    assert np.array_equal(affine_line(field, (2, 0), (1, 1)),
+                          affine_line_stack(field, (2, 0), (1, 1)))
 
 
 @pytest.mark.parametrize("p,k,n", [(3, 1, 2), (5, 1, 1), (3, 2, 1)])

@@ -13,7 +13,6 @@ from fflab.errors import (
     ConstraintViolatedError,
     DegenerateHeightsError,
     ImproperSlopeError,
-    NonZeroRequiredError,
     NotInjectiveError,
     NotQuadraticExtensionError,
     UnknownWitnessError,
@@ -37,21 +36,16 @@ from fflab.kakeya import (
     line_flat_points,
     line_points,
     line_sum_grid,
-    lines_from_text,
-    lines_to_text,
-    points_from_text,
-    points_to_text,
     recheck_lower,
     slices_construction,
     slope_projections,
-    variety_besicovitch_probe,
     verify_besicovitch,
     verify_lower,
     wolff_axiom_check,
 )
 
 
-# -- lines and text round trips --------------------------------------------------------
+# -- lines -----------------------------------------------------------------------------
 
 
 def test_line_points(f7):
@@ -63,15 +57,6 @@ def test_line_points(f7):
     assert ln.dim == 2
     with pytest.raises(ValueError):
         LineSpec((1, 2), (3,))
-
-
-def test_text_round_trips(f5):
-    pts = f5.grid_coords(2)[[3, 7, 11]]
-    text = points_to_text(pts)
-    back = points_from_text("# comment\n" + text + "\n\n")
-    assert np.array_equal(back, pts)
-    lines = [LineSpec((1, 2), (3, 4)), LineSpec((0, 0), (1, 0))]
-    assert lines_from_text(lines_to_text(lines)) == lines
 
 
 # -- direction-complete sets -----------------------------------------------------------
@@ -93,7 +78,6 @@ def test_besicovitch_lines_inside(f7):
     assert len(lines) == 7
     for ln in lines:
         assert all(int(x) in on for x in line_flat_points(f7, ln))
-    assert "\n" in wit.assignment_text()
 
 
 def test_verify_besicovitch_detects_gaps(f7):
@@ -137,20 +121,6 @@ def test_verify_besicovitch_against_oracle(f5, f7):
         assert missing == [vf for vf, x in enumerate(expected) if x < 0]
         assert ok == (not missing)
         assert missing and len(missing) < len(expected)  # both outcomes occur
-
-
-def test_variety_probe(f5):
-    # {x = 0} misses every slanted direction
-    ok, missing, _ = variety_besicovitch_probe(f5, 2, [lambda f, c: c[:, 0]])
-    assert not ok and len(missing) == 4
-    # two zero sets whose union is the full plane
-    ok2, missing2, _ = variety_besicovitch_probe(
-        f5, 2,
-        [lambda f, c: c[:, 0], lambda f, c: np.where(c[:, 0] == 0, 1, 0)],
-    )
-    assert ok2 and not missing2
-    with pytest.raises(NonZeroRequiredError):
-        variety_besicovitch_probe(f5, 2, [lambda f, c: np.zeros(len(c), dtype=np.int64)])
 
 
 # -- maximal function ------------------------------------------------------------------

@@ -1,0 +1,115 @@
+"""Every public top-level def or class in ``src/fflab`` is reached from a command.
+
+Reachability is by name.  The roots are the names that ``cli.main`` and the
+scripts under ``scripts/`` mention.  A top-level statement of the package is
+reached when a reached statement mentions the name it defines, as a bare name
+or as an attribute; module-level assignments count as statements, so a
+dispatch table such as ``cli.SUITES`` carries its entries.  Imports mention
+nothing.  Matching by name can only over-approximate, so this check may miss
+dead code but never flags code that a command uses.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "fflab"
+SCRIPTS = ROOT / "scripts"
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+# Public definitions kept although no command reaches them, with the reason.
+# Each one is also followed as a root, so what it uses is kept with it.
+# (surfaces also keeps an unused import of fourier_inverse for the benchmark's
+# tracer; imports are not definitions, so it has no entry here.)
+ALLOWED_UNREACHED = {
+    "kakeya.incidence_count": "the benchmark tracer wraps it by name until phase spans land",
+    "kakeya.incidence_chain_counts": "the benchmark tracer wraps it by name until phase spans land",
+    "kakeya.slope_projections": "the benchmark tracer wraps it by name until phase spans land",
+    "surfaces.restriction": "the benchmark tracer wraps it by name until phase spans land",
+    "kakeya.incidence_to_kakeya_exponents": "the exponent calculus of acceptance criterion 13",
+    "grid.index_point": "reference decoder of the transform tests",
+    "surfaces.surface_inner": "adjoint oracle of the surface tests",
+}
+
+
+def _mentions(node: ast.AST) -> set[str]:
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+    return names
+
+
+def _defined_names(stmt: ast.stmt) -> list[str]:
+    if isinstance(stmt, DEFINITIONS):
+        return [stmt.name]
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else (
+        [stmt.target] if isinstance(stmt, ast.AnnAssign) else []
+    )
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def package_sources() -> dict[str, str]:
+    return {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def root_names(sources: dict[str, str]) -> set[str]:
+    """Names mentioned by ``cli.main`` and by every script."""
+    tree = ast.parse(sources["cli"])
+    (main,) = [s for s in tree.body if isinstance(s, ast.FunctionDef) and s.name == "main"]
+    names = _mentions(main)
+    for script in sorted(SCRIPTS.glob("*.py")):
+        names |= _mentions(ast.parse(script.read_text()))
+    return names
+
+
+def unreached(sources: dict[str, str], roots: set[str], allowed) -> list[str]:
+    """Public top-level defs and classes reached neither from roots nor from allowed."""
+    statements: dict[str, list[tuple[str, ast.stmt]]] = {}
+    public = []
+    for module, text in sources.items():
+        for stmt in ast.parse(text).body:
+            for name in _defined_names(stmt):
+                statements.setdefault(name, []).append((f"{module}.{name}", stmt))
+                if isinstance(stmt, DEFINITIONS) and not name.startswith("_"):
+                    public.append(f"{module}.{name}")
+    pending = set(roots) | {qual.split(".", 1)[1] for qual in allowed}
+    seen: set[str] = set()
+    reached: set[str] = set()
+    while pending:
+        name = pending.pop()
+        seen.add(name)
+        for qual, stmt in statements.get(name, []):
+            reached.add(qual)
+            pending |= _mentions(stmt) - seen
+    return sorted(q for q in public if q not in reached and q not in allowed)
+
+
+def test_every_public_definition_is_reached():
+    sources = package_sources()
+    assert unreached(sources, root_names(sources), ALLOWED_UNREACHED) == []
+
+
+def test_allowlist_holds_only_unreached_definitions():
+    sources = package_sources()
+    roots = root_names(sources)
+    for qual in ALLOWED_UNREACHED:
+        rest = {k: v for k, v in ALLOWED_UNREACHED.items() if k != qual}
+        assert qual in unreached(sources, roots, rest), f"{qual} is reached; drop its entry"
+
+
+def test_an_added_unreached_definition_fails():
+    sources = package_sources()
+    roots = root_names(sources)
+    sources["kakeya"] += "\n\ndef orphan_helper(field):\n    return field.order\n"
+    sources["grid"] += "\n\nclass OrphanReport:\n    count: int = 0\n"
+    assert unreached(sources, roots, ALLOWED_UNREACHED) == [
+        "grid.OrphanReport", "kakeya.orphan_helper",
+    ]
+    # once a command mentions it, it is reached
+    sources["cli"] = sources["cli"].replace(
+        "    parser = build_parser()\n", "    parser = build_parser()\n    orphan_helper\n", 1
+    )
+    assert unreached(sources, root_names(sources), ALLOWED_UNREACHED) == ["grid.OrphanReport"]

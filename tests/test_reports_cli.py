@@ -1,6 +1,7 @@
 """Report serialization, the results store, and the command-line surface."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -8,6 +9,8 @@ import math
 import pytest
 
 from fflab import cli
+from fflab import restriction as rl
+from fflab import surfaces
 from fflab.certificates import NormCertificate
 from fflab.field import make_field
 from fflab.reports import (
@@ -282,6 +285,53 @@ def test_cli_figure1_budget(capsys):
     assert code == 0 and all(line.rstrip().endswith("-") for line in out.splitlines()[1:])
 
 
+def test_cli_estimate_runs_one_direct_sum(capsys, monkeypatch):
+    calls = []
+    original = surfaces.extension_direct
+
+    def counted(sf):
+        calls.append(sf.surface.describe())
+        return original(sf)
+
+    monkeypatch.setattr(surfaces, "extension_direct", counted)
+    monkeypatch.setattr(rl, "extension_direct", counted)
+    code, out, _ = run_cli(
+        capsys, "restriction", "estimate", "--field", "7", "--dim", "3",
+        "--surface", "paraboloid", "--p", "2", "--q", "4", "--format", "json",
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert [c["method"] for c in report["certificates"]] == ["even_counting", "power_iteration"]
+    assert {c["name"]: c["pass"] for c in report["checks"]}["lower_recheck"] is True
+    assert calls == ["paraboloid(n=3)"]  # the recheck is the only direct sum
+
+
+def test_cli_recheck_catches_a_faulty_power_lower(capsys, monkeypatch):
+    original = rl.rstar_lower_power
+
+    def inflated(*args, **kwargs):
+        cert = original(*args, **kwargs)
+        return dataclasses.replace(cert, value=cert.value * (1 + 1e-6))
+
+    figure1 = ("table", "figure1", "--fields", "5,7", "--restarts", "2", "--iters", "40")
+    code, honest, _ = run_cli(capsys, *figure1)
+    assert code == 0
+    monkeypatch.setattr(rl, "rstar_lower_power", inflated)
+    code, out, _ = run_cli(
+        capsys, "restriction", "estimate", "--field", "5", "--dim", "2",
+        "--surface", "parabola", "--p", "2", "--q", "4", "--restarts", "2",
+        "--iters", "40", "--format", "json",
+    )
+    assert code == 1
+    assert {c["name"]: c["pass"] for c in json.loads(out)["checks"]}["lower_recheck"] is False
+    code, out, _ = run_cli(capsys, *figure1)
+    assert code == 1
+    # the layout is unchanged: only the lower column may move
+    for line, ref in zip(out.splitlines(), honest.splitlines(), strict=True):
+        assert len(line) == len(ref)
+        assert line.split()[:-2] + line.split()[-1:] == ref.split()[:-2] + ref.split()[-1:]
+
+
 def test_cli_cache_gc_formats(capsys):
     store_report(sample_report())
     (results_dir() / "junk.json").write_text("broken")
@@ -312,7 +362,7 @@ MATRIX_COMMANDS = {
     "restriction witness": "--dim 2 --surface parabola --p 2 --q 4 --witness dirac",
     "verify identities": "--suite gauss",
     "kakeya maximal": "--dim 2",
-    "kakeya besicovitch": "--construct 2d",
+    "kakeya besicovitch": "",
     "kakeya cordoba": "--trials 5",
     "kakeya wolff-check": "--mode pairs",
     "kakeya wolff-check heisenberg": "--family heisenberg",

@@ -26,22 +26,19 @@ from fflab.errors import (
 from fflab.field import make_field
 from fflab.grid import Grid, Side, flat_points, fourier_forward, fourier_inverse
 from fflab.restriction import (
+    ExponentRegion,
     bridge_identity_checks,
     find_affine_line,
     lambda_q_ratio,
     majorant_ratio,
-    necessary_region,
     pseudoconformal_identity_check,
     rebuild_surface,
     recheck_lower,
-    region_test,
     rstar_exact_closed,
     rstar_lower_power,
     rstar_lower_witness,
     rstar_upper_even,
     selfdot_incidence_count,
-    tomas_stein_bound,
-    tomas_stein_threshold,
     verify_lower,
 )
 from fflab import restriction as rl
@@ -271,30 +268,27 @@ def test_certificate_dict_roundtrip(f5):
 # -- necessary region ------------------------------------------------------------------
 
 
+def inside(region, p, q) -> bool:
+    """Membership as ``restriction region`` decides it: every constraint holds."""
+    p, q = parse_exponent(p), parse_exponent(q)
+    return all(check(p, q) for _, check in region.constraints())
+
+
 def test_region_membership():
-    region = necessary_region(3, 2)
-    assert region_test(region, 2, 4)
-    assert region_test(region, 2, 3)  # boundary counts as inside
-    assert not region_test(region, 2, "8/3")
-    assert region_test(region, 1, math.inf)
-    sharpened = necessary_region(3, 2, k_subspace=1)
-    assert not region_test(sharpened, 2, "7/2")
-    assert region_test(necessary_region(3, 2), 2, "7/2")
+    region = ExponentRegion(3, Fraction(2))
+    assert inside(region, 2, 4)
+    assert inside(region, 2, 3)  # boundary counts as inside
+    assert not inside(region, 2, "8/3")
+    assert inside(region, 1, math.inf)
+    sharpened = ExponentRegion(3, Fraction(2), k_subspace=1)
+    assert not inside(sharpened, 2, "7/2")
+    assert inside(ExponentRegion(3, Fraction(2)), 2, "7/2")
 
 
 def test_region_constraint_labels():
-    labels = [name for name, _ in necessary_region(3, 2, 1).constraints()]
+    labels = [name for name, _ in ExponentRegion(3, Fraction(2), 1).constraints()]
     assert len(labels) == 3
     assert any("subspace" in s for s in labels)
-
-
-def test_tomas_stein_threshold_and_bound(f7):
-    theta, q = tomas_stein_threshold(3, 2, 2)
-    assert theta == Fraction(1, 2) and q == Fraction(4)
-    base = rstar_exact_closed(paraboloid(f7, 3), 2, 2)
-    shape = tomas_stein_bound(theta, 2, base)
-    assert shape.value == pytest.approx(2.0, rel=1e-12)
-    assert shape.q == Fraction(4)
 
 
 # -- incidences ------------------------------------------------------------------------

@@ -32,7 +32,6 @@ from fflab.surfaces import (
     extension_adjoint,
     extension_direct,
     fourier_dimension,
-    galilean_transform,
     gauss_sum,
     indicator_grid,
     moment_curve,
@@ -255,16 +254,6 @@ def test_fourier_dimension_values(f7):
     everything = custom_variety(f7, 1, [])  # kernel vanishes identically
     with pytest.raises(DegenerateKernelError):
         fourier_dimension(everything)
-
-
-def test_galilean_invariance(f5):
-    surface = paraboloid(f5, 3)
-    rng = np.random.default_rng(11)
-    g = SurfaceFunction(surface, rng.standard_normal(25) + 1j * rng.standard_normal(25))
-    moved = galilean_transform(g, (2, 3))
-    assert moved.surface is surface
-    for q in (2, 4, math.inf):
-        assert lp_norm(extension(moved), q) == pytest.approx(lp_norm(extension(g), q))
 
 
 # -- tuple sums -----------------------------------------------------------------------
