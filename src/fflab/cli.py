@@ -341,40 +341,34 @@ def cmd_kakeya_cordoba(args) -> tuple[int, str]:
     )
 
 
-def _wolff_family(args, field: Field) -> list[kk.LineSpec]:
+def _wolff_family(args, field: Field) -> tuple[np.ndarray, np.ndarray]:
+    """(x0, v) arrays of the chosen line family in F^3."""
+    q = field.order
     if args.family == "heisenberg":
-        return list(kk.heisenberg_example(field).lines)
+        rep = kk.heisenberg_example(field)
+        return rep.x0, rep.v
     if args.family == "distinct-directions":
-        coords = field.grid_coords(2)
-        return [
-            kk.LineSpec((int(a * b % field.order), int((a + b) % field.order)), (int(a), int(b)))
-            for a, b in coords
-        ]
+        v = field.grid_coords(2)
+        return np.stack([v[:, 0] * v[:, 1] % q, (v[:, 0] + v[:, 1]) % q], axis=1), v
     if args.family == "random":
         rng = np.random.default_rng(args.seed)
-        picks = {
-            kk.LineSpec(
-                (int(rng.integers(field.order)), int(rng.integers(field.order))),
-                (int(rng.integers(field.order)), int(rng.integers(field.order))),
-            )
-            for _ in range(args.count)
-        }
-        return sorted(picks, key=lambda l: (l.x0, l.v))
+        rows = np.unique(rng.integers(q, size=(max(args.count, 0), 4)), axis=0)  # by (x0, v)
+        return rows[:, :2], rows[:, 2:]
     raise FFLabError(f"unknown line family {args.family!r}")
 
 
 def cmd_kakeya_wolff(args) -> tuple[int, str]:
     t0 = time.perf_counter()
     field = make_field(*parse_field_token(args.field))
-    lines = _wolff_family(args, field)
-    rep = kk.wolff_axiom_check(field, lines, mode=args.mode)
+    x0, v = _wolff_family(args, field)
+    rep = kk.wolff_axiom_check(field, x0, v, mode=args.mode)
     checks = [CheckResult("plane_spread_measured", True, rep.ratio)]
     return _report(
         args, t0, checks,
-        {"lines": len(lines), "max_lines_in_plane": rep.max_lines, "ratio": rep.ratio},
+        {"lines": len(x0), "max_lines_in_plane": rep.max_lines, "ratio": rep.ratio},
         field=field, n=3,
         note=(
-            f"lines: {len(lines)}  max in one plane: {rep.max_lines}"
+            f"lines: {len(x0)}  max in one plane: {rep.max_lines}"
             f"  ratio to |F|: {rep.ratio:.4f}"
         ),
     )
@@ -408,7 +402,7 @@ def cmd_kakeya_sd(args) -> tuple[int, str]:
     t0 = time.perf_counter()
     field = make_field(*parse_field_token(args.field))
     coords = field.grid_coords(2)[1:]  # all nonzero points of F^2
-    rep = rl.selfdot_incidence_count(field, coords)
+    rep = rl.selfdot_incidence_count(field, coords, budget=args.budget)
     checks = [CheckResult("incidence_bound", rep.satisfied, float(rep.count))]
     return _report(
         args, t0, checks,

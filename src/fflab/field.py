@@ -250,15 +250,6 @@ class Field:
             return pow(a, self.p - 2, self.p)
         return int(self._exp[(-self._log[a]) % (self.order - 1)])
 
-    def pow(self, a: int, e: int) -> int:
-        if a == 0:
-            if e < 0:
-                raise ZeroDivisionError("0 to a negative power")
-            return 0 if e else 1
-        if self.k == 1:
-            return pow(a, e % (self.p - 1) if e else 0, self.p)
-        return int(self._exp[(self._log[a] * e) % (self.order - 1)])
-
     def dot(self, xs, ys) -> int:
         """Inner product sum_i xs[i]*ys[i] of two coordinate tuples."""
         acc = 0
@@ -308,10 +299,6 @@ class Field:
 
     def frobenius_arrays(self, a) -> np.ndarray:
         return self._frob[np.asarray(a, dtype=np.int64)]
-
-    def trace(self, a: int) -> int:
-        """Absolute trace, returned as an element of the prime subfield (index < p)."""
-        return int(self.trace_lift[a])
 
     def im_part(self, a: int) -> int:
         """(a - conj(a)) / 2 for a quadratic extension, conj the Frobenius."""

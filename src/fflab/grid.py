@@ -19,11 +19,10 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass
-from fractions import Fraction
-
 import math
 import numpy as np
 
+from .certificates import as_float
 from .errors import SideMismatchError, WrongSideError
 from .field import Field, make_field
 
@@ -53,9 +52,9 @@ def index_point(field: Field, n: int, idx: int) -> tuple[int, ...]:
 
 
 def flat_points(field: Field, points: np.ndarray) -> np.ndarray:
-    """Flat indices of an (m, n) array of coordinate rows."""
+    """Flat indices of a (..., n) array of coordinate rows."""
     q = field.order
-    n = points.shape[1]
+    n = points.shape[-1]
     pw = q ** np.arange(n, dtype=np.int64)
     return points @ pw
 
@@ -164,17 +163,9 @@ def fourier_inverse(g: Grid) -> Grid:
     return Grid(g.field, g.n, out, Side.SPACE)
 
 
-def _as_float_exponent(p) -> float:
-    if p == math.inf:
-        return math.inf
-    if isinstance(p, Fraction):
-        return p.numerator / p.denominator
-    return float(p)
-
-
 def lp_norm(f: Grid, p) -> float:
     """L^p norm under the grid's own measure (dx counting, dxi normalized)."""
-    pf = _as_float_exponent(p)
+    pf = as_float(p)
     absv = np.abs(f.values)
     if pf == math.inf:
         return float(absv.max())
@@ -182,6 +173,21 @@ def lp_norm(f: Grid, p) -> float:
         raise ValueError("exponents below 1 are not norms here")
     w = _weight(f)
     return float((w * np.sum(absv**pf)) ** (1.0 / pf))
+
+
+def mean_lp_norm(values: np.ndarray, p) -> float:
+    """L^p norm of a list of values under the uniform probability measure.
+
+    This is the surface measure dsigma (mass |S|^{-1} per point) and the
+    direction measure dv (mass |F|^{-(n-1)} per direction).
+    """
+    pf = as_float(p)
+    absv = np.abs(values)
+    if pf == math.inf:
+        return float(absv.max())
+    if pf < 1:
+        raise ValueError("exponents below 1 are not norms here")
+    return float(np.mean(absv**pf) ** (1.0 / pf))
 
 
 def inner_product(f: Grid, g: Grid) -> complex:

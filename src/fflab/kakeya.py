@@ -9,13 +9,16 @@ direction space carries the normalized measure dv assigning mass
 Kakeya constant K(p -> q) is the best constant in
 ||f*||_{L^q(dv)} <= C ||f||_{L^p(dx)} for the maximal function
 f*(v) = max_{x0} sum_{x in l(x0,v)} |f(x)|.
+
+A family of L lines is a pair of (L, n-1) int64 arrays: base points x0 and
+directions v, one row per line.  Every consumer reads the family's points
+through line_flats, one batched gather with no loop over lines.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -34,7 +37,16 @@ from .errors import (
     UnsupportedDimensionError,
 )
 from .field import Field
-from .grid import Grid, Side, affine_line, flat_points, grid_from_bytes, grid_to_bytes, lp_norm
+from .grid import (
+    Grid,
+    Side,
+    affine_line,
+    flat_points,
+    grid_from_bytes,
+    grid_to_bytes,
+    lp_norm,
+    mean_lp_norm,
+)
 
 MAXIMAL_BUDGET_ORDER = 31  # largest |F| allowed at n >= 4
 
@@ -42,29 +54,22 @@ MAXIMAL_BUDGET_ORDER = 31  # largest |F| allowed at n >= 4
 # -- lines ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LineSpec:
-    """The line {(x0 + vt, t)} with base point and direction in F^{n-1}."""
-
-    x0: tuple[int, ...]
-    v: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.x0) != len(self.v):
-            raise ValueError("base point and direction dimensions differ")
-
-    @property
-    def dim(self) -> int:
-        return len(self.x0) + 1
+def line_flats(field: Field, x0, v) -> np.ndarray:
+    """(L, |F|) flat indices over F^n of the points (x0 + vt, t), in t order."""
+    x0 = np.asarray(x0, dtype=np.int64)
+    v = np.asarray(v, dtype=np.int64)
+    if x0.shape != v.shape:
+        raise ValueError("base point and direction dimensions differ")
+    zero = np.zeros((*x0.shape[:-1], 1), dtype=np.int64)
+    a = np.concatenate([x0, zero], axis=-1)[..., None, :]
+    b = np.concatenate([v, zero + 1], axis=-1)[..., None, :]
+    return flat_points(field, affine_line(field, a, b))
 
 
-def line_points(field: Field, line: LineSpec) -> np.ndarray:
-    """(|F|, n) coordinate rows of the line's points."""
-    return affine_line(field, (*line.x0, 0), (*line.v, 1))
-
-
-def line_flat_points(field: Field, line: LineSpec) -> np.ndarray:
-    return flat_points(field, line_points(field, line))
+def _require_distinct(x0, v) -> None:
+    rows = np.concatenate([np.asarray(x0), np.asarray(v)], axis=1)
+    if len(np.unique(rows, axis=0)) != len(rows):
+        raise ValueError("lines must be distinct")
 
 
 # -- line tables ---------------------------------------------------------------------
@@ -115,19 +120,6 @@ class BesicovitchWitness:
     @property
     def size(self) -> int:
         return len(self.flat)
-
-    def points(self) -> np.ndarray:
-        return self.field.grid_coords(self.n)[self.flat]
-
-    def lines(self) -> list[LineSpec]:
-        coords = self.field.grid_coords(self.n - 1)
-        out = []
-        for vf, xf in enumerate(self.assignment):
-            if xf >= 0:
-                out.append(
-                    LineSpec(tuple(int(c) for c in coords[xf]), tuple(int(c) for c in coords[vf]))
-                )
-        return out
 
 
 def besicovitch_2d(field: Field) -> BesicovitchWitness:
@@ -226,15 +218,6 @@ def kakeya_maximal_direct(f: Grid) -> np.ndarray:
     return out
 
 
-def direction_lp_norm(field: Field, n: int, values: np.ndarray, p) -> float:
-    """L^p norm over directions under dv = |F|^{-(n-1)} counting."""
-    pf = p if p == math.inf else as_float(parse_exponent(p))
-    a = np.abs(np.asarray(values, dtype=np.float64))
-    if pf == math.inf:
-        return float(a.max())
-    return float(np.mean(a**pf) ** (1.0 / pf))
-
-
 # -- Kakeya certificates ---------------------------------------------------------------
 
 
@@ -257,7 +240,7 @@ def _kakeya_cert(field, n, kind, method, p, q, value, witness=None, meta=None) -
 
 def _maximal_ratio(f: Grid, p, q) -> float:
     star = kakeya_maximal(f)
-    return direction_lp_norm(f.field, f.n, star, q) / lp_norm(f, p)
+    return mean_lp_norm(star, q) / lp_norm(f, p)
 
 
 def kakeya_norm_certificates(
@@ -290,7 +273,8 @@ def kakeya_norm_certificates(
             meta["formula_value"] = 1.0
         elif name == "line":
             vals = np.zeros(total, dtype=np.complex128)
-            vals[line_flat_points(field, LineSpec((0,) * (n - 1), (0,) * (n - 1)))] = 1.0
+            origin = np.zeros((1, n - 1), dtype=np.int64)
+            vals[line_flats(field, origin, origin)] = 1.0
             f = Grid(field, n, vals, Side.SPACE)
             meta["formula_value"] = float(qf) ** (
                 -(n - 1) / as_float(q) + 1.0 / as_float(holder_dual(p))
@@ -355,7 +339,7 @@ def recheck_lower(cert: NormCertificate) -> float:
         raise UnknownWitnessError("expected a witness-bearing Kakeya lower certificate")
     f = grid_from_bytes(cert.witness)
     star = kakeya_maximal_direct(f)
-    return direction_lp_norm(f.field, f.n, star, cert.q) / lp_norm(f, cert.p)
+    return mean_lp_norm(star, cert.q) / lp_norm(f, cert.p)
 
 
 def verify_lower(cert: NormCertificate) -> bool:
@@ -372,11 +356,7 @@ def line_sum_grid(field: Field, n: int, g: np.ndarray, x0map: np.ndarray) -> Gri
     g = np.asarray(g, dtype=np.float64)
     coords = field.grid_coords(n - 1)
     vfs = np.flatnonzero(g != 0)
-    x0, v = coords[np.asarray(x0map, dtype=np.int64)[vfs]], coords[vfs]
-    ts = np.arange(q, dtype=np.int64)
-    flat = np.tile(ts * m, (len(vfs), 1))  # [direction, height], directions in order
-    for j in range(n - 1):
-        flat += field.add_arrays(x0[:, j, None], field.mul_arrays(v[:, j, None], ts)) * q**j
+    flat = line_flats(field, coords[np.asarray(x0map, dtype=np.int64)[vfs]], coords[vfs])
     vals = np.zeros(q**n, dtype=np.complex128)
     np.add.at(vals, flat, g[vfs, None])
     vals /= float(m)
@@ -389,7 +369,7 @@ def cordoba_check(field: Field, n: int, g: np.ndarray, x0map: np.ndarray) -> flo
     if np.any(g < 0):
         raise ValueError("direction weights must be nonnegative")
     dual = holder_dual(Fraction(2 * n - 2))
-    lhs = math.sqrt(2.0) * direction_lp_norm(field, n, g, dual)
+    lhs = math.sqrt(2.0) * mean_lp_norm(g, dual)
     rhs = lp_norm(line_sum_grid(field, n, g, x0map), 2)
     return lhs - rhs
 
@@ -398,7 +378,7 @@ def cordoba_check(field: Field, n: int, g: np.ndarray, x0map: np.ndarray) -> flo
 
 
 @dataclass(frozen=True)
-class LineIncidenceReport:
+class IncidenceReport:
     count: int
     point_count: int
     line_count: int
@@ -406,18 +386,16 @@ class LineIncidenceReport:
     satisfied: bool
 
 
-def incidence_count(field: Field, points: np.ndarray, lines: Sequence[LineSpec]) -> LineIncidenceReport:
+def incidence_count(field: Field, points: np.ndarray, x0, v) -> IncidenceReport:
     """Exact |{(p, l) : p in l}| with the square-root incidence bound."""
-    if len(set(lines)) != len(lines):
-        raise ValueError("lines must be distinct")
+    _require_distinct(x0, v)
     pts = np.asarray(points, dtype=np.int64)
-    pset = set(int(x) for x in flat_points(field, pts))
-    count = sum(
-        sum(1 for x in line_flat_points(field, ln) if int(x) in pset) for ln in lines
-    )
-    np_, nl = len(pts), len(lines)
+    member = np.zeros(field.order ** pts.shape[1], dtype=bool)
+    member[flat_points(field, pts)] = True
+    count = int(member[line_flats(field, x0, v)].sum())
+    np_, nl = len(pts), len(x0)
     bound = min(math.sqrt(np_) * nl + np_, np_ * math.sqrt(nl) + nl)
-    return LineIncidenceReport(count, np_, nl, bound, count <= bound)
+    return IncidenceReport(count, np_, nl, bound, count <= bound)
 
 
 @dataclass(frozen=True)
@@ -446,91 +424,76 @@ class ChainCounts:
     cauchy_ok: bool
 
 
+def _join(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every index pair (i, j) with a[i] == b[j], ordered by i."""
+    order = np.argsort(b, kind="stable")
+    lo = np.searchsorted(b[order], a, side="left")
+    hits = np.searchsorted(b[order], a, side="right") - lo  # matches of each a[i]
+    i = np.repeat(np.arange(len(a)), hits)
+    offset = np.arange(len(i)) - np.repeat(np.cumsum(hits) - hits, hits)
+    return i, order[np.repeat(lo, hits) + offset]
+
+
 def incidence_chain_counts(
     field: Field,
     points: np.ndarray,
-    lines: Sequence[LineSpec],
+    x0,
+    v,
     budget: int = 10**8,
 ) -> ChainCounts:
     """Count the full chain exactly.
 
     Distinct lines meet in at most one point, which is what lets every
-    quantity be assembled from per-point line degrees, per-line point
-    counts, and the map from point pairs to the unique line through them.
+    quantity be assembled from the incidence list: per-point line degrees,
+    per-line point counts, and the arms (l, a, b) joining two points a != b
+    of a line l, which is then the unique line through them.  Linked pairs
+    are incidences (l, a) joined to arms (l', a, b) with l' != l, keyed by
+    (l, b); corner paths are arm pairs (l1, a, b1), (l2, a, b2) with
+    l1 != l2, keyed by their endpoints (b1, b2).
     """
     pts = np.asarray(points, dtype=np.int64)
-    pflat = [int(x) for x in flat_points(field, pts)]
-    pset = set(pflat)
-    if len(pset) != len(pflat):
+    pflat = flat_points(field, pts)
+    if len(np.unique(pflat)) != len(pflat):
         raise ValueError("points must be distinct")
-    if len(set(lines)) != len(lines):
-        raise ValueError("lines must be distinct")
-    if len(pflat) * max(1, len(lines)) > budget:
+    _require_distinct(x0, v)
+    npts = len(pflat)
+    if npts * max(1, len(x0)) > budget:
         raise BudgetExceededError("configuration too large for chain counting")
 
-    on_line: list[list[int]] = []  # per line: point flats on it
-    through: dict[int, list[int]] = defaultdict(list)  # point flat -> line ids
-    for li, ln in enumerate(lines):
-        row = [int(x) for x in line_flat_points(field, ln) if int(x) in pset]
-        on_line.append(row)
-        for pf in row:
-            through[pf].append(li)
+    pid = np.full(field.order ** pts.shape[1], -1, dtype=np.int64)
+    pid[pflat] = np.arange(npts)
+    ids = pid[line_flats(field, x0, v)]  # [line, t]: point id, or -1 off the set
+    li, col = np.nonzero(ids >= 0)
+    pi = ids[li, col]  # incidences (li, pi), by line then t
 
-    inc = sum(len(row) for row in on_line)
-    deg = {pf: len(ls) for pf, ls in through.items()}
-    angles = sum(d * d for d in deg.values())
+    inc = len(pi)
+    deg = np.bincount(pi, minlength=npts)
+    sizes = np.bincount(li, minlength=len(x0))
+    angles = int(np.sum(deg * deg))
     nondeg_angles = angles - inc
+    pointed = int(np.sum((deg[pi] - 1) * (sizes[li] - 1)))
 
-    sizes = [len(row) for row in on_line]
-    pointed = sum(
-        (deg[pf] - 1) * (sizes[li] - 1) for pf, ls in through.items() for li in ls
-    )
+    i, j = _join(li, li)
+    keep = pi[i] != pi[j]
+    arm_line, arm_from, arm_to = li[i[keep]], pi[i[keep]], pi[j[keep]]
 
-    pair_line: dict[tuple[int, int], int] = {}
-    for li, row in enumerate(on_line):
-        for a in row:
-            for b in row:
-                if a != b:
-                    pair_line[(a, b)] = li
-
-    # linked pairs share (first line, marked point); count per key and square
-    linked = 0
-    for li, row in enumerate(on_line):
-        for p2 in pflat:
-            m = 0
-            for pf in row:
-                if pf == p2:
-                    continue
-                other = pair_line.get((pf, p2))
-                if other is not None and other != li:
-                    m += 1
-            linked += m * m
+    i, j = _join(pi, arm_from)
+    keep = li[i] != arm_line[j]
+    _, per_key = np.unique(li[i[keep]] * npts + arm_to[j[keep]], return_counts=True)
+    linked = int(np.sum(per_key**2))
     nondeg_triangles = linked - pointed
 
-    # corner paths keyed by endpoints; meet in the middle for quadrilaterals
-    cost = sum(
-        (sum(sizes[li] - 1 for li in ls)) ** 2 for pf, ls in through.items()
-    )
+    cost = int(np.sum(np.bincount(arm_from, minlength=npts) ** 2))
     if cost > budget:
         raise BudgetExceededError("quadrilateral counting exceeds the budget")
-    endpoint_counts: Counter[tuple[int, int]] = Counter()
-    for pf, ls in through.items():
-        for l1 in ls:
-            for l2 in ls:
-                if l1 == l2:
-                    continue
-                for p1 in on_line[l1]:
-                    if p1 == pf:
-                        continue
-                    for p2 in on_line[l2]:
-                        if p2 == pf:
-                            continue
-                        endpoint_counts[(p1, p2)] += 1
-    paths = sum(endpoint_counts.values())
-    quads = sum(c * c for c in endpoint_counts.values())
+    i, j = _join(arm_from, arm_from)
+    keep = arm_line[i] != arm_line[j]
+    _, ends = np.unique(arm_to[i[keep]] * npts + arm_to[j[keep]], return_counts=True)
+    paths = int(np.sum(ends))
+    quads = int(np.sum(ends**2))
     nondeg_quads = quads - paths
 
-    cauchy_ok = angles * len(pflat) >= inc * inc
+    cauchy_ok = angles * npts >= inc * inc
     return ChainCounts(
         incidences=inc,
         angles=angles,
@@ -548,21 +511,28 @@ def incidence_chain_counts(
 # -- planes and the direction-spread axiom ---------------------------------------------
 
 
-def _plane_key(field: Field, a: tuple[int, int, int], c: int):
-    """Projective normalization of the plane {x : a . x = c}."""
-    lead = next((x for x in a if x != 0), 0)
-    if lead == 0:
-        raise ValueError("zero normal vector")
-    s = field.inv(lead)
-    return tuple(field.mul(s, x) for x in a), field.mul(s, c)
+def _inv_arrays(field: Field, a: np.ndarray) -> np.ndarray:
+    """Elementwise inverses a^(|F| - 2) of nonzero field elements."""
+    out = np.ones_like(a)
+    e = field.order - 2
+    while e:
+        if e & 1:
+            out = field.mul_arrays(out, a)
+        a = field.mul_arrays(a, a)
+        e >>= 1
+    return out
 
 
-def _line_in_plane(field: Field, line: LineSpec, a: tuple[int, int, int], c: int) -> bool:
-    ab = a[:2]
-    dv = field.add(field.dot(np.array(ab), np.array(line.v)), a[2])
-    if dv != 0:
-        return False
-    return field.dot(np.array(ab), np.array(line.x0)) == c
+def _dot2(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a . b over a last axis of length 2, in field arithmetic."""
+    prod = field.mul_arrays(a, b)
+    return field.add_arrays(prod[..., 0], prod[..., 1])
+
+
+def _normalized_planes(field: Field, planes: np.ndarray) -> np.ndarray:
+    """Rows (a1, a2, a3, c) of planes {a . x = c} scaled so the first nonzero a_i is 1."""
+    lead = planes[np.arange(len(planes)), np.argmax(planes[:, :3] != 0, axis=1)]
+    return field.mul_arrays(planes, _inv_arrays(field, lead)[:, None])
 
 
 @dataclass(frozen=True)
@@ -573,66 +543,58 @@ class PlaneSpreadReport:
     mode: str
 
 
-def wolff_axiom_check(field: Field, lines: Sequence[LineSpec], mode: str = "pairs") -> PlaneSpreadReport:
+def wolff_axiom_check(field: Field, x0, v, mode: str = "pairs") -> PlaneSpreadReport:
     """Largest number of family lines lying in a single 2-plane of F^3.
 
     pairs mode inspects only planes spanned by two family lines (a lower
-    bound on the true maximum, and exact whenever the maximum is >= 2);
-    exhaustive mode scans all (|F|^2 + |F| + 1) |F| planes and is gated to
-    |F| <= 7.
+    bound on the true maximum, and exact whenever the maximum is >= 2): it
+    keys every coplanar pair by its normalized plane, and a plane holding m
+    lines receives m(m-1)/2 pairs.  exhaustive mode counts the lines in all
+    (|F|^3 - 1) |F| equations a . x = c and is gated to |F| <= 7.  Either way
+    the reported plane is the first maximal one in enumeration order.
     """
-    if any(ln.dim != 3 for ln in lines):
+    x0 = np.asarray(x0, dtype=np.int64)
+    v = np.asarray(v, dtype=np.int64)
+    if x0.ndim != 2 or x0.shape[1] != 2:
         raise UnsupportedDimensionError("plane analysis lives in F^3")
-    if not lines:
+    if not len(x0):
         return PlaneSpreadReport(0, None, 0.0, mode)
+    _require_distinct(x0, v)
     q = field.order
-
-    def count_in(a, c):
-        return sum(1 for ln in lines if _line_in_plane(field, ln, a, c))
-
     best = (1, None)
     if mode == "pairs":
-        seen = set()
-        for i, l1 in enumerate(lines):
-            for l2 in lines[i + 1 :]:
-                if l1.v != l2.v:
-                    w = (field.sub(l1.v[0], l2.v[0]), field.sub(l1.v[1], l2.v[1]))
-                    ab = (field.neg(w[1]), w[0])
-                elif l1.x0 != l2.x0:
-                    w = (field.sub(l1.x0[0], l2.x0[0]), field.sub(l1.x0[1], l2.x0[1]))
-                    ab = (field.neg(w[1]), w[0])
-                else:
-                    continue
-                a3 = field.neg(field.dot(np.array(ab), np.array(l1.v)))
-                c = field.dot(np.array(ab), np.array(l1.x0))
-                a = (*ab, a3)
-                if not (_line_in_plane(field, l1, a, c) and _line_in_plane(field, l2, a, c)):
-                    continue
-                key = _plane_key(field, a, c)
-                if key in seen:
-                    continue
-                seen.add(key)
-                cnt = count_in(*key)
-                if cnt > best[0]:
-                    best = (cnt, key)
+        i, j = np.triu_indices(len(x0), 1)
+        parallel = np.all(v[i] == v[j], axis=1, keepdims=True)
+        w = field.sub_arrays(np.where(parallel, x0[i], v[i]), np.where(parallel, x0[j], v[j]))
+        ab = np.stack([field.neg_arrays(w[:, 1]), w[:, 0]], axis=1)  # ab . w = 0
+        c = _dot2(field, ab, x0[i])
+        coplanar = _dot2(field, ab, x0[j]) == c  # skew pairs span no plane
+        planes = np.column_stack([ab, field.neg_arrays(_dot2(field, ab, v[i])), c])[coplanar]
+        if len(planes):
+            keys, first, pairs = np.unique(
+                _normalized_planes(field, planes), axis=0, return_index=True, return_counts=True
+            )
+            win = np.argmin(np.where(pairs == pairs.max(), first, len(planes)))
+            m = (1 + math.isqrt(1 + 8 * int(pairs[win]))) // 2
+            best = (m, keys[win])
     elif mode == "exhaustive":
         if q > 7:
             raise BudgetExceededError("exhaustive plane scan is gated to |F| <= 7")
-        seen = set()
-        coords = field.grid_coords(3)
-        for a_row in coords[1:]:
-            a = tuple(int(x) for x in a_row)
-            for c in range(q):
-                key = _plane_key(field, a, c)
-                if key in seen:
-                    continue
-                seen.add(key)
-                cnt = count_in(*key)
-                if cnt > best[0]:
-                    best = (cnt, key)
+        normals = field.grid_coords(3)[1:, None, :]  # [normal, line, coordinate]
+        # a line lies in {a . x = c} iff a[:2] . v + a[2] = 0 and c = a[:2] . x0
+        along = field.add_arrays(_dot2(field, normals[..., :2], v), normals[..., 2]) == 0
+        rows, cols = np.nonzero(along)
+        counts = np.zeros((len(normals), q), dtype=np.int64)
+        np.add.at(counts, (rows, _dot2(field, normals[rows, 0, :2], x0[cols])), 1)
+        top = np.argmax(counts)  # first maximum in (normal, c) scan order
+        plane = np.append(normals[top // q, 0], top % q)[None, :]
+        best = (int(counts.flat[top]), _normalized_planes(field, plane)[0])
     else:
         raise ValueError("mode must be 'pairs' or 'exhaustive'")
-    return PlaneSpreadReport(best[0], best[1], best[0] / q, mode)
+    if best[0] <= 1:
+        best = (1, None)
+    plane = None if best[1] is None else (tuple(int(x) for x in best[1][:3]), int(best[1][3]))
+    return PlaneSpreadReport(best[0], plane, best[0] / q, mode)
 
 
 # -- the quadratic-extension configuration ----------------------------------------------
@@ -641,7 +603,8 @@ def wolff_axiom_check(field: Field, lines: Sequence[LineSpec], mode: str = "pair
 @dataclass(frozen=True)
 class QuadExtensionReport:
     point_flats: np.ndarray
-    lines: tuple[LineSpec, ...]
+    x0: np.ndarray  # (L, 2) base points of the contained lines
+    v: np.ndarray  # (L, 2) their directions
     point_count: int
     line_count: int
     containment_ok: bool
@@ -658,45 +621,41 @@ def heisenberg_example(field: Field) -> QuadExtensionReport:
     Im(v1 conj(v2)) = 0 and v1 conj(x2) - v2 conj(x1) = 1; expanding
     Im(z1 conj(z2)) along a line leaves a term linear in t whose coefficient
     must be exactly 1 and a norm-quadratic term that must vanish.  The family
-    repeats directions, which is the point of the construction.
+    repeats directions, which is the point of the construction.  Lines come
+    ordered by x0, then v, each in flat order over F^2.
     """
     if field.k != 2:
         raise NotQuadraticExtensionError("the construction needs a quadratic extension")
     q = field.order
     coords = field.grid_coords(3)
     lhs = field.im_arrays(field.mul_arrays(coords[:, 0], field.frobenius_arrays(coords[:, 1])))
-    rhs = field.im_arrays(coords[:, 2])
-    pflat = np.flatnonzero(lhs == rhs).astype(np.int64)
-    pset = set(int(x) for x in pflat)
+    member = lhs == field.im_arrays(coords[:, 2])
+    pflat = np.flatnonzero(member).astype(np.int64)
 
     pairs = field.grid_coords(2)
-    zero_im = [
-        (int(a), int(b))
-        for a, b in pairs
-        if field.im_part(field.mul(int(a), field.frobenius(int(b)))) == 0
-    ]
-    one = field.rational(1)
-    lines = []
-    for x1, x2 in zero_im:
-        fx1, fx2 = field.frobenius(x1), field.frobenius(x2)
-        for v1, v2 in zero_im:
-            if field.sub(field.mul(v1, fx2), field.mul(v2, fx1)) == one:
-                lines.append(LineSpec((x1, x2), (v1, v2)))
+    im = field.im_arrays(field.mul_arrays(pairs[:, 0], field.frobenius_arrays(pairs[:, 1])))
+    zero_im = pairs[im == 0]
+    conj = field.frobenius_arrays(zero_im)
+    # [x, v] over zero_im x zero_im: v1 conj(x2) - v2 conj(x1) = 1
+    hit = field.sub_arrays(
+        field.mul_arrays(zero_im[None, :, 0], conj[:, None, 1]),
+        field.mul_arrays(zero_im[None, :, 1], conj[:, None, 0]),
+    ) == field.rational(1)
+    xi, vi = np.nonzero(hit)
+    x0, v = zero_im[xi], zero_im[vi]
 
-    contained = all(
-        all(int(x) in pset for x in line_flat_points(field, ln)) for ln in lines
-    )
-    dirs = Counter(ln.v for ln in lines)
-    dup = next((v for v, c in dirs.items() if c > 1), None)
+    _, first, repeats = np.unique(v, axis=0, return_index=True, return_counts=True)
+    dup = first[repeats > 1]
     return QuadExtensionReport(
         point_flats=pflat,
-        lines=tuple(lines),
+        x0=x0,
+        v=v,
         point_count=len(pflat),
-        line_count=len(lines),
-        containment_ok=contained,
-        duplicate_direction=dup,
+        line_count=len(x0),
+        containment_ok=bool(member[line_flats(field, x0, v)].all()),
+        duplicate_direction=tuple(int(c) for c in v[dup.min()]) if len(dup) else None,
         point_ratio=len(pflat) / float(q) ** 2.5,
-        line_ratio=len(lines) / float(q) ** 2,
+        line_ratio=len(x0) / float(q) ** 2,
     )
 
 
@@ -746,10 +705,7 @@ def slope_projections(
     coords = field.grid_coords(n - 1)
     a, b = coords[pairs[:, 0]], coords[pairs[:, 1]]
 
-    diff = np.stack(
-        [field.sub_arrays(a[:, j], b[:, j]) for j in range(n - 1)], axis=1
-    )
-    n_diff = len(np.unique(flat_points(field, diff)))
+    n_diff = len(np.unique(flat_points(field, field.sub_arrays(a, b))))
     if n_diff != len(pairs):
         if require_injective:
             raise NotInjectiveError("the difference projection collides on this set")
@@ -776,15 +732,8 @@ def slope_projections(
 
     proj_sizes: dict[str, int] = {}
     for label, elem in mapped.items():
-        if elem is None:
-            img = flat_points(field, b)
-        else:
-            cols = [
-                field.add_arrays(a[:, j], field.mul_arrays(b[:, j], np.int64(elem)))
-                for j in range(n - 1)
-            ]
-            img = flat_points(field, np.stack(cols, axis=1))
-        proj_sizes[label] = int(len(np.unique(img)))
+        img = b if elem is None else field.add_arrays(a, field.mul_arrays(b, np.int64(elem)))
+        proj_sizes[label] = int(len(np.unique(flat_points(field, img))))
 
     alpha = None
     if proj_sizes:
@@ -838,23 +787,10 @@ def slices_construction(witness: BesicovitchWitness, t0: int, t_inf: int, slopes
     if np.any(witness.assignment < 0):
         raise ValueError("witness must assign a base point to every direction")
     x0 = coords[witness.assignment]
-    vs = coords
-    p0 = np.stack(
-        [field.add_arrays(x0[:, j], field.mul_arrays(vs[:, j], np.int64(t0))) for j in range(n - 1)],
-        axis=1,
-    )
-    p1 = np.stack(
-        [
-            field.add_arrays(x0[:, j], field.mul_arrays(vs[:, j], np.int64(t_inf)))
-            for j in range(n - 1)
-        ],
-        axis=1,
-    )
+    p0 = field.add_arrays(x0, field.mul_arrays(coords, np.int64(t0)))
+    p1 = field.add_arrays(x0, field.mul_arrays(coords, np.int64(t_inf)))
     pairs = np.stack([flat_points(field, p0), flat_points(field, p1)], axis=1)
-    diff = np.stack(
-        [field.sub_arrays(p0[:, j], p1[:, j]) for j in range(n - 1)], axis=1
-    )
-    injective = len(np.unique(flat_points(field, diff))) == m
+    injective = len(np.unique(flat_points(field, field.sub_arrays(p0, p1)))) == m
 
     member = np.zeros(q**n, dtype=bool)
     member[witness.flat] = True
@@ -875,11 +811,7 @@ def slices_construction(witness: BesicovitchWitness, t0: int, t_inf: int, slopes
             t_r = field.add(
                 field.mul(t0, inv), field.mul(field.mul(elem, t_inf), inv)
             )
-            cols = [
-                field.add_arrays(p0[:, j], field.mul_arrays(p1[:, j], np.int64(elem)))
-                for j in range(n - 1)
-            ]
-            img = flat_points(field, np.stack(cols, axis=1))
+            img = flat_points(field, field.add_arrays(p0, field.mul_arrays(p1, np.int64(elem))))
         proj = int(len(np.unique(img)))
         slice_size = int(slices[:, t_r].sum())
         checks.append(SliceCheck(label, int(t_r), proj, slice_size, proj <= slice_size))

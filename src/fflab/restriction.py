@@ -33,6 +33,7 @@ from .certificates import (
     recheck_agrees,
 )
 from .errors import (
+    BudgetExceededError,
     MinusOneIsSquareError,
     NoClosedFormError,
     NotAMajorantError,
@@ -42,6 +43,7 @@ from .errors import (
     WrongSurfaceKindError,
 )
 from .field import Field, make_field
+from .kakeya import IncidenceReport
 from .grid import (
     Grid,
     Side,
@@ -370,44 +372,6 @@ def rstar_lower_witness(surface: SurfaceMeasure, p, q, name: str, line=None) -> 
     p = parse_exponent(p)
     q = parse_exponent(q)
     fld = surface.field
-    if name == "dirac":
-        g = SurfaceFunction.delta(surface)
-        value = lp_norm(extension(g), q) / surface_lp_norm(g, p)
-        closed = surface.size ** (1.0 / as_float(p) - 1.0) * float(fld.order) ** (
-            surface.n / as_float(q)
-        )
-        return _base_cert(
-            surface, "lower", "witness", p, q, value,
-            witness=g.values.tobytes(),
-            meta={"witness_form": "surface_function", "witness_name": name, "closed_form": closed},
-        )
-    if name == "constant":
-        g = SurfaceFunction.constant(surface)
-        value = lp_norm(extension(g), q) / surface_lp_norm(g, p)
-        return _base_cert(
-            surface, "lower", "witness", p, q, value,
-            witness=g.values.tobytes(),
-            meta={"witness_form": "surface_function", "witness_name": name},
-        )
-    if name == "subspace":
-        if line is None:
-            a, b = find_affine_line(surface)
-        else:
-            a, b = (np.asarray(x, dtype=np.int64) for x in line)
-        lf = set(int(x) for x in flat_points(fld, affine_line(fld, a, b)))
-        vals = np.array([1.0 if int(f) in lf else 0.0 for f in surface.flat], dtype=np.complex128)
-        g = SurfaceFunction(surface, vals)
-        value = lp_norm(extension(g), q) / surface_lp_norm(g, p)
-        return _base_cert(
-            surface, "lower", "witness", p, q, value,
-            witness=g.values.tobytes(),
-            meta={
-                "witness_form": "surface_function",
-                "witness_name": name,
-                "line_base": [int(x) for x in a],
-                "line_dir": [int(x) for x in b],
-            },
-        )
     if name == "dual_cone_X":
         if surface.kind != SurfaceKind.CONE:
             raise WrongSurfaceKindError("the dual set witness lives on the cone")
@@ -424,7 +388,32 @@ def rstar_lower_witness(surface: SurfaceMeasure, p, q, name: str, line=None) -> 
                 "set_size": int(len(x_set)),
             },
         )
-    raise UnknownWitnessError(f"no witness named {name!r}")
+    if name == "dirac":
+        g = SurfaceFunction.delta(surface)
+        closed = surface.size ** (1.0 / as_float(p) - 1.0) * float(fld.order) ** (
+            surface.n / as_float(q)
+        )
+        extra = {"closed_form": closed}
+    elif name == "constant":
+        g = SurfaceFunction.constant(surface)
+        extra = {}
+    elif name == "subspace":
+        if line is None:
+            a, b = find_affine_line(surface)
+        else:
+            a, b = (np.asarray(x, dtype=np.int64) for x in line)
+        lf = set(int(x) for x in flat_points(fld, affine_line(fld, a, b)))
+        vals = np.array([1.0 if int(f) in lf else 0.0 for f in surface.flat], dtype=np.complex128)
+        g = SurfaceFunction(surface, vals)
+        extra = {"line_base": [int(x) for x in a], "line_dir": [int(x) for x in b]}
+    else:
+        raise UnknownWitnessError(f"no witness named {name!r}")
+    value = lp_norm(extension(g), q) / surface_lp_norm(g, p)
+    return _base_cert(
+        surface, "lower", "witness", p, q, value,
+        witness=g.values.tobytes(),
+        meta={"witness_form": "surface_function", "witness_name": name, **extra},
+    )
 
 
 def recheck_lower(cert: NormCertificate) -> float:
@@ -519,22 +508,16 @@ def _exp_ge(a: Exponent, b: Exponent) -> bool:
 # -- self-dot incidences ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IncidenceReport:
-    count: int
-    point_count: int
-    line_count: int
-    bound: float
-    satisfied: bool
-
-
-def selfdot_incidence_count(field: Field, points: np.ndarray) -> IncidenceReport:
+def selfdot_incidence_count(
+    field: Field, points: np.ndarray, budget: int = 10**9
+) -> IncidenceReport:
     """Count pairs (xi, eta) in P x P with xi.eta = xi.xi, P in F^2.
 
     Each xi != 0 contributes the line {eta : xi.eta = xi.xi}; the count is an
     incidence count between P and |P| distinct lines, so the line-incidence
     bound min(|P|^{1/2}|L| + |P|, |P||L|^{1/2} + |L|) applies.  Distinctness
-    of the lines needs -1 to be a non-square (else xi.xi can vanish).
+    of the lines needs -1 to be a non-square (else xi.xi can vanish).  The
+    |P|^2 dot products are formed a block of rows at a time; budget caps |P|^2.
     """
     if field.is_square(field.minus_one):
         raise MinusOneIsSquareError("-1 is a square; the self-dot lines degenerate")
@@ -544,12 +527,21 @@ def selfdot_incidence_count(field: Field, points: np.ndarray) -> IncidenceReport
     if np.any(np.all(pts == 0, axis=1)):
         raise ValueError("the origin has a degenerate self-dot line; remove it")
     m = pts.shape[0]
-    dots = field.add_arrays(
-        field.mul_arrays(pts[:, None, 0], pts[None, :, 0]),
-        field.mul_arrays(pts[:, None, 1], pts[None, :, 1]),
+    if m * m > budget:
+        raise BudgetExceededError(f"{m}^2 self-dot pairs exceed the budget {budget}")
+
+    self_dots = field.add_arrays(
+        field.mul_arrays(pts[:, 0], pts[:, 0]), field.mul_arrays(pts[:, 1], pts[:, 1])
     )
-    self_dots = np.diagonal(dots)
-    count = int(np.sum(dots == self_dots[:, None]))
+    count = 0
+    step = max(1, (1 << 16) // max(m, 1))  # rows per block: about 2^16 dot products
+    for start in range(0, m, step):
+        rows = pts[start : start + step, None, :]
+        dots = field.add_arrays(
+            field.mul_arrays(rows[..., 0], pts[None, :, 0]),
+            field.mul_arrays(rows[..., 1], pts[None, :, 1]),
+        )
+        count += int(np.count_nonzero(dots == self_dots[start : start + step, None]))
     bound = math.sqrt(m) * m + m  # |P| = |L| = m, so both terms of the min agree
     return IncidenceReport(count, m, m, bound, count <= bound)
 

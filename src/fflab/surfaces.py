@@ -40,6 +40,7 @@ from .grid import (  # noqa: F401
     _transform_matrices,
     flat_points,
     fourier_inverse,
+    mean_lp_norm,
     transform_axes,
 )
 
@@ -371,13 +372,7 @@ def restriction_direct(f: Grid, surface: SurfaceMeasure) -> SurfaceFunction:
 
 def surface_lp_norm(sf: SurfaceFunction, p) -> float:
     """L^p(S, dsigma) norm: dsigma gives each point mass |S|^{-1}."""
-    pf = p if p == math.inf else float(p)
-    absv = np.abs(sf.values)
-    if pf == math.inf:
-        return float(absv.max())
-    if pf < 1:
-        raise ValueError("exponents below 1 are not norms here")
-    return float((np.mean(absv**pf)) ** (1.0 / pf))
+    return mean_lp_norm(sf.values, p)
 
 
 def surface_inner(sf1: SurfaceFunction, sf2: SurfaceFunction) -> complex:

@@ -85,14 +85,15 @@ def test_frobenius_is_field_automorphism(f9):
 
 
 def test_trace_into_prime_field(f9):
+    tr = f9.trace_lift
     for a in range(9):
-        t = f9.trace(a)
+        t = tr[a]
         assert 0 <= t < 3
-        assert f9.trace(f9.frobenius(a)) == t
+        assert tr[f9.frobenius(a)] == t
     # trace is additive
     for a in range(9):
         for b in range(9):
-            assert f9.trace(f9.add(a, b)) == (f9.trace(a) + f9.trace(b)) % 3
+            assert tr[f9.add(a, b)] == (tr[a] + tr[b]) % 3
 
 
 def test_character_is_additive_and_unimodular(f9):

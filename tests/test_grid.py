@@ -76,7 +76,7 @@ def test_affine_line_matches_coordinate_stack(p, k):
             assert got.dtype == np.int64 and got.shape == (field.order, n)
             assert np.array_equal(got, affine_line_stack(field, a, b))
             assert np.array_equal(got[0], a)  # rows in t order, t = 0 first
-    # tuples of ints, as LineSpec passes them
+    # plain tuples of ints work too
     assert np.array_equal(affine_line(field, (2, 0), (1, 1)),
                           affine_line_stack(field, (2, 0), (1, 1)))
 

@@ -19,12 +19,10 @@ from fflab.errors import (
     UnsupportedDimensionError,
 )
 from fflab.field import make_field
-from fflab.grid import Grid, Side, flat_points
+from fflab.grid import Grid, Side, flat_points, mean_lp_norm
 from fflab.kakeya import (
-    LineSpec,
     besicovitch_2d,
     cordoba_check,
-    direction_lp_norm,
     heisenberg_example,
     incidence_chain_counts,
     incidence_count,
@@ -33,8 +31,7 @@ from fflab.kakeya import (
     kakeya_maximal_direct,
     kakeya_norm_certificates,
     kakeya_upper_overlap,
-    line_flat_points,
-    line_points,
+    line_flats,
     line_sum_grid,
     recheck_lower,
     slices_construction,
@@ -49,14 +46,36 @@ from fflab.kakeya import (
 
 
 def test_line_points(f7):
-    ln = LineSpec((3,), (2,))
-    pts = line_points(f7, ln)
-    assert pts.shape == (7, 2)
+    flats = line_flats(f7, [[3]], [[2]])
+    assert flats.shape == (1, 7)
     for t in range(7):
-        assert tuple(int(c) for c in pts[t]) == (f7.add(3, f7.mul(2, t)), t)
-    assert ln.dim == 2
+        assert flats[0, t] == flat_points(f7, np.array([f7.add(3, f7.mul(2, t)), t]))
     with pytest.raises(ValueError):
-        LineSpec((1, 2), (3,))
+        line_flats(f7, [[1, 2]], [[3]])
+
+
+def line_flats_oracle(field, x0, v):
+    """Flat indices of (x0 + vt, t), line by line and t by t, in scalar arithmetic."""
+    q = field.order
+    out = []
+    for a, b in zip(x0, v):
+        n = len(a) + 1
+        out.append([
+            sum(field.add(int(a[j]), field.mul(int(b[j]), t)) * q**j for j in range(n - 1))
+            + t * q ** (n - 1)
+            for t in range(q)
+        ])
+    return out
+
+
+@pytest.mark.parametrize("p, k, n", [(7, 1, 2), (5, 1, 3), (3, 2, 2), (3, 2, 3)])
+def test_line_flats_against_scalar_oracle(p, k, n):
+    field = make_field(p, k)
+    rng = np.random.default_rng(10 * p + n)
+    x0 = rng.integers(field.order, size=(12, n - 1))
+    v = rng.integers(field.order, size=(12, n - 1))
+    assert line_flats(field, x0, v).tolist() == line_flats_oracle(field, x0, v)
+    assert line_flats(field, x0[:0], v[:0]).shape == (0, field.order)
 
 
 # -- direction-complete sets -----------------------------------------------------------
@@ -74,10 +93,11 @@ def test_besicovitch_sizes_all_odd_primes():
 def test_besicovitch_lines_inside(f7):
     wit = besicovitch_2d(f7)
     on = set(int(x) for x in wit.flat)
-    lines = wit.lines()
-    assert len(lines) == 7
-    for ln in lines:
-        assert all(int(x) in on for x in line_flat_points(f7, ln))
+    coords = f7.grid_coords(1)
+    x0, v = coords[wit.assignment[wit.assignment >= 0]], coords[wit.assignment >= 0]
+    assert len(x0) == 7
+    for row in line_flats(f7, x0, v):
+        assert all(int(x) in on for x in row)
 
 
 def test_verify_besicovitch_detects_gaps(f7):
@@ -132,8 +152,8 @@ def test_maximal_hand_example():
     vals[flat_points(f3, np.array([[0, 0], [1, 1], [2, 2]]))] = 1.0
     star = kakeya_maximal(Grid(f3, 2, vals, Side.SPACE))
     assert star.tolist() == [1.0, 3.0, 1.0]
-    assert direction_lp_norm(f3, 2, star, math.inf) == 3.0
-    assert direction_lp_norm(f3, 2, star, 2) == pytest.approx(math.sqrt(11 / 3))
+    assert mean_lp_norm(star, math.inf) == 3.0
+    assert mean_lp_norm(star, 2) == pytest.approx(math.sqrt(11 / 3))
 
 
 def test_maximal_of_point_mass(f5):
@@ -275,10 +295,8 @@ def test_line_sum_against_per_line_loop(f5, f7):
         expected = np.zeros(field.order**n, dtype=np.complex128)
         for vf in range(m):
             if g[vf] != 0:
-                line = LineSpec(
-                    tuple(int(c) for c in coords[x0map[vf]]), tuple(int(c) for c in coords[vf])
-                )
-                expected[line_flat_points(field, line)] += g[vf]
+                (row,) = line_flats_oracle(field, [coords[x0map[vf]]], [coords[vf]])
+                expected[row] += g[vf]
         expected /= float(m)
         assert np.array_equal(line_sum_grid(field, n, g, x0map).values, expected)
 
@@ -305,18 +323,17 @@ def test_cordoba_random_weights(f5, f7):
 
 def test_incidence_count_bound(f7):
     wit = besicovitch_2d(f7)
-    rep = incidence_count(f7, wit.points(), wit.lines())
+    coords = f7.grid_coords(1)
+    rep = incidence_count(f7, f7.grid_coords(2)[wit.flat], coords[wit.assignment], coords)
     assert rep.count == 49
     assert rep.point_count == 28 and rep.line_count == 7
     assert rep.satisfied and rep.bound == pytest.approx(math.sqrt(28) * 7 + 28)
 
 
 def test_chain_counts_two_crossing_lines(f7):
-    l1, l2 = LineSpec((0,), (0,)), LineSpec((0,), (1,))
-    pts = np.unique(
-        np.concatenate([line_points(f7, l1), line_points(f7, l2)]), axis=0
-    )
-    cc = incidence_chain_counts(f7, pts, [l1, l2])
+    x0, v = np.array([[0], [0]]), np.array([[0], [1]])
+    pts = f7.grid_coords(2)[np.unique(line_flats(f7, x0, v))]
+    cc = incidence_chain_counts(f7, pts, x0, v)
     assert cc.incidences == 14
     assert cc.angles == 16
     assert cc.nondegenerate_angles == 2
@@ -329,12 +346,10 @@ def test_chain_counts_two_crossing_lines(f7):
     assert cc.cauchy_ok
 
 
-def chain_oracle(field, points, lines):
+def chain_oracle(field, points, x0, v):
     """The same six counts by quadruple loops, no shared bookkeeping."""
     pset = set(int(x) for x in flat_points(field, points))
-    on = [
-        [int(x) for x in line_flat_points(field, ln) if int(x) in pset] for ln in lines
-    ]
+    on = [[x for x in row if x in pset] for row in line_flats_oracle(field, x0, v)]
 
     def joined(a, b):
         return [li for li, row in enumerate(on) if a in row and b in row]
@@ -385,19 +400,17 @@ def chain_oracle(field, points, lines):
 
 def test_chain_counts_against_oracle(f5):
     rng = np.random.default_rng(9)
-    lines = [
-        LineSpec((int(a),), (int(b),))
-        for a, b in {(rng.integers(5), rng.integers(5)) for _ in range(6)}
-    ]
+    lines = np.array(list({(rng.integers(5), rng.integers(5)) for _ in range(6)}))
+    x0, v = lines[:, :1], lines[:, 1:]
     pts = np.unique(
         np.concatenate(
-            [line_points(f5, ln) for ln in lines[:3]]
+            [f5.grid_coords(2)[line_flats(f5, x0[:3], v[:3]).ravel()]]
             + [f5.grid_coords(2)[[2, 11, 17]]]
         ),
         axis=0,
     )
-    cc = incidence_chain_counts(f5, pts, lines)
-    inc, angles, pointed, linked, corner, quads = chain_oracle(f5, pts, lines)
+    cc = incidence_chain_counts(f5, pts, x0, v)
+    inc, angles, pointed, linked, corner, quads = chain_oracle(f5, pts, x0, v)
     assert cc.incidences == inc
     assert cc.angles == angles
     assert cc.pointed_angles == pointed
@@ -411,27 +424,102 @@ def test_chain_counts_against_oracle(f5):
 
 def test_chain_rejects_duplicates(f5):
     with pytest.raises(ValueError):
-        incidence_chain_counts(f5, np.array([[0, 0], [0, 0]]), [LineSpec((0,), (0,))])
+        incidence_chain_counts(f5, np.array([[0, 0], [0, 0]]), [[0]], [[0]])
     with pytest.raises(ValueError):
-        incidence_chain_counts(
-            f5, np.array([[0, 0]]), [LineSpec((0,), (0,)), LineSpec((0,), (0,))]
-        )
+        incidence_chain_counts(f5, np.array([[0, 0]]), [[0], [0]], [[0], [0]])
 
 
 # -- plane spread ----------------------------------------------------------------------
 
 
 def coplanar_family():
+    x0 = np.array([[0, 0], [1, 0], [2, 0], [0, 1]])
+    v = np.array([[1, 0], [2, 0], [0, 0], [1, 1]])
+    return x0, v
+
+
+def distinct_directions_family(field):
+    q = field.order
+    v = field.grid_coords(2)
+    return np.stack([v[:, 0] * v[:, 1] % q, (v[:, 0] + v[:, 1]) % q], axis=1), v
+
+
+def random_family(field, seed, count):
+    rows = np.unique(np.random.default_rng(seed).integers(field.order, size=(count, 4)), axis=0)
+    return rows[:, :2], rows[:, 2:]
+
+
+def plane_spread_oracle(field, x0, v, mode):
+    """(max_lines, plane) by per-pair and per-plane loops in scalar arithmetic.
+
+    Planes are visited in order (pairs i < j, or normals in flat order with
+    c = 0, 1, ...); the first plane reaching a new maximum is kept.
+    """
+    lines = [(tuple(int(c) for c in a), tuple(int(c) for c in b)) for a, b in zip(x0, v)]
+
+    def key(a, c):
+        s = field.inv(next(x for x in a if x != 0))
+        return tuple(field.mul(s, x) for x in a), field.mul(s, c)
+
+    def inside(line, a, c):
+        x, d = line
+        return field.add(field.dot(a[:2], d), a[2]) == 0 and field.dot(a[:2], x) == c
+
+    def diff(u, w):
+        return tuple(field.sub(s, t) for s, t in zip(u, w))
+
+    planes = []
+    if mode == "pairs":
+        for i, l1 in enumerate(lines):
+            for l2 in lines[i + 1 :]:
+                w = diff(l1[1], l2[1]) if l1[1] != l2[1] else diff(l1[0], l2[0])
+                ab = (field.neg(w[1]), w[0])
+                a = (*ab, field.neg(field.dot(ab, l1[1])))
+                c = field.dot(ab, l1[0])
+                if inside(l1, a, c) and inside(l2, a, c):
+                    planes.append(key(a, c))
+    else:
+        for a in field.grid_coords(3)[1:]:
+            planes.extend(key(tuple(int(x) for x in a), c) for c in range(field.order))
+    best = (1, None)
+    seen = set()
+    for plane in planes:
+        if plane not in seen:
+            seen.add(plane)
+            count = sum(inside(line, *plane) for line in lines)
+            if count > best[0]:
+                best = (count, plane)
+    return best
+
+
+def plane_spread_cases():
+    f5, f7 = make_field(5), make_field(7)
     return [
-        LineSpec((0, 0), (1, 0)),
-        LineSpec((1, 0), (2, 0)),
-        LineSpec((2, 0), (0, 0)),
-        LineSpec((0, 1), (1, 1)),
+        (f5, coplanar_family()),
+        (f5, distinct_directions_family(f5)),
+        (f7, distinct_directions_family(f7)),
+        (f5, random_family(f5, 3, 20)),  # 7 planes share the maximum, 3 lines
+        (f7, random_family(f7, 2, 120)),  # 3 planes share the maximum, 8 lines
     ]
 
 
+@pytest.mark.parametrize("mode", ["pairs", "exhaustive"])
+def test_plane_spread_against_oracle(mode):
+    for field, (x0, v) in plane_spread_cases():
+        max_lines, plane = plane_spread_oracle(field, x0, v, mode)
+        expected = kakeya.PlaneSpreadReport(max_lines, plane, max_lines / field.order, mode)
+        assert wolff_axiom_check(field, x0, v, mode) == expected
+
+
+def test_plane_spread_heisenberg_against_oracle(f9):
+    rep = heisenberg_example(f9)
+    max_lines, plane = plane_spread_oracle(f9, rep.x0, rep.v, "pairs")
+    got = wolff_axiom_check(f9, rep.x0, rep.v)
+    assert (got.max_lines, got.plane) == (max_lines, plane)
+
+
 def test_wolff_pairs_mode(f5):
-    rep = wolff_axiom_check(f5, coplanar_family(), mode="pairs")
+    rep = wolff_axiom_check(f5, *coplanar_family(), mode="pairs")
     assert rep.max_lines == 3
     assert rep.ratio == pytest.approx(3 / 5)
     assert rep.plane is not None
@@ -440,15 +528,21 @@ def test_wolff_pairs_mode(f5):
 def test_wolff_exhaustive_agrees(f5):
     fam = coplanar_family()
     assert (
-        wolff_axiom_check(f5, fam, "exhaustive").max_lines
-        == wolff_axiom_check(f5, fam, "pairs").max_lines
+        wolff_axiom_check(f5, *fam, "exhaustive").max_lines
+        == wolff_axiom_check(f5, *fam, "pairs").max_lines
     )
     with pytest.raises(BudgetExceededError):
-        wolff_axiom_check(make_field(11), [LineSpec((0, 0), (1, 0))] , "exhaustive")
+        wolff_axiom_check(make_field(11), [[0, 0]], [[1, 0]], "exhaustive")
     with pytest.raises(UnsupportedDimensionError):
-        wolff_axiom_check(f5, [LineSpec((0,), (1,))])
+        wolff_axiom_check(f5, [[0]], [[1]])
     with pytest.raises(ValueError):
-        wolff_axiom_check(f5, coplanar_family(), mode="sideways")
+        wolff_axiom_check(f5, *coplanar_family(), mode="sideways")
+
+
+def test_wolff_rejects_repeated_lines(f5):
+    x0, v = coplanar_family()
+    with pytest.raises(ValueError, match="distinct"):
+        wolff_axiom_check(f5, np.vstack([x0, x0[:1]]), np.vstack([v, v[:1]]))
 
 
 # -- quadratic-extension configuration ---------------------------------------------------
@@ -470,6 +564,32 @@ def test_heisenberg_point_count_scales():
     rep = heisenberg_example(make_field(5, 2))
     assert rep.point_count == 3125  # |F|^{5/2} = 5^5
     assert rep.containment_ok
+
+
+def heisenberg_lines_oracle(field):
+    """(x0, v) pairs by the scalar double loop over Im(z1 conj(z2)) = 0 pairs."""
+    zero_im = [
+        (int(a), int(b))
+        for a, b in field.grid_coords(2)
+        if field.im_part(field.mul(int(a), field.frobenius(int(b)))) == 0
+    ]
+    lines = []
+    for x1, x2 in zero_im:
+        fx1, fx2 = field.frobenius(x1), field.frobenius(x2)
+        for v1, v2 in zero_im:
+            if field.sub(field.mul(v1, fx2), field.mul(v2, fx1)) == 1:
+                lines.append(((x1, x2), (v1, v2)))
+    return lines
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_heisenberg_lines_against_oracle(p):
+    field = make_field(p, 2)
+    rep = heisenberg_example(field)
+    lines = heisenberg_lines_oracle(field)
+    assert [(tuple(a), tuple(b)) for a, b in zip(rep.x0.tolist(), rep.v.tolist())] == lines
+    directions = [b for _, b in lines]
+    assert rep.duplicate_direction == next(d for d in directions if directions.count(d) > 1)
 
 
 # -- slope projections -----------------------------------------------------------------

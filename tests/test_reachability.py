@@ -1,10 +1,14 @@
-"""Every public top-level def or class in ``src/fflab`` is reached from a command.
+"""Every public top-level def, class and method in ``src/fflab`` is reached
+from a command.
 
 Reachability is by name.  The roots are the names that ``cli.main`` and the
 scripts under ``scripts/`` mention.  A top-level statement of the package is
 reached when a reached statement mentions the name it defines, as a bare name
 or as an attribute; module-level assignments count as statements, so a
-dispatch table such as ``cli.SUITES`` carries its entries.  Imports mention
+dispatch table such as ``cli.SUITES`` carries its entries.  A method is
+reached when its class is reached and reached code mentions the method's name
+as an attribute or a bare name; dunder methods come with their class, and a
+class statement's own mentions leave out its method bodies.  Imports mention
 nothing.  Matching by name can only over-approximate, so this check may miss
 dead code but never flags code that a command uses.
 """
@@ -15,7 +19,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "fflab"
 SCRIPTS = ROOT / "scripts"
-DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+DEFINITIONS = (*FUNCTIONS, ast.ClassDef)
 
 # Public definitions kept although no command reaches them, with the reason.
 # Each one is also followed as a root, so what it uses is kept with it.
@@ -29,17 +34,27 @@ ALLOWED_UNREACHED = {
     "kakeya.incidence_to_kakeya_exponents": "the exponent calculus of acceptance criterion 13",
     "grid.index_point": "reference decoder of the transform tests",
     "surfaces.surface_inner": "adjoint oracle of the surface tests",
+    "field.Field.im_part": "scalar reference for im_arrays in the field and Heisenberg tests",
 }
 
 
-def _mentions(node: ast.AST) -> set[str]:
+def _mentions(*nodes: ast.AST) -> set[str]:
     names = set()
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            names.add(sub.id)
-        elif isinstance(sub, ast.Attribute):
-            names.add(sub.attr)
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                names.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                names.add(sub.attr)
     return names
+
+
+def _own_mentions(stmt: ast.stmt) -> set[str]:
+    """Names a statement mentions; a class leaves out its method bodies."""
+    if not isinstance(stmt, ast.ClassDef):
+        return _mentions(stmt)
+    rest = [s for s in stmt.body if not isinstance(s, FUNCTIONS)]
+    return _mentions(*stmt.decorator_list, *stmt.bases, *stmt.keywords, *rest)
 
 
 def _defined_names(stmt: ast.stmt) -> list[str]:
@@ -66,24 +81,49 @@ def root_names(sources: dict[str, str]) -> set[str]:
 
 
 def unreached(sources: dict[str, str], roots: set[str], allowed) -> list[str]:
-    """Public top-level defs and classes reached neither from roots nor from allowed."""
+    """Public top-level defs, classes and methods reached neither from roots nor
+    from allowed."""
     statements: dict[str, list[tuple[str, ast.stmt]]] = {}
+    methods: dict[str, list[tuple[str, ast.stmt]]] = {}  # class qual -> its methods
+    by_method_name: dict[str, list[tuple[str, str, ast.stmt]]] = {}
     public = []
     for module, text in sources.items():
         for stmt in ast.parse(text).body:
             for name in _defined_names(stmt):
-                statements.setdefault(name, []).append((f"{module}.{name}", stmt))
+                qual = f"{module}.{name}"
+                statements.setdefault(name, []).append((qual, stmt))
                 if isinstance(stmt, DEFINITIONS) and not name.startswith("_"):
-                    public.append(f"{module}.{name}")
-    pending = set(roots) | {qual.split(".", 1)[1] for qual in allowed}
+                    public.append(qual)
+                if not isinstance(stmt, ast.ClassDef):
+                    continue
+                for meth in stmt.body:
+                    if isinstance(meth, FUNCTIONS):
+                        mqual = f"{qual}.{meth.name}"
+                        methods.setdefault(qual, []).append((mqual, meth))
+                        by_method_name.setdefault(meth.name, []).append((qual, mqual, meth))
+                        if not meth.name.startswith("_"):
+                            public.append(mqual)
+    pending = set(roots) | {qual.rsplit(".", 1)[1] for qual in allowed}
     seen: set[str] = set()
     reached: set[str] = set()
+
+    def reach(qual: str, stmt: ast.stmt) -> None:
+        if qual not in reached:
+            reached.add(qual)
+            pending.update(_own_mentions(stmt) - seen)
+
     while pending:
         name = pending.pop()
         seen.add(name)
         for qual, stmt in statements.get(name, []):
-            reached.add(qual)
-            pending |= _mentions(stmt) - seen
+            reach(qual, stmt)
+            for mqual, meth in methods.get(qual, []):
+                dunder = meth.name.startswith("__") and meth.name.endswith("__")
+                if dunder or meth.name in seen:
+                    reach(mqual, meth)
+        for cls, mqual, meth in by_method_name.get(name, []):
+            if cls in reached:
+                reach(mqual, meth)
     return sorted(q for q in public if q not in reached and q not in allowed)
 
 
@@ -105,11 +145,17 @@ def test_an_added_unreached_definition_fails():
     roots = root_names(sources)
     sources["kakeya"] += "\n\ndef orphan_helper(field):\n    return field.order\n"
     sources["grid"] += "\n\nclass OrphanReport:\n    count: int = 0\n"
+    anchor = "    def frobenius_arrays(self, a)"
+    sources["field"] = sources["field"].replace(
+        anchor, "    def orphan_method(self):\n        return self.order\n\n" + anchor, 1
+    )
     assert unreached(sources, roots, ALLOWED_UNREACHED) == [
-        "grid.OrphanReport", "kakeya.orphan_helper",
+        "field.Field.orphan_method", "grid.OrphanReport", "kakeya.orphan_helper",
     ]
     # once a command mentions it, it is reached
     sources["cli"] = sources["cli"].replace(
-        "    parser = build_parser()\n", "    parser = build_parser()\n    orphan_helper\n", 1
+        "    parser = build_parser()\n",
+        "    parser = build_parser()\n    orphan_helper\n    parser.orphan_method\n",
+        1,
     )
     assert unreached(sources, root_names(sources), ALLOWED_UNREACHED) == ["grid.OrphanReport"]

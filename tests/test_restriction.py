@@ -15,6 +15,7 @@ from fflab.certificates import (
     parse_exponent,
 )
 from fflab.errors import (
+    BudgetExceededError,
     MinusOneIsSquareError,
     NoClosedFormError,
     NotAMajorantError,
@@ -320,6 +321,30 @@ def test_selfdot_rejections(f7):
         selfdot_incidence_count(make_field(13), make_field(13).grid_coords(2)[1:])
     with pytest.raises(ValueError):
         selfdot_incidence_count(f7, f7.grid_coords(2))  # contains the origin
+
+
+@pytest.mark.parametrize("p", [3, 7, 11, 19, 23])
+def test_selfdot_closed_form(p):
+    # xi.eta = xi.xi is a line through xi for each xi != 0; it meets the
+    # nonzero points in all |F| of its points, as it misses the origin
+    field = make_field(p)
+    rep = selfdot_incidence_count(field, field.grid_coords(2)[1:])
+    assert rep.count == p * (p * p - 1)
+
+
+def test_selfdot_budget_refuses_before_arithmetic(monkeypatch):
+    field = make_field(23)
+    pts = field.grid_coords(2)[1:]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("field arithmetic ran before the budget check")
+
+    monkeypatch.setattr(field, "mul_arrays", refuse)
+    monkeypatch.setattr(field, "add_arrays", refuse)
+    with pytest.raises(BudgetExceededError):
+        selfdot_incidence_count(field, pts, budget=len(pts) ** 2 - 1)
+    with pytest.raises(AssertionError):
+        selfdot_incidence_count(field, pts, budget=len(pts) ** 2)
 
 
 # -- exact identities ------------------------------------------------------------------
