@@ -212,10 +212,8 @@ def cmd_restriction_witness(args) -> tuple[int, str]:
 def _suite_gauss(fields, checks, rng) -> None:
     for pk in fields:
         field = make_field(*pk)
-        devs = [
-            abs(abs(sf.gauss_sum(field, x)) ** 2 - field.order)
-            for x in range(1, field.order)
-        ]
+        sums = sf.gauss_sum(field, np.arange(1, field.order)).tolist()
+        devs = [abs(abs(s) ** 2 - field.order) for s in sums]
         worst = max(devs)
         checks.append(CheckResult(f"gauss:{field_label(field)}", worst <= 1e-6, worst))
 
@@ -361,7 +359,7 @@ def cmd_kakeya_wolff(args) -> tuple[int, str]:
     t0 = time.perf_counter()
     field = make_field(*parse_field_token(args.field))
     x0, v = _wolff_family(args, field)
-    rep = kk.wolff_axiom_check(field, x0, v, mode=args.mode)
+    rep = kk.wolff_axiom_check(field, x0, v, mode=args.mode, budget=args.budget)
     checks = [CheckResult("plane_spread_measured", True, rep.ratio)]
     return _report(
         args, t0, checks,

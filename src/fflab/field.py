@@ -179,18 +179,35 @@ class Field:
         raise AssertionError("no generator found")  # unreachable for a field
 
     def _build_log_tables(self):
-        q = self.order
-        exp = np.empty(q - 1, dtype=np.int64)
-        log = np.full(q, -1, dtype=np.int64)
+        """Antilog table by doubling, then the log table and the zero sentinel.
+
+        Multiplication by the generator g is the k x k matrix ``step`` over
+        F_p (row i holds x^i g), acting on coefficient rows from the right.
+        Given the rows of g^0 .. g^(m-1), the rows of g^m .. g^(2m-1) are
+        the same block times g^m, and squaring ``step`` turns g^m into g^2m:
+        about log2(q) matrix products instead of q scalar products.
+
+        ``_log[0]`` is the sentinel 2(q - 1): any sum of two logs that
+        involves it lands in the zero tail of ``_exp_ext``, so a product is
+        one gather ``_exp_ext[_log[a] + _log[b]]`` with no mask and no modulo.
+        """
+        p, k, n = self.p, self.k, self.order - 1
         gen = tuple(int(d) for d in self._digits[self.generator])
-        cur = (1,) + (0,) * (self.k - 1)
-        for i in range(q - 1):
-            idx = int(np.dot(np.array(cur, dtype=np.int64), self._powers))
-            exp[i] = idx
-            log[idx] = i
-            cur = _poly_mul_mod(cur, gen, self.modulus, self.p)
+        unit = np.eye(k, dtype=np.int64)
+        step = np.array(
+            [_poly_mul_mod(tuple(row), gen, self.modulus, p) for row in unit], dtype=np.int64
+        )
+        rows = unit[:1]  # the coefficient row of g^0 = 1
+        while len(rows) < n:
+            rows = np.concatenate([rows, rows[: n - len(rows)] @ step % p])
+            step = step @ step % p
+        exp = rows @ self._powers
+        log = np.empty(self.order, dtype=np.int64)
+        log[exp] = np.arange(n, dtype=np.int64)
+        log[0] = 2 * n
         self._exp = exp
         self._log = log
+        self._exp_ext = np.concatenate([exp, exp, np.zeros(2 * n + 1, dtype=np.int64)])
 
     def _frobenius_table(self) -> np.ndarray:
         q = self.order
@@ -237,11 +254,9 @@ class Field:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
         if self.k == 1:
             return (a * b) % self.p
-        return int(self._exp[(self._log[a] + self._log[b]) % (self.order - 1)])
+        return int(self._exp_ext[self._log[a] + self._log[b]])
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -286,11 +301,7 @@ class Field:
         b = np.asarray(b, dtype=np.int64)
         if self.k == 1:
             return (a * b) % self.p
-        a, b = np.broadcast_arrays(a, b)
-        out = np.zeros(a.shape, dtype=np.int64)
-        nz = (a != 0) & (b != 0)
-        out[nz] = self._exp[(self._log[a[nz]] + self._log[b[nz]]) % (self.order - 1)]
-        return out
+        return self._exp_ext[self._log[a] + self._log[b]]
 
     # -- structure maps ---------------------------------------------------------
 

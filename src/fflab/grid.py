@@ -23,11 +23,13 @@ import math
 import numpy as np
 
 from .certificates import as_float
-from .errors import SideMismatchError, WrongSideError
+from .errors import BudgetExceededError, SideMismatchError, WrongSideError
 from .field import Field, make_field
 
 REL_TOL = 1e-9
 ABS_FLOOR = 1e-12
+# The two q x q complex128 kernels take 32 q^2 bytes: 512 MiB at this cap.
+DFT_MAX_ORDER = 4096
 
 
 class Side(enum.IntEnum):
@@ -112,15 +114,30 @@ def _weight(g: Grid) -> float:
 
 
 def _transform_matrices(field: Field):
-    """(forward, inverse-phase) 1-D kernels; cached on the field object."""
+    """(forward, inverse-phase) 1-D kernels; cached on the field object.
+
+    Refuses fields with |F| > DFT_MAX_ORDER before any field arithmetic.  Both
+    kernels are filled a block of rows at a time (about 2^16 products each),
+    so no q x q index table is held.
+    """
     cached = getattr(field, "_dft_mats", None)
     if cached is not None:
         return cached
     q = field.order
+    if q > DFT_MAX_ORDER:
+        raise BudgetExceededError(
+            f"the {q} x {q} DFT kernels exceed the cap |F| <= {DFT_MAX_ORDER}"
+        )
     a = np.arange(q, dtype=np.int64)
-    prod = field.mul_arrays(a[:, None], a[None, :])
-    plus = field.character[prod]  # plus[x, xi] = e(x.xi)
-    mats = (np.conj(plus), plus)
+    conj_character = np.conj(field.character)
+    minus = np.empty((q, q), dtype=np.complex128)
+    plus = np.empty((q, q), dtype=np.complex128)  # plus[x, xi] = e(x.xi)
+    step = max(1, (1 << 16) // q)
+    for start in range(0, q, step):
+        prod = field.mul_arrays(a[start : start + step, None], a[None, :])
+        plus[start : start + step] = field.character[prod]
+        minus[start : start + step] = conj_character[prod]
+    mats = (minus, plus)
     field._dft_mats = mats
     return mats
 

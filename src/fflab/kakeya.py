@@ -543,7 +543,9 @@ class PlaneSpreadReport:
     mode: str
 
 
-def wolff_axiom_check(field: Field, x0, v, mode: str = "pairs") -> PlaneSpreadReport:
+def wolff_axiom_check(
+    field: Field, x0, v, mode: str = "pairs", budget: int = 10**9
+) -> PlaneSpreadReport:
     """Largest number of family lines lying in a single 2-plane of F^3.
 
     pairs mode inspects only planes spanned by two family lines (a lower
@@ -551,7 +553,8 @@ def wolff_axiom_check(field: Field, x0, v, mode: str = "pairs") -> PlaneSpreadRe
     keys every coplanar pair by its normalized plane, and a plane holding m
     lines receives m(m-1)/2 pairs.  exhaustive mode counts the lines in all
     (|F|^3 - 1) |F| equations a . x = c and is gated to |F| <= 7.  Either way
-    the reported plane is the first maximal one in enumeration order.
+    the reported plane is the first maximal one in enumeration order.  budget
+    caps the L(L-1)/2 pairs that pairs mode holds at once.
     """
     x0 = np.asarray(x0, dtype=np.int64)
     v = np.asarray(v, dtype=np.int64)
@@ -563,6 +566,9 @@ def wolff_axiom_check(field: Field, x0, v, mode: str = "pairs") -> PlaneSpreadRe
     q = field.order
     best = (1, None)
     if mode == "pairs":
+        n_pairs = len(x0) * (len(x0) - 1) // 2
+        if n_pairs > budget:
+            raise BudgetExceededError(f"{n_pairs} line pairs exceed the budget {budget}")
         i, j = np.triu_indices(len(x0), 1)
         parallel = np.all(v[i] == v[j], axis=1, keepdims=True)
         w = field.sub_arrays(np.where(parallel, x0[i], v[i]), np.where(parallel, x0[j], v[j]))

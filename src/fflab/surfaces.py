@@ -382,11 +382,23 @@ def surface_inner(sf1: SurfaceFunction, sf2: SurfaceFunction) -> complex:
 # -- gauss sums and kernels -------------------------------------------------------
 
 
-def gauss_sum(field: Field, x: int) -> complex:
-    """S(x) = sum_t e(x t^2).  S(0) = |F| and |S(x)|^2 = |F| for x != 0."""
+def gauss_sum(field: Field, x):
+    """S(x) = sum_t e(x t^2), for an int x or elementwise over an int array x.
+
+    S(0) = |F| and |S(x)|^2 = |F| for x != 0.  Every S(x) is summed directly
+    over t: t^2 is formed once and the x are taken a block at a time, about
+    2^16 products per block.
+    """
     t = np.arange(field.order, dtype=np.int64)
-    sq = field.mul_arrays(t, t)
-    return complex(np.sum(field.character[field.mul_arrays(sq, x)]))
+    sq = field.mul_arrays(t, t)[None, :]
+    xs = np.asarray(x, dtype=np.int64)
+    flat = xs.reshape(-1)
+    out = np.empty(len(flat), dtype=np.complex128)
+    step = max(1, (1 << 16) // field.order)
+    for start in range(0, len(flat), step):
+        block = flat[start : start + step, None]
+        out[start : start + step] = field.character[field.mul_arrays(block, sq)].sum(axis=1)
+    return complex(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
 
 def bochner_riesz_kernel(surface: SurfaceMeasure) -> Grid:
@@ -420,7 +432,7 @@ def paraboloid_kernel_formula_check(field: Field, n: int) -> float:
     m = q ** (n - 1)
     base = field.grid_coords(n - 1)
     ydot = _self_dot(field, base)  # y.y per base index
-    gs = np.array([gauss_sum(field, s) for s in range(q)])
+    gs = gauss_sum(field, np.arange(q))
     closed = np.empty(q**n, dtype=np.complex128)
     closed[:m] = 0.0
     closed[0] = 1.0  # s = 0 slice: delta at y = 0

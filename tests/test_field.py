@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fflab import field as field_module
 from fflab.errors import (
     DegreeTooLargeError,
     EvenCharacteristicError,
@@ -13,6 +14,7 @@ from fflab.errors import (
 )
 from fflab.field import (
     Field,
+    _poly_mul_mod,
     is_prime,
     make_field,
     prime_factors,
@@ -69,6 +71,59 @@ def test_array_ops_match_scalar(f9):
     assert all(int(x) == f9.mul(int(u), int(v)) for x, u, v in zip(f9.mul_arrays(a, b), a, b))
     assert all(int(x) == f9.sub(int(u), int(v)) for x, u, v in zip(f9.sub_arrays(a, b), a, b))
     assert all(int(x) == f9.neg(int(u)) for x, u in zip(f9.neg_arrays(a), a))
+
+
+def _poly_product(field, a: int, b: int) -> int:
+    """a * b as one schoolbook product of base-p digit vectors, packed back."""
+    p, k = field.p, field.k
+    digits = [tuple((c // p**i) % p for i in range(k)) for c in (a, b)]
+    prod = _poly_mul_mod(digits[0], digits[1], field.modulus, p)
+    return sum(c * p**i for i, c in enumerate(prod))
+
+
+@pytest.mark.parametrize("p,k", [(3, 2), (3, 3), (5, 3), (7, 2), (13, 3), (61, 2), (509, 2)])
+def test_mul_arrays_matches_polynomial_products(p, k):
+    field = make_field(p, k)
+    q = field.order
+    rng = np.random.default_rng(q)
+    a = rng.integers(0, q, 400)
+    b = rng.integers(0, q, 400)
+    a[:40] = 0
+    b[20:60] = 0  # zero on the left, on the right and on both sides
+    assert field.mul_arrays(a, b).tolist() == [
+        _poly_product(field, int(x), int(y)) for x, y in zip(a, b)
+    ]
+    c = int(a[100])
+    assert field.mul_arrays(c, b).tolist() == [_poly_product(field, c, int(y)) for y in b]
+    assert field.mul_arrays(a, 0).tolist() == [0] * len(a)
+    assert int(field.mul_arrays(0, 0)) == 0
+    # (m, 1) x (1, m) broadcasting, and the full q x q table on the small fields
+    rows = a[:50, None] if q > 125 else np.arange(q)[:, None]
+    cols = rows.T
+    table = field.mul_arrays(rows, cols)
+    assert table.shape == (len(rows), len(rows))
+    assert table.tolist() == [
+        [_poly_product(field, int(x), int(y)) for y in cols[0]] for x in rows[:, 0]
+    ]
+    exp = field._exp
+    assert exp[1] == field.generator
+    assert np.array_equal(np.sort(exp), np.arange(1, q))
+
+
+@pytest.mark.parametrize("p,k", [(3, 2), (13, 3), (509, 2)])
+def test_log_tables_take_at_most_k_polynomial_products(p, k, monkeypatch):
+    field = Field(p, k)
+    exp, log = field._exp.copy(), field._log.copy()
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return _poly_mul_mod(*args)
+
+    monkeypatch.setattr(field_module, "_poly_mul_mod", counting)
+    field._build_log_tables()
+    assert len(calls) <= k
+    assert np.array_equal(field._exp, exp) and np.array_equal(field._log, log)
 
 
 def test_frobenius_is_field_automorphism(f9):

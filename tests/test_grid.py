@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fflab.errors import SideMismatchError, WrongSideError
-from fflab.field import make_field
+from fflab import grid as grid_module
+from fflab.errors import BudgetExceededError, SideMismatchError, WrongSideError
+from fflab.field import Field, make_field
 from fflab.grid import (
     Grid,
     Side,
@@ -89,6 +90,22 @@ def test_forward_matches_double_sum(p, k, n):
     fast = fourier_forward(f).values
     slow = dft_oracle(f)
     assert np.abs(fast - slow).max() < 1e-10 * np.abs(slow).max()
+
+
+def test_dft_kernels_refuse_above_the_cap(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("field arithmetic ran before the cap check")
+
+    for field in (Field(67, 2), Field(4099)):  # 4489 and 4099 entries per axis
+        monkeypatch.setattr(field, "mul_arrays", refuse)
+        with pytest.raises(BudgetExceededError):
+            grid_module._transform_matrices(field)
+    # the exact boundary, with the cap lowered to a field order
+    monkeypatch.setattr(grid_module, "DFT_MAX_ORDER", 9)
+    with pytest.raises(BudgetExceededError):
+        grid_module._transform_matrices(Field(11))
+    minus, plus = grid_module._transform_matrices(Field(3, 2))
+    assert plus.shape == (9, 9) and np.array_equal(minus, np.conj(plus))
 
 
 def test_roundtrip_identity(f7):

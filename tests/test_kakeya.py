@@ -539,6 +539,21 @@ def test_wolff_exhaustive_agrees(f5):
         wolff_axiom_check(f5, *coplanar_family(), mode="sideways")
 
 
+def test_wolff_pairs_budget_refuses_before_arithmetic(f7, monkeypatch):
+    x0, v = random_family(f7, 2, 120)
+    pairs = len(x0) * (len(x0) - 1) // 2
+    assert wolff_axiom_check(f7, x0, v, budget=pairs) == wolff_axiom_check(f7, x0, v)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("field arithmetic ran before the budget check")
+
+    monkeypatch.setattr(f7, "sub_arrays", refuse)
+    with pytest.raises(BudgetExceededError):
+        wolff_axiom_check(f7, x0, v, budget=pairs - 1)
+    with pytest.raises(AssertionError):
+        wolff_axiom_check(f7, x0, v, budget=pairs)
+
+
 def test_wolff_rejects_repeated_lines(f5):
     x0, v = coplanar_family()
     with pytest.raises(ValueError, match="distinct"):

@@ -214,6 +214,29 @@ def test_cli_verify_suites(capsys):
     assert code2 == 0
 
 
+def test_cli_parseval_skips_fields_past_its_grid_cap(capsys):
+    # every n has |F|^n > 20000 at 509^2, so the suite builds the field and checks nothing
+    code, out, _ = run_cli(
+        capsys, "verify", "identities", "--suite", "parseval", "--fields", "509^2",
+        "--format", "json",
+    )
+    assert code == 0 and json.loads(out)["checks"] == []
+
+
+def test_cli_refusals_exit_before_arithmetic(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("field arithmetic ran before the refusal")
+
+    monkeypatch.setattr(make_field(67, 2), "mul_arrays", refuse)
+    code, _, err = run_cli(capsys, "verify", "identities", "--suite", "parseval", "--fields", "67^2")
+    assert code == 2 and "DFT" in err
+    code, _, err = run_cli(
+        capsys, "kakeya", "wolff-check", "--field", "7", "--family", "random", "--count", "20",
+        "--budget", "1",
+    )
+    assert code == 2 and "budget" in err
+
+
 def test_cli_kakeya_maximal_defaults(capsys):
     code, out, _ = run_cli(capsys, "kakeya", "maximal", "--field", "5")
     assert code == 0

@@ -223,6 +223,15 @@ def test_gauss_sum_values(f7):
         assert abs(gauss_sum(f7, x)) ** 2 == pytest.approx(7.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("p,k", [(7, 1), (3, 2), (23, 2)])
+def test_gauss_sum_array_matches_scalar(p, k):
+    field = make_field(p, k)
+    xs = np.arange(field.order)
+    scalar = np.array([gauss_sum(field, int(x)) for x in xs])
+    assert np.array_equal(gauss_sum(field, xs), scalar)
+    assert np.array_equal(gauss_sum(field, xs[:6].reshape(2, 3)), scalar[:6].reshape(2, 3))
+
+
 def test_f3_kernel_hand_value():
     # at x = (0, 1) the kernel is (1/3) sum_t e(t^2) = (1/3)(1 + 2 e(1)) = i/sqrt(3)
     f3 = make_field(3)
