@@ -12,6 +12,20 @@ Transforms:
 computed axis by axis as dense 1-D contractions (no FFT; summation order is
 fixed, so results do not depend on parallelism).  Double precision throughout;
 the default check tolerance is 1e-9 relative with a 1e-12 absolute floor.
+
+Prime fields, and extension fields with at most DENSE_MAX_ORDER elements,
+contract each coordinate with one |F| x |F| kernel.  Larger F_{p^k} factor
+through the trace form: with d(x) the base-p digit vector of x (coordinates
+against 1, alpha, ..., alpha^{k-1}, alpha the root of the field's modulus) and
+T_ij = tr(alpha^{i+j}) the symmetric Gram matrix,
+tr(x xi) = d(x) . T d(xi) mod p, so
+
+    e(x xi) = prod_i w^{d_i(x) (T d(xi))_i},   w = exp(2 pi i / p).
+
+A transform over F_{p^k} is then k contractions with the p x p kernel w^{ab}
+along the digit axes (the flat index sum_i d_i p^i already splits into them),
+followed by reading the output of each coordinate at perm[xi] = flat(T d(xi)).
+Both directions use the same perm because T is symmetric.
 """
 
 from __future__ import annotations
@@ -28,7 +42,11 @@ from .field import Field, make_field
 
 REL_TOL = 1e-9
 ABS_FLOOR = 1e-12
-# The two q x q complex128 kernels take 32 q^2 bytes: 512 MiB at this cap.
+# Largest extension field that keeps the dense |F| x |F| kernel: the factored
+# kernel is slower below about 125 elements and faster from F_{13^2} up.
+DENSE_MAX_ORDER = 128
+# Cap on a kernel's side: the two complex128 kernels take 32 size^2 bytes,
+# 512 MiB at this cap.  Only prime fields can reach it.
 DFT_MAX_ORDER = 4096
 
 
@@ -85,13 +103,6 @@ class Grid:
     # constructors
 
     @classmethod
-    def delta(cls, field, n, point=None, side=Side.SPACE):
-        vals = np.zeros(field.order**n, dtype=np.complex128)
-        idx = 0 if point is None else point_index(field, point)
-        vals[idx] = 1.0
-        return cls(field, n, vals, Side(side))
-
-    @classmethod
     def constant(cls, field, n, value=1.0, side=Side.SPACE):
         vals = np.full(field.order**n, value, dtype=np.complex128)
         return cls(field, n, vals, Side(side))
@@ -113,42 +124,73 @@ def _weight(g: Grid) -> float:
     return 1.0 if g.side == Side.SPACE else float(g.field.order) ** (-g.n)
 
 
-def _transform_matrices(field: Field):
-    """(forward, inverse-phase) 1-D kernels; cached on the field object.
+@dataclass(frozen=True)
+class TransformKernel:
+    """A field's 1-D transform, as ``digits`` contractions per coordinate.
 
-    Refuses fields with |F| > DFT_MAX_ORDER before any field arithmetic.  Both
-    kernels are filled a block of rows at a time (about 2^16 products each),
-    so no q x q index table is held.
+    ``minus[a, b] = e(-ab)`` and ``plus[a, b] = e(ab)`` on an axis of length
+    ``size``; each coordinate of F^n is ``digits`` such axes.  ``perm`` maps a
+    coordinate value xi to the flat digit index at which the contracted
+    output holds it (None: the identity, for the dense kernel).
+    """
+
+    minus: np.ndarray
+    plus: np.ndarray
+    size: int
+    digits: int
+    perm: np.ndarray | None
+
+
+def _transform_matrices(field: Field) -> TransformKernel:
+    """The field's transform kernel; cached on the field object.
+
+    Dense |F| x |F| for prime fields and for |F| <= DENSE_MAX_ORDER, else the
+    p x p kernel with the trace-form permutation (see the module docstring).
+    Refuses a kernel side above DFT_MAX_ORDER before any field arithmetic.
+    Dense kernels are filled a block of rows at a time (about 2^16 products
+    each), so no q x q index table is held.
     """
     cached = getattr(field, "_dft_mats", None)
     if cached is not None:
         return cached
-    q = field.order
-    if q > DFT_MAX_ORDER:
+    q, p = field.order, field.p
+    dense = field.k == 1 or q <= DENSE_MAX_ORDER
+    size = q if dense else p
+    if size > DFT_MAX_ORDER:
         raise BudgetExceededError(
-            f"the {q} x {q} DFT kernels exceed the cap |F| <= {DFT_MAX_ORDER}"
+            f"the {size} x {size} DFT kernels exceed the cap |F| <= {DFT_MAX_ORDER}"
         )
-    a = np.arange(q, dtype=np.int64)
-    conj_character = np.conj(field.character)
-    minus = np.empty((q, q), dtype=np.complex128)
-    plus = np.empty((q, q), dtype=np.complex128)  # plus[x, xi] = e(x.xi)
-    step = max(1, (1 << 16) // q)
-    for start in range(0, q, step):
-        prod = field.mul_arrays(a[start : start + step, None], a[None, :])
-        plus[start : start + step] = field.character[prod]
+    a = np.arange(size, dtype=np.int64)
+    if dense:
+        character = field.character
+        perm = None
+    else:
+        character = np.exp(2j * np.pi * a / p)  # w^a on the prime field
+        pw = p ** np.arange(field.k, dtype=np.int64)  # indices of 1, alpha, ..., alpha^{k-1}
+        gram = field.trace_lift[field.mul_arrays(pw[:, None], pw[None, :])]
+        digit_rows = np.arange(q, dtype=np.int64)[:, None] // pw % p
+        perm = digit_rows @ gram % p @ pw
+    conj_character = np.conj(character)
+    minus = np.empty((size, size), dtype=np.complex128)
+    plus = np.empty((size, size), dtype=np.complex128)  # plus[x, xi] = e(x.xi)
+    step = max(1, (1 << 16) // size)
+    for start in range(0, size, step):
+        block = a[start : start + step, None]
+        prod = field.mul_arrays(block, a[None, :]) if dense else block * a[None, :] % p
+        plus[start : start + step] = character[prod]
         minus[start : start + step] = conj_character[prod]
-    mats = (minus, plus)
-    field._dft_mats = mats
-    return mats
+    kernel = TransformKernel(minus, plus, size, 1 if dense else field.k, perm)
+    field._dft_mats = kernel
+    return kernel
 
 
 def transform_axes(
     values: np.ndarray, mat: np.ndarray, q: int, n: int, n_axes: int | None = None
 ) -> np.ndarray:
-    """Apply the 1-D kernel ``mat`` along coordinates 0 .. n_axes-1 (default all n).
+    """Apply the q x q kernel ``mat`` along axes 0 .. n_axes-1 (default all n) of length q.
 
-    With the flat index sum_i x_i |F|^i, coordinate i is the middle axis of the
-    C-order view (|F|^{n-1-i}, |F|, |F|^i), so each contraction is a reshape and
+    With the flat index sum_i x_i q^i, axis i is the middle axis of the
+    C-order view (q^{n-1-i}, q, q^i), so each contraction is a reshape and
     a (batched) matmul: no axis is moved and no input is copied.
     """
     arr = values
@@ -161,12 +203,27 @@ def transform_axes(
     return arr.reshape(-1)
 
 
+def _transform(kernel: TransformKernel, mat: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """``mat`` along all n * digits axes, then each coordinate gathered through ``perm``.
+
+    The gather reads out[xi] = contracted[flat(perm[xi_0], ..., perm[xi_{n-1}])],
+    one coordinate at a time.
+    """
+    out = transform_axes(values, mat, kernel.size, n * kernel.digits)
+    if kernel.perm is None:
+        return out
+    q = len(kernel.perm)
+    for axis in range(n):
+        out = np.take(out.reshape(q ** (n - 1 - axis), q, q**axis), kernel.perm, axis=1)
+    return out.reshape(-1)
+
+
 def fourier_forward(f: Grid) -> Grid:
     """f^(xi) = sum_x f(x) e(-x.xi); defined on space-side grids only."""
     if f.side != Side.SPACE:
         raise WrongSideError("forward transform expects a space-side grid")
-    minus, _ = _transform_matrices(f.field)
-    out = transform_axes(f.values, minus, f.field.order, f.n)
+    kernel = _transform_matrices(f.field)
+    out = _transform(kernel, kernel.minus, f.values, f.n)
     return Grid(f.field, f.n, out, Side.FREQUENCY)
 
 
@@ -174,8 +231,8 @@ def fourier_inverse(g: Grid) -> Grid:
     """g_(x) = |F|^{-n} sum_xi g(xi) e(x.xi); frequency-side grids only."""
     if g.side != Side.FREQUENCY:
         raise WrongSideError("inverse transform expects a frequency-side grid")
-    _, plus = _transform_matrices(g.field)
-    out = transform_axes(g.values, plus, g.field.order, g.n)
+    kernel = _transform_matrices(g.field)
+    out = _transform(kernel, kernel.plus, g.values, g.n)
     out *= float(g.field.order) ** (-g.n)
     return Grid(g.field, g.n, out, Side.SPACE)
 

@@ -77,6 +77,8 @@ def _require_distinct(x0, v) -> None:
 # Index entries in one direction chunk of a line table (512 KiB of int64), so
 # the table, its gather and the accumulator stay in cache.
 LINE_TABLE_ENTRIES = 1 << 16
+# Line pairs formed at once by the plane-spread pairs mode.
+PAIR_BLOCK = 1 << 16
 
 
 def _direction_chunks(m: int):
@@ -554,7 +556,8 @@ def wolff_axiom_check(
     lines receives m(m-1)/2 pairs.  exhaustive mode counts the lines in all
     (|F|^3 - 1) |F| equations a . x = c and is gated to |F| <= 7.  Either way
     the reported plane is the first maximal one in enumeration order.  budget
-    caps the L(L-1)/2 pairs that pairs mode holds at once.
+    caps the L(L-1)/2 pairs; pairs mode forms them PAIR_BLOCK at a time and
+    keeps only the distinct planes seen so far, with their pair counts.
     """
     x0 = np.asarray(x0, dtype=np.int64)
     v = np.asarray(v, dtype=np.int64)
@@ -569,18 +572,33 @@ def wolff_axiom_check(
         n_pairs = len(x0) * (len(x0) - 1) // 2
         if n_pairs > budget:
             raise BudgetExceededError(f"{n_pairs} line pairs exceed the budget {budget}")
-        i, j = np.triu_indices(len(x0), 1)
-        parallel = np.all(v[i] == v[j], axis=1, keepdims=True)
-        w = field.sub_arrays(np.where(parallel, x0[i], v[i]), np.where(parallel, x0[j], v[j]))
-        ab = np.stack([field.neg_arrays(w[:, 1]), w[:, 0]], axis=1)  # ab . w = 0
-        c = _dot2(field, ab, x0[i])
-        coplanar = _dot2(field, ab, x0[j]) == c  # skew pairs span no plane
-        planes = np.column_stack([ab, field.neg_arrays(_dot2(field, ab, v[i])), c])[coplanar]
-        if len(planes):
-            keys, first, pairs = np.unique(
-                _normalized_planes(field, planes), axis=0, return_index=True, return_counts=True
-            )
-            win = np.argmin(np.where(pairs == pairs.max(), first, len(planes)))
+        # running unique plane keys, their pair counts and earliest pair index
+        keys = np.empty((0, 4), dtype=np.int64)
+        pairs = np.empty(0, dtype=np.int64)
+        first = np.empty(0, dtype=np.int64)
+        # pair index of (i, i + 1) in the row-major order of the pairs i < j
+        row_start = np.concatenate([[0], np.cumsum(np.arange(len(x0) - 1, 0, -1))])
+        for lo in range(0, n_pairs, PAIR_BLOCK):
+            idx = np.arange(lo, min(lo + PAIR_BLOCK, n_pairs), dtype=np.int64)
+            i = np.searchsorted(row_start, idx, side="right") - 1
+            j = idx - row_start[i] + i + 1
+            parallel = np.all(v[i] == v[j], axis=1, keepdims=True)
+            w = field.sub_arrays(np.where(parallel, x0[i], v[i]), np.where(parallel, x0[j], v[j]))
+            ab = np.stack([field.neg_arrays(w[:, 1]), w[:, 0]], axis=1)  # ab . w = 0
+            c = _dot2(field, ab, x0[i])
+            coplanar = _dot2(field, ab, x0[j]) == c  # skew pairs span no plane
+            planes = np.column_stack([ab, field.neg_arrays(_dot2(field, ab, v[i])), c])[coplanar]
+            merged = np.concatenate([keys, _normalized_planes(field, planes)])
+            keys, slot = np.unique(merged, axis=0, return_inverse=True)
+            slot = slot.reshape(-1)
+            pairs = np.bincount(
+                slot, np.concatenate([pairs, np.ones(len(planes), dtype=np.int64)]), len(keys)
+            ).astype(np.int64)
+            earliest = np.full(len(keys), n_pairs, dtype=np.int64)
+            np.minimum.at(earliest, slot, np.concatenate([first, idx[coplanar]]))
+            first = earliest
+        if len(keys):
+            win = np.argmin(np.where(pairs == pairs.max(), first, n_pairs))
             m = (1 + math.isqrt(1 + 8 * int(pairs[win]))) // 2
             best = (m, keys[win])
     elif mode == "exhaustive":

@@ -240,6 +240,8 @@ class _TransformPlan:
     ``heads`` is each sorted point's head, ``starts`` the first sorted position
     of each distinct head (None when no two points share a head) and
     ``columns`` the distinct heads (None when every head of F^{n-1} occurs).
+    Head coordinates go through the field kernel's ``perm`` first, so the
+    digit contractions over the first n - 1 axes need no gather of their own.
     Column s of ``lift`` is e(x_{n-1} tau_s) / |S| and of ``sample``
     e(-x_{n-1} tau_s) for the s-th sorted point, x_{n-1} running down the rows.
     """
@@ -259,20 +261,21 @@ def _transform_plan(surface: SurfaceMeasure) -> _TransformPlan:
         return plan
     fld = surface.field
     n = surface.n
-    scale = 1.0 / surface.size
-    minus, plus = _transform_matrices(fld)
-    heads = flat_points(fld, surface.points[:, : n - 1])
+    perm = _transform_matrices(fld).perm  # refuses an oversized kernel first
+    head_coords = surface.points[:, : n - 1]
+    heads = flat_points(fld, head_coords if perm is None else perm[head_coords])
     order = np.argsort(heads, kind="stable")
     heads = heads[order]
     tau = surface.points[order, n - 1]
     first = np.flatnonzero(np.concatenate([[True], heads[1:] != heads[:-1]]))
+    wave = fld.character[fld.mul_arrays(np.arange(fld.order)[:, None], tau[None, :])]
     plan = _TransformPlan(
         order=order,
         heads=heads,
         starts=first if len(first) < len(heads) else None,
         columns=heads[first] if len(first) < fld.order ** (n - 1) else None,
-        lift=np.ascontiguousarray(plus[:, tau] * scale),
-        sample=np.ascontiguousarray(minus[:, tau]),
+        lift=wave * (1.0 / surface.size),
+        sample=np.conj(wave),
     )
     object.__setattr__(surface, "_plan", plan)
     return plan
@@ -289,7 +292,7 @@ def extension(sf: SurfaceFunction) -> Grid:
     q = surf.field.order
     n = surf.n
     plan = _transform_plan(surf)
-    _, plus = _transform_matrices(surf.field)
+    kernel = _transform_matrices(surf.field)
     cols = plan.lift * sf.values[plan.order]
     if plan.starts is not None:
         cols = np.add.reduceat(cols, plan.starts, axis=1)
@@ -297,7 +300,9 @@ def extension(sf: SurfaceFunction) -> Grid:
         dense = np.zeros((q, q ** (n - 1)), dtype=np.complex128)
         dense[:, plan.columns] = cols
         cols = dense
-    return Grid(surf.field, n, transform_axes(cols, plus, q, n, n - 1), Side.SPACE)
+    d = kernel.digits
+    out = transform_axes(cols, kernel.plus, kernel.size, n * d, (n - 1) * d)
+    return Grid(surf.field, n, out, Side.SPACE)
 
 
 def extension_adjoint(f: Grid, surface: SurfaceMeasure) -> SurfaceFunction:
@@ -314,8 +319,10 @@ def extension_adjoint(f: Grid, surface: SurfaceMeasure) -> SurfaceFunction:
     q = surface.field.order
     n = surface.n
     plan = _transform_plan(surface)
-    minus, _ = _transform_matrices(surface.field)
-    part = transform_axes(f.values, minus, q, n, n - 1).reshape(q, q ** (n - 1))
+    kernel = _transform_matrices(surface.field)
+    d = kernel.digits
+    part = transform_axes(f.values, kernel.minus, kernel.size, n * d, (n - 1) * d)
+    part = part.reshape(q, q ** (n - 1))
     vals = np.empty(surface.size, dtype=np.complex128)
     vals[plan.order] = np.einsum("ts,ts->s", plan.sample, part[:, plan.heads])
     return SurfaceFunction(surface, vals)

@@ -27,6 +27,7 @@ from fflab.grid import (
     point_index,
     pointwise_mul,
 )
+from fflab.surfaces import indicator_grid
 
 
 def dft_oracle(f: Grid) -> np.ndarray:
@@ -82,7 +83,8 @@ def test_affine_line_matches_coordinate_stack(p, k):
                           affine_line_stack(field, (2, 0), (1, 1)))
 
 
-@pytest.mark.parametrize("p,k,n", [(3, 1, 2), (5, 1, 1), (3, 2, 1)])
+# F_{13^2} and F_{3^5} are above DENSE_MAX_ORDER and take the factored kernel
+@pytest.mark.parametrize("p,k,n", [(3, 1, 2), (5, 1, 1), (3, 2, 1), (13, 2, 1), (3, 5, 1)])
 def test_forward_matches_double_sum(p, k, n):
     field = make_field(p, k)
     rng = np.random.default_rng(p * 10 + n)
@@ -96,16 +98,50 @@ def test_dft_kernels_refuse_above_the_cap(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("field arithmetic ran before the cap check")
 
-    for field in (Field(67, 2), Field(4099)):  # 4489 and 4099 entries per axis
-        monkeypatch.setattr(field, "mul_arrays", refuse)
-        with pytest.raises(BudgetExceededError):
-            grid_module._transform_matrices(field)
+    field = Field(4099)  # a prime field keeps the 4099 x 4099 kernel
+    monkeypatch.setattr(field, "mul_arrays", refuse)
+    with pytest.raises(BudgetExceededError):
+        grid_module._transform_matrices(field)
     # the exact boundary, with the cap lowered to a field order
     monkeypatch.setattr(grid_module, "DFT_MAX_ORDER", 9)
     with pytest.raises(BudgetExceededError):
         grid_module._transform_matrices(Field(11))
-    minus, plus = grid_module._transform_matrices(Field(3, 2))
-    assert plus.shape == (9, 9) and np.array_equal(minus, np.conj(plus))
+    kernel = grid_module._transform_matrices(Field(3, 2))
+    assert kernel.plus.shape == (9, 9) and np.array_equal(kernel.minus, np.conj(kernel.plus))
+
+
+@pytest.mark.parametrize("p", [7, 101, 257])
+def test_prime_field_kernels_are_the_character_table(p):
+    field = Field(p)
+    kernel = grid_module._transform_matrices(field)
+    a = np.arange(p, dtype=np.int64)
+    plus = field.character[field.mul_arrays(a[:, None], a[None, :])]
+    assert np.array_equal(kernel.plus, plus) and np.array_equal(kernel.minus, np.conj(plus))
+    assert (kernel.size, kernel.digits, kernel.perm) == (p, 1, None)
+
+
+def test_kernel_sides_around_the_dense_cap():
+    dense = grid_module._transform_matrices(Field(11, 2))  # 121 <= DENSE_MAX_ORDER
+    assert dense.plus.shape == (121, 121) and dense.perm is None
+    kernel = grid_module._transform_matrices(Field(53, 2))
+    assert kernel.plus.shape == (53, 53) and kernel.digits == 2
+    assert np.array_equal(np.sort(kernel.perm), np.arange(53**2))
+
+
+@pytest.mark.parametrize("p,k", [(3, 2), (5, 2), (3, 3), (7, 2)])
+def test_factored_transforms_match_the_dense_kernel(monkeypatch, p, k):
+    # kernels are cached on the field object, so each side gets a fresh Field
+    dense_field = Field(p, k)
+    monkeypatch.setattr(grid_module, "DENSE_MAX_ORDER", 1)
+    field = Field(p, k)
+    assert grid_module._transform_matrices(field).digits == k
+    rng = np.random.default_rng(p * 10 + k)
+    for n in (1, 2, 3):
+        vals = rng.standard_normal(field.order**n) + 1j * rng.standard_normal(field.order**n)
+        for side, transform in ((Side.SPACE, fourier_forward), (Side.FREQUENCY, fourier_inverse)):
+            want = transform(Grid(dense_field, n, vals, side)).values
+            got = transform(Grid(field, n, vals, side)).values
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_roundtrip_identity(f7):
@@ -116,7 +152,7 @@ def test_roundtrip_identity(f7):
 
 
 def test_delta_transforms_to_modulated_constant(f5):
-    d = Grid.delta(f5, 2, (2, 3))
+    d = indicator_grid(f5, 2, [(2, 3)])
     dhat = fourier_forward(d)
     e = f5.character
     for xi_flat in range(25):

@@ -40,6 +40,7 @@ from fflab.kakeya import (
     verify_lower,
     wolff_axiom_check,
 )
+from fflab.surfaces import indicator_grid
 
 
 # -- lines -----------------------------------------------------------------------------
@@ -157,7 +158,7 @@ def test_maximal_hand_example():
 
 
 def test_maximal_of_point_mass(f5):
-    star = kakeya_maximal(Grid.delta(f5, 3))
+    star = kakeya_maximal(indicator_grid(f5, 3, [(0, 0, 0)]))
     assert star.shape == (25,)
     assert np.all(star == 1.0)
 
@@ -205,7 +206,7 @@ def test_recheck_independent_of_line_tables(monkeypatch, f7):
     monkeypatch.setattr(kakeya, "_line_table", refuse)
     monkeypatch.setattr(kakeya, "_direction_chunks", refuse)
     with pytest.raises(AssertionError):
-        kakeya_maximal(Grid.delta(f7, 3))
+        kakeya_maximal(indicator_grid(f7, 3, [(0, 0, 0)]))
     assert all(verify_lower(c) for c in certs)
 
 
@@ -509,6 +510,16 @@ def test_plane_spread_against_oracle(mode):
         max_lines, plane = plane_spread_oracle(field, x0, v, mode)
         expected = kakeya.PlaneSpreadReport(max_lines, plane, max_lines / field.order, mode)
         assert wolff_axiom_check(field, x0, v, mode) == expected
+
+
+def test_plane_spread_pair_blocks_against_oracle(monkeypatch):
+    # blocks of a few pairs cross row boundaries and split tied planes
+    for field, (x0, v) in plane_spread_cases():
+        max_lines, plane = plane_spread_oracle(field, x0, v, "pairs")
+        expected = kakeya.PlaneSpreadReport(max_lines, plane, max_lines / field.order, "pairs")
+        for block in (7, 64):
+            monkeypatch.setattr(kakeya, "PAIR_BLOCK", block)
+            assert wolff_axiom_check(field, x0, v) == expected
 
 
 def test_plane_spread_heisenberg_against_oracle(f9):

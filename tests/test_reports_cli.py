@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -227,14 +228,38 @@ def test_cli_refusals_exit_before_arithmetic(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("field arithmetic ran before the refusal")
 
-    monkeypatch.setattr(make_field(67, 2), "mul_arrays", refuse)
-    code, _, err = run_cli(capsys, "verify", "identities", "--suite", "parseval", "--fields", "67^2")
+    monkeypatch.setattr(make_field(4099), "mul_arrays", refuse)
+    code, _, err = run_cli(capsys, "verify", "identities", "--suite", "parseval", "--fields", "4099")
     assert code == 2 and "DFT" in err
     code, _, err = run_cli(
         capsys, "kakeya", "wolff-check", "--field", "7", "--family", "random", "--count", "20",
         "--budget", "1",
     )
     assert code == 2 and "budget" in err
+
+
+def test_cli_parseval_runs_on_factored_fields(capsys):
+    # |F| = 4489 is above the old dense-kernel cap; its kernel is 67 x 67
+    code, out, _ = run_cli(
+        capsys, "verify", "identities", "--suite", "parseval", "--fields", "67^2",
+        "--format", "json",
+    )
+    checks = json.loads(out)["checks"]
+    assert code == 0 and checks and all(c["pass"] for c in checks)
+
+
+def test_cli_parseval_memory_stays_small(capsys):
+    # a cold F_{53^2}: dense 2809 x 2809 kernels alone would take 241 MiB
+    make_field.cache_clear()
+    tracemalloc.start()
+    try:
+        code, _, _ = run_cli(
+            capsys, "verify", "identities", "--suite", "parseval", "--fields", "53^2"
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and peak < 16 * 2**20
 
 
 def test_cli_kakeya_maximal_defaults(capsys):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fflab import grid as grid_module
 from fflab import surfaces
 from fflab.errors import (
     BudgetExceededError,
@@ -16,7 +17,7 @@ from fflab.errors import (
     WrongSideError,
     WrongSurfaceKindError,
 )
-from fflab.field import make_field
+from fflab.field import Field, make_field
 from fflab.grid import Grid, Side, fourier_forward, index_point, lp_norm, point_index
 from fflab.surfaces import (
     SurfaceFunction,
@@ -146,10 +147,27 @@ PLAN_SURFACES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(PLAN_SURFACES))
-@pytest.mark.parametrize("pk", [(5, 1), (7, 1), (3, 2)])
-def test_plan_matches_direct_paths(pk, name):
-    field = make_field(*pk)
+# (p, k, factored): factored fields are built with DENSE_MAX_ORDER lowered to 1
+PLAN_FIELDS = [(5, 1, False), (7, 1, False), (3, 2, False), (3, 2, True), (5, 2, True), (3, 3, True)]
+PLAN_CASES = [
+    pytest.param(pk, name, id=f"pk{i}-{name}")
+    for i, pk in enumerate(PLAN_FIELDS)
+    for name in sorted(PLAN_SURFACES)
+    # the direct sums over the 4-dimensional double paraboloid take seconds from |F| = 25 on
+    if name != "double_paraboloid" or pk[0] ** pk[1] <= 9
+]
+
+
+@pytest.mark.parametrize("pk,name", PLAN_CASES)
+def test_plan_matches_direct_paths(monkeypatch, pk, name):
+    p, k, factored = pk
+    if factored:
+        # kernels are cached on the field object, so build a fresh one
+        monkeypatch.setattr(grid_module, "DENSE_MAX_ORDER", 1)
+        field = Field(p, k)
+        assert grid_module._transform_matrices(field).digits == k
+    else:
+        field = make_field(p, k)
     surface = PLAN_SURFACES[name](field)
     rng = np.random.default_rng(surface.size)
     g = SurfaceFunction(
