@@ -288,7 +288,7 @@ def cmd_kakeya_maximal(args) -> tuple[int, str]:
     q = parse_exponent(args.q) if args.q else Fraction(2 * n - 2)
     names = tuple(w.strip() for w in args.witnesses.split(","))
     certs = kk.kakeya_norm_certificates(
-        field, n, p, q, witnesses=names, seed=args.seed,
+        field, n, p, q, witnesses=names, seed=args.seed, budget=args.budget,
     )
     checks = [
         CheckResult(f"recheck:{c.meta['witness_name']}", kk.verify_lower(c), None)
@@ -672,7 +672,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--family", default="distinct-directions",
         choices=("distinct-directions", "heisenberg", "random"),
     )
-    kwol.add_argument("--mode", choices=("pairs", "exhaustive"), default="pairs")
+    kwol.add_argument(
+        "--mode", choices=("pairs", "exhaustive"), default="pairs",
+        help="which maximal plane to report: the one with the earliest line pair, "
+        "or the first in the scan of equations a.x = c",
+    )
     kwol.add_argument("--count", type=int, default=50, help="random family size")
     _add_common(kwol)
     kwol.set_defaults(func=cmd_kakeya_wolff)

@@ -28,7 +28,7 @@ from .errors import (
     NotQuadraticExtensionError,
 )
 
-DEFAULT_MAX_ORDER = 1 << 20
+MAX_ORDER = 1 << 20
 
 
 def is_prime(m: int) -> bool:
@@ -95,15 +95,15 @@ def _poly_divisible(num: list, den: list, p: int) -> bool:
 class Field:
     """F_{p^k} with all per-element tables built eagerly at construction."""
 
-    def __init__(self, p: int, k: int = 1, max_order: int = DEFAULT_MAX_ORDER):
+    def __init__(self, p: int, k: int = 1):
         if not is_prime(p):
             raise NotPrimeError(f"{p} is not prime")
         if p == 2:
             raise EvenCharacteristicError("characteristic 2 is out of scope")
         if k < 1:
             raise ValueError("extension degree must be >= 1")
-        if p**k > max_order:
-            raise DegreeTooLargeError(f"{p}^{k} exceeds the order cap {max_order}")
+        if p**k > MAX_ORDER:
+            raise DegreeTooLargeError(f"{p}^{k} exceeds the order cap {MAX_ORDER}")
         self.p = p
         self.k = k
         self.order = p**k

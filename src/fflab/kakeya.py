@@ -48,9 +48,6 @@ from .grid import (
     mean_lp_norm,
 )
 
-MAXIMAL_BUDGET_ORDER = 31  # largest |F| allowed at n >= 4
-
-
 # -- lines ---------------------------------------------------------------------------
 
 
@@ -77,8 +74,6 @@ def _require_distinct(x0, v) -> None:
 # Index entries in one direction chunk of a line table (512 KiB of int64), so
 # the table, its gather and the accumulator stay in cache.
 LINE_TABLE_ENTRIES = 1 << 16
-# Line pairs formed at once by the plane-spread pairs mode.
-PAIR_BLOCK = 1 << 16
 
 
 def _direction_chunks(m: int):
@@ -166,18 +161,28 @@ def verify_besicovitch(field: Field, n: int, flat: np.ndarray):
 # -- maximal function ----------------------------------------------------------------
 
 
-def kakeya_maximal(f: Grid, include_horizontal: bool = False) -> np.ndarray:
+def _require_maximal_budget(field: Field, n: int, budget: int) -> None:
+    """Refuse a maximal function whose |F|^{2n-1} gathers, one per point of
+    every line, exceed the budget."""
+    gathers = field.order ** (2 * n - 1)
+    if gathers > budget:
+        raise BudgetExceededError(
+            f"maximal function at n = {n}: {gathers} line-point gathers exceed the budget {budget}"
+        )
+
+
+def kakeya_maximal(f: Grid, include_horizontal: bool = False, budget: int = 10**9) -> np.ndarray:
     """f*(v) = max_{x0} sum_{t} |f(x0 + vt, t)| over all directions.
 
     Returns one value per direction flat.  include_horizontal (2-D only)
     appends the best constant-height row sum as a final extra entry.
+    budget caps the |F|^{2n-1} gathers.
     """
     if f.side != Side.SPACE:
         raise ValueError("maximal function acts on space-side grids")
     q = f.field.order
     n = f.n
-    if n >= 4 and q > MAXIMAL_BUDGET_ORDER:
-        raise BudgetExceededError(f"maximal function at n = {n} needs |F| <= {MAXIMAL_BUDGET_ORDER}")
+    _require_maximal_budget(f.field, n, budget)
     if include_horizontal and n != 2:
         raise UnsupportedDimensionError("horizontal rows are a 2-D exploration only")
     m = q ** (n - 1)
@@ -240,8 +245,8 @@ def _kakeya_cert(field, n, kind, method, p, q, value, witness=None, meta=None) -
     )
 
 
-def _maximal_ratio(f: Grid, p, q) -> float:
-    star = kakeya_maximal(f)
+def _maximal_ratio(f: Grid, p, q, budget: int) -> float:
+    star = kakeya_maximal(f, budget=budget)
     return mean_lp_norm(star, q) / lp_norm(f, p)
 
 
@@ -253,16 +258,20 @@ def kakeya_norm_certificates(
     witnesses: Iterable[str] = ("point", "line", "full_space"),
     seed: int = 0,
     count: int = 8,
+    budget: int = 10**9,
 ) -> list[NormCertificate]:
     """Lower certificates for K(p -> q) from named test functions.
 
     point, line and full_space carry their closed-form ratios in metadata
     (the measured value can only exceed the line formula, which keeps just
     the leading direction); besicovitch_indicator uses the 2-D construction;
-    random_sets tries seeded random indicators and keeps the best.
+    random_sets tries seeded random indicators and keeps the best.  budget
+    caps each maximal function's gathers and is checked before any grid
+    is built.
     """
     p = parse_exponent(p)
     q = parse_exponent(q)
+    _require_maximal_budget(field, n, budget)
     qf = field.order
     total = qf**n
     out = []
@@ -300,7 +309,7 @@ def kakeya_norm_certificates(
                 if not vals.any():
                     vals[0] = 1.0
                 cand = Grid(field, n, vals, Side.SPACE)
-                ratio = _maximal_ratio(cand, p, q)
+                ratio = _maximal_ratio(cand, p, q, budget)
                 if best is None or ratio > best[0]:
                     best = (ratio, cand, i)
             assert best is not None
@@ -308,7 +317,7 @@ def kakeya_norm_certificates(
             meta.update({"seed": seed, "tried": count, "best_index": best[2]})
         else:
             raise UnknownWitnessError(f"no Kakeya witness named {name!r}")
-        value = best[0] if name == "random_sets" else _maximal_ratio(f, p, q)
+        value = best[0] if name == "random_sets" else _maximal_ratio(f, p, q, budget)
         out.append(
             _kakeya_cert(
                 field, n, "lower", "witness", p, q, value,
@@ -513,30 +522,6 @@ def incidence_chain_counts(
 # -- planes and the direction-spread axiom ---------------------------------------------
 
 
-def _inv_arrays(field: Field, a: np.ndarray) -> np.ndarray:
-    """Elementwise inverses a^(|F| - 2) of nonzero field elements."""
-    out = np.ones_like(a)
-    e = field.order - 2
-    while e:
-        if e & 1:
-            out = field.mul_arrays(out, a)
-        a = field.mul_arrays(a, a)
-        e >>= 1
-    return out
-
-
-def _dot2(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a . b over a last axis of length 2, in field arithmetic."""
-    prod = field.mul_arrays(a, b)
-    return field.add_arrays(prod[..., 0], prod[..., 1])
-
-
-def _normalized_planes(field: Field, planes: np.ndarray) -> np.ndarray:
-    """Rows (a1, a2, a3, c) of planes {a . x = c} scaled so the first nonzero a_i is 1."""
-    lead = planes[np.arange(len(planes)), np.argmax(planes[:, :3] != 0, axis=1)]
-    return field.mul_arrays(planes, _inv_arrays(field, lead)[:, None])
-
-
 @dataclass(frozen=True)
 class PlaneSpreadReport:
     max_lines: int
@@ -550,75 +535,63 @@ def wolff_axiom_check(
 ) -> PlaneSpreadReport:
     """Largest number of family lines lying in a single 2-plane of F^3.
 
-    pairs mode inspects only planes spanned by two family lines (a lower
-    bound on the true maximum, and exact whenever the maximum is >= 2): it
-    keys every coplanar pair by its normalized plane, and a plane holding m
-    lines receives m(m-1)/2 pairs.  exhaustive mode counts the lines in all
-    (|F|^3 - 1) |F| equations a . x = c and is gated to |F| <= 7.  Either way
-    the reported plane is the first maximal one in enumeration order.  budget
-    caps the L(L-1)/2 pairs; pairs mode forms them PAIR_BLOCK at a time and
-    keeps only the distinct planes seen so far, with their pair counts.
+    The line (x0 + vt, t) lies in {a . x = c} iff a . (v, 1) = 0 and
+    c = a[:2] . x0, so it lies in exactly |F| + 1 planes, one for each
+    (a1, a2) of the pencil (1, s), s in F, and (0, 1), with a3 = -a[:2] . v.
+    Each such a already has first nonzero entry 1, so it is a plane's key.
+    Planes from different pencil rows never coincide, so the rows are counted
+    one at a time: the L planes of a row, keyed a3 |F| + c and stably
+    sorted, give each plane's line count as a run length.  budget caps the
+    L(|F| + 1) keys.  mode only breaks ties between maximal planes: pairs
+    reports the one whose two lowest line indices come first, exhaustive the
+    first one met scanning the equations a . x = c over all nonzero a in flat
+    order, then c.
     """
     x0 = np.asarray(x0, dtype=np.int64)
     v = np.asarray(v, dtype=np.int64)
     if x0.ndim != 2 or x0.shape[1] != 2:
         raise UnsupportedDimensionError("plane analysis lives in F^3")
+    if mode not in ("pairs", "exhaustive"):
+        raise ValueError("mode must be 'pairs' or 'exhaustive'")
     if not len(x0):
         return PlaneSpreadReport(0, None, 0.0, mode)
     _require_distinct(x0, v)
     q = field.order
-    best = (1, None)
-    if mode == "pairs":
-        n_pairs = len(x0) * (len(x0) - 1) // 2
-        if n_pairs > budget:
-            raise BudgetExceededError(f"{n_pairs} line pairs exceed the budget {budget}")
-        # running unique plane keys, their pair counts and earliest pair index
-        keys = np.empty((0, 4), dtype=np.int64)
-        pairs = np.empty(0, dtype=np.int64)
-        first = np.empty(0, dtype=np.int64)
-        # pair index of (i, i + 1) in the row-major order of the pairs i < j
-        row_start = np.concatenate([[0], np.cumsum(np.arange(len(x0) - 1, 0, -1))])
-        for lo in range(0, n_pairs, PAIR_BLOCK):
-            idx = np.arange(lo, min(lo + PAIR_BLOCK, n_pairs), dtype=np.int64)
-            i = np.searchsorted(row_start, idx, side="right") - 1
-            j = idx - row_start[i] + i + 1
-            parallel = np.all(v[i] == v[j], axis=1, keepdims=True)
-            w = field.sub_arrays(np.where(parallel, x0[i], v[i]), np.where(parallel, x0[j], v[j]))
-            ab = np.stack([field.neg_arrays(w[:, 1]), w[:, 0]], axis=1)  # ab . w = 0
-            c = _dot2(field, ab, x0[i])
-            coplanar = _dot2(field, ab, x0[j]) == c  # skew pairs span no plane
-            planes = np.column_stack([ab, field.neg_arrays(_dot2(field, ab, v[i])), c])[coplanar]
-            merged = np.concatenate([keys, _normalized_planes(field, planes)])
-            keys, slot = np.unique(merged, axis=0, return_inverse=True)
-            slot = slot.reshape(-1)
-            pairs = np.bincount(
-                slot, np.concatenate([pairs, np.ones(len(planes), dtype=np.int64)]), len(keys)
-            ).astype(np.int64)
-            earliest = np.full(len(keys), n_pairs, dtype=np.int64)
-            np.minimum.at(earliest, slot, np.concatenate([first, idx[coplanar]]))
-            first = earliest
-        if len(keys):
-            win = np.argmin(np.where(pairs == pairs.max(), first, n_pairs))
-            m = (1 + math.isqrt(1 + 8 * int(pairs[win]))) // 2
-            best = (m, keys[win])
-    elif mode == "exhaustive":
-        if q > 7:
-            raise BudgetExceededError("exhaustive plane scan is gated to |F| <= 7")
-        normals = field.grid_coords(3)[1:, None, :]  # [normal, line, coordinate]
-        # a line lies in {a . x = c} iff a[:2] . v + a[2] = 0 and c = a[:2] . x0
-        along = field.add_arrays(_dot2(field, normals[..., :2], v), normals[..., 2]) == 0
-        rows, cols = np.nonzero(along)
-        counts = np.zeros((len(normals), q), dtype=np.int64)
-        np.add.at(counts, (rows, _dot2(field, normals[rows, 0, :2], x0[cols])), 1)
-        top = np.argmax(counts)  # first maximum in (normal, c) scan order
-        plane = np.append(normals[top // q, 0], top % q)[None, :]
-        best = (int(counts.flat[top]), _normalized_planes(field, plane)[0])
-    else:
-        raise ValueError("mode must be 'pairs' or 'exhaustive'")
-    if best[0] <= 1:
-        best = (1, None)
-    plane = None if best[1] is None else (tuple(int(x) for x in best[1][:3]), int(best[1][3]))
-    return PlaneSpreadReport(best[0], plane, best[0] / q, mode)
+    n_lines = len(x0)
+    if n_lines * (q + 1) > budget:
+        raise BudgetExceededError(
+            f"{n_lines * (q + 1)} line-plane keys exceed the budget {budget}"
+        )
+    vx = np.stack([v, x0])
+    best = (1, (), None)  # line count, tie score, (a1, a2, a3, c)
+    for a12 in [(1, s) for s in range(q)] + [(0, 1)]:
+        prod = field.mul_arrays(vx, a12)
+        dots = field.add_arrays(prod[..., 0], prod[..., 1])  # a[:2] . v, a[:2] . x0
+        keys = field.neg_arrays(dots[0]) * q + dots[1]
+        order = np.argsort(keys, kind="stable")
+        starts = np.flatnonzero(np.diff(keys[order], prepend=-1))
+        counts = np.diff(starts, append=n_lines)
+        top = int(counts.max())
+        if top < max(best[0], 2):
+            continue
+        win = starts[counts == top]
+        key = keys[order[win]]
+        planes = np.column_stack([np.tile(a12, (len(win), 1)), key // q, key % q])
+        if mode == "pairs":  # the plane's two lowest line indices
+            score = np.stack([order[win], order[win + 1]])
+        else:  # its first equation (la, lc) in the scan: least flat(la), then lc
+            score = np.full((2, len(win)), q**3)
+            for lam in range(1, q):
+                raw = field.mul_arrays(planes, np.int64(lam))
+                cand = np.stack([flat_points(field, raw[:, :3]), raw[:, 3]])
+                score = np.where(cand[0] < score[0], cand, score)
+        i = np.lexsort(score[::-1])[0]
+        if top > best[0] or tuple(score[:, i]) < best[1]:
+            best = (top, tuple(score[:, i]), planes[i])
+    top, _, plane = best
+    if plane is not None:
+        plane = (tuple(int(x) for x in plane[:3]), int(plane[3]))
+    return PlaneSpreadReport(top, plane, top / q, mode)
 
 
 # -- the quadratic-extension configuration ----------------------------------------------
@@ -803,9 +776,11 @@ def slices_construction(witness: BesicovitchWitness, t0: int, t_inf: int, slopes
     """
     field = witness.field
     n = witness.n
+    q = field.order
+    if not (0 <= t0 < q and 0 <= t_inf < q):
+        raise ValueError(f"heights must be field elements 0 .. {q - 1}")
     if t0 == t_inf:
         raise DegenerateHeightsError("the two heights must differ")
-    q = field.order
     m = q ** (n - 1)
     coords = field.grid_coords(n - 1)
     if np.any(witness.assignment < 0):

@@ -334,15 +334,15 @@ def rstar_lower_power(
 # -- explicit witnesses --------------------------------------------------------------
 
 
-def find_affine_line(surface: SurfaceMeasure, limit: int = 10**4):
+def find_affine_line(surface: SurfaceMeasure):
     """Search the surface for a fully contained affine line {a + tb}.
 
     Base points run over the surface, directions over projective
     representatives (first nonzero coordinate scaled to 1).  Returns (a, b)
     as coordinate arrays; raises SubspaceNotFound when no line exists.
     """
-    if surface.size > limit:
-        raise SubspaceNotFoundError(f"surface too large for line search (> {limit})")
+    if surface.size > 10**4:
+        raise SubspaceNotFoundError("surface too large for line search (> 10000)")
     fld = surface.field
     n = surface.n
     flats = set(int(f) for f in surface.flat)
@@ -361,7 +361,7 @@ def find_affine_line(surface: SurfaceMeasure, limit: int = 10**4):
     raise SubspaceNotFoundError("no affine line inside the surface")
 
 
-def rstar_lower_witness(surface: SurfaceMeasure, p, q, name: str, line=None) -> NormCertificate:
+def rstar_lower_witness(surface: SurfaceMeasure, p, q, name: str) -> NormCertificate:
     """Lower bound from a named explicit witness.
 
     dirac and constant test the extension directly; subspace uses the
@@ -398,10 +398,7 @@ def rstar_lower_witness(surface: SurfaceMeasure, p, q, name: str, line=None) -> 
         g = SurfaceFunction.constant(surface)
         extra = {}
     elif name == "subspace":
-        if line is None:
-            a, b = find_affine_line(surface)
-        else:
-            a, b = (np.asarray(x, dtype=np.int64) for x in line)
+        a, b = find_affine_line(surface)
         lf = set(int(x) for x in flat_points(fld, affine_line(fld, a, b)))
         vals = np.array([1.0 if int(f) in lf else 0.0 for f in surface.flat], dtype=np.complex128)
         g = SurfaceFunction(surface, vals)
@@ -674,14 +671,14 @@ def bridge_identity_checks(field: Field, n: int, seed: int = 0, trials: int = 5)
 # -- majorant property -----------------------------------------------------------------
 
 
-def majorant_ratio(f: Grid, g: Grid, p, tol: float = 1e-9) -> float:
+def majorant_ratio(f: Grid, g: Grid, p) -> float:
     """||f||_p / ||g||_p given that g's transform dominates: g^ real and
     g^ >= |f^| pointwise.  For even integer p the ratio cannot exceed 1.
     """
     fh = fourier_forward(f).values
     gh = fourier_forward(g).values
-    if np.abs(gh.imag).max() > tol:
+    if np.abs(gh.imag).max() > 1e-9:
         raise NotAMajorantError("dominating transform must be real")
-    if np.any(gh.real < np.abs(fh) - tol):
+    if np.any(gh.real < np.abs(fh) - 1e-9):
         raise NotAMajorantError("transform domination fails")
     return lp_norm(f, p) / lp_norm(g, p)

@@ -200,7 +200,6 @@ def custom_variety(
     field: Field,
     n: int,
     polynomials: Sequence[Callable[[Field, np.ndarray], np.ndarray]],
-    label: str = "custom",
 ) -> SurfaceMeasure:
     """Common zero set of polynomial callables p(field, coords) -> values."""
     coords = field.grid_coords(n)
@@ -208,7 +207,7 @@ def custom_variety(
     for poly in polynomials:
         vals = np.asarray(poly(field, coords), dtype=np.int64)
         keep &= vals == 0
-    return SurfaceMeasure(field, n, coords[keep], SurfaceKind.CUSTOM, label)
+    return SurfaceMeasure(field, n, coords[keep], SurfaceKind.CUSTOM, "custom")
 
 
 def build_surface(kind, field: Field, n: int, polynomials=None, include_origin=False):

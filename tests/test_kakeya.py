@@ -225,6 +225,17 @@ def test_maximal_budget_gate():
         kakeya_maximal(f)
 
 
+def test_maximal_budget_boundary(f5):
+    gathers = 5**5  # |F|^{2n-1} at n = 3: one per point of every line
+    f = Grid.constant(f5, 3, 1.0)
+    assert np.all(kakeya_maximal(f, budget=gathers) == 5.0)
+    with pytest.raises(BudgetExceededError):
+        kakeya_maximal(f, budget=gathers - 1)
+    assert len(kakeya_norm_certificates(f5, 3, 2, 4, budget=gathers)) == 3
+    with pytest.raises(BudgetExceededError):
+        kakeya_norm_certificates(f5, 3, 2, 4, budget=gathers - 1)
+
+
 # -- certificates ----------------------------------------------------------------------
 
 
@@ -494,13 +505,14 @@ def plane_spread_oracle(field, x0, v, mode):
 
 
 def plane_spread_cases():
-    f5, f7 = make_field(5), make_field(7)
+    f5, f7, f11 = make_field(5), make_field(7), make_field(11)
     return [
         (f5, coplanar_family()),
         (f5, distinct_directions_family(f5)),
         (f7, distinct_directions_family(f7)),
         (f5, random_family(f5, 3, 20)),  # 7 planes share the maximum, 3 lines
         (f7, random_family(f7, 2, 120)),  # 3 planes share the maximum, 8 lines
+        (f11, random_family(f11, 1, 60)),  # the two tie rules pick different planes
     ]
 
 
@@ -512,21 +524,12 @@ def test_plane_spread_against_oracle(mode):
         assert wolff_axiom_check(field, x0, v, mode) == expected
 
 
-def test_plane_spread_pair_blocks_against_oracle(monkeypatch):
-    # blocks of a few pairs cross row boundaries and split tied planes
-    for field, (x0, v) in plane_spread_cases():
-        max_lines, plane = plane_spread_oracle(field, x0, v, "pairs")
-        expected = kakeya.PlaneSpreadReport(max_lines, plane, max_lines / field.order, "pairs")
-        for block in (7, 64):
-            monkeypatch.setattr(kakeya, "PAIR_BLOCK", block)
-            assert wolff_axiom_check(field, x0, v) == expected
-
-
 def test_plane_spread_heisenberg_against_oracle(f9):
     rep = heisenberg_example(f9)
-    max_lines, plane = plane_spread_oracle(f9, rep.x0, rep.v, "pairs")
-    got = wolff_axiom_check(f9, rep.x0, rep.v)
-    assert (got.max_lines, got.plane) == (max_lines, plane)
+    for mode in ("pairs", "exhaustive"):
+        max_lines, plane = plane_spread_oracle(f9, rep.x0, rep.v, mode)
+        expected = kakeya.PlaneSpreadReport(max_lines, plane, max_lines / 9, mode)
+        assert wolff_axiom_check(f9, rep.x0, rep.v, mode) == expected
 
 
 def test_wolff_pairs_mode(f5):
@@ -543,7 +546,7 @@ def test_wolff_exhaustive_agrees(f5):
         == wolff_axiom_check(f5, *fam, "pairs").max_lines
     )
     with pytest.raises(BudgetExceededError):
-        wolff_axiom_check(make_field(11), [[0, 0]], [[1, 0]], "exhaustive")
+        wolff_axiom_check(f5, *fam, "exhaustive", budget=len(fam[0]) * 6 - 1)
     with pytest.raises(UnsupportedDimensionError):
         wolff_axiom_check(f5, [[0]], [[1]])
     with pytest.raises(ValueError):
@@ -552,17 +555,20 @@ def test_wolff_exhaustive_agrees(f5):
 
 def test_wolff_pairs_budget_refuses_before_arithmetic(f7, monkeypatch):
     x0, v = random_family(f7, 2, 120)
-    pairs = len(x0) * (len(x0) - 1) // 2
-    assert wolff_axiom_check(f7, x0, v, budget=pairs) == wolff_axiom_check(f7, x0, v)
+    keys = len(x0) * (7 + 1)  # every line lies in |F| + 1 planes
+    assert wolff_axiom_check(f7, x0, v, budget=keys) == wolff_axiom_check(f7, x0, v)
+    f49 = make_field(7, 2)
+    rep = heisenberg_example(f49)
+    assert wolff_axiom_check(f49, rep.x0, rep.v, budget=134_400).max_lines == 8  # 2688 lines
 
     def refuse(*args, **kwargs):
         raise AssertionError("field arithmetic ran before the budget check")
 
-    monkeypatch.setattr(f7, "sub_arrays", refuse)
+    monkeypatch.setattr(f7, "mul_arrays", refuse)
     with pytest.raises(BudgetExceededError):
-        wolff_axiom_check(f7, x0, v, budget=pairs - 1)
+        wolff_axiom_check(f7, x0, v, budget=keys - 1)
     with pytest.raises(AssertionError):
-        wolff_axiom_check(f7, x0, v, budget=pairs)
+        wolff_axiom_check(f7, x0, v, budget=keys)
 
 
 def test_wolff_rejects_repeated_lines(f5):
@@ -691,6 +697,12 @@ def test_slices_rejections(f7):
         slices_construction(wit, 2, 2, [0])
     with pytest.raises(ImproperSlopeError):
         slices_construction(wit, 0, 1, [6])  # 6 + 1 = 0 in F_7
+    with pytest.raises(ValueError, match="field elements"):
+        slices_construction(wit, 0, 7, [0])  # 7 is not an element index of F_7
+    wit9 = besicovitch_2d(make_field(3, 2))
+    for t0 in (20, -1):  # -1 would read the log table from its end
+        with pytest.raises(ValueError, match="field elements"):
+            slices_construction(wit9, t0, 1, [0])
 
 
 # -- exponent calculus -----------------------------------------------------------------

@@ -262,6 +262,18 @@ def test_cli_parseval_memory_stays_small(capsys):
     assert code == 0 and peak < 16 * 2**20
 
 
+def test_cli_maximal_refuses_before_allocating(capsys):
+    # 31^6 complex witness entries would take 14.2 GB; 31^11 gathers exceed the budget
+    make_field(31)
+    tracemalloc.start()
+    try:
+        code, _, err = run_cli(capsys, "kakeya", "maximal", "--field", "31", "--dim", "6")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and "budget" in err and peak < 16 * 2**20
+
+
 def test_cli_kakeya_maximal_defaults(capsys):
     code, out, _ = run_cli(capsys, "kakeya", "maximal", "--field", "5")
     assert code == 0
@@ -281,6 +293,14 @@ def test_cli_kakeya_slices_and_sd(capsys):
     assert code == 0
     code2, _, _ = run_cli(capsys, "kakeya", "sd", "--field", "7")
     assert code2 == 0
+
+
+@pytest.mark.parametrize(
+    "argv", [("3^2", "--t0", "20"), ("7", "--t0", "0", "--t-inf", "7"), ("3^2", "--t0", "-1")]
+)
+def test_cli_slices_heights_out_of_range(capsys, argv):
+    code, _, err = run_cli(capsys, "kakeya", "slices", "--field", *argv)
+    assert code == 2 and "heights" in err
 
 
 def test_cli_heisenberg(capsys):
