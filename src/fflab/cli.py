@@ -376,11 +376,10 @@ def cmd_kakeya_heisenberg(args) -> tuple[int, str]:
     t0 = time.perf_counter()
     field = make_field(*parse_field_token(args.field))
     rep = kk.heisenberg_example(field)
-    expected = field.p**5  # |F|^{5/2} for |F| = p^2
-    lo, hi = expected // 4, 4 * expected
+    # Im is F_p-linear from F_{p^2} onto p values, so p z3 fit each (z1, z2): |P| = p^5
     checks = [
         CheckResult("all_lines_contained", rep.containment_ok, None),
-        CheckResult("point_count_bracket", lo <= rep.point_count <= hi, float(rep.point_count)),
+        CheckResult("point_count", rep.point_count == field.p**5, float(rep.point_count)),
         CheckResult("duplicate_direction_exists", rep.duplicate_direction is not None, None),
     ]
     derived = {
@@ -401,7 +400,11 @@ def cmd_kakeya_sd(args) -> tuple[int, str]:
     field = make_field(*parse_field_token(args.field))
     coords = field.grid_coords(2)[1:]  # all nonzero points of F^2
     rep = rl.selfdot_incidence_count(field, coords, budget=args.budget)
-    checks = [CheckResult("incidence_bound", rep.satisfied, float(rep.count))]
+    exact = field.order * (field.order**2 - 1)  # no line meets 0, as xi.0 = 0 != xi.xi
+    checks = [
+        CheckResult("incidence_bound", rep.satisfied, float(rep.count)),
+        CheckResult("closed_form", rep.count == exact, float(abs(rep.count - exact))),
+    ]
     return _report(
         args, t0, checks,
         {"points": int(rep.point_count), "count": int(rep.count), "bound": rep.bound},

@@ -76,9 +76,10 @@ def _require_distinct(x0, v) -> None:
 LINE_TABLE_ENTRIES = 1 << 16
 
 
-def _direction_chunks(m: int):
-    """Consecutive slices of the m directions, each small enough for one table."""
-    step = max(1, LINE_TABLE_ENTRIES // m)
+def _direction_chunks(m: int, width: int):
+    """Consecutive slices of m directions (or lines) of width entries each,
+    each slice small enough for one table."""
+    step = max(1, LINE_TABLE_ENTRIES // width)
     for start in range(0, m, step):
         yield slice(start, min(start + step, m))
 
@@ -149,7 +150,7 @@ def verify_besicovitch(field: Field, n: int, flat: np.ndarray):
     member[np.asarray(flat, dtype=np.int64)] = True
     slices = member.reshape(m, q, order="F")  # [base-space flat, height]
     assignment = np.full(m, -1, dtype=np.int64)
-    for vfs in _direction_chunks(m):
+    for vfs in _direction_chunks(m, m):
         ok = np.ones((vfs.stop - vfs.start, m), dtype=bool)
         for t in range(q):
             ok &= slices[:, t].take(_line_table(field, n, vfs, t))
@@ -188,7 +189,7 @@ def kakeya_maximal(f: Grid, include_horizontal: bool = False, budget: int = 10**
     m = q ** (n - 1)
     absf = np.abs(f.values).reshape(m, q, order="F")
     out = np.empty(m + (1 if include_horizontal else 0), dtype=np.float64)
-    for vfs in _direction_chunks(m):
+    for vfs in _direction_chunks(m, m):
         acc = np.zeros((vfs.stop - vfs.start, m), dtype=np.float64)
         for t in range(q):
             acc += absf[:, t].take(_line_table(f.field, n, vfs, t))
@@ -397,14 +398,30 @@ class IncidenceReport:
     satisfied: bool
 
 
-def incidence_count(field: Field, points: np.ndarray, x0, v) -> IncidenceReport:
-    """Exact |{(p, l) : p in l}| with the square-root incidence bound."""
-    _require_distinct(x0, v)
-    pts = np.asarray(points, dtype=np.int64)
-    member = np.zeros(field.order ** pts.shape[1], dtype=bool)
+def incidence_count(field: Field, points: np.ndarray, a, b, budget: int = 10**9) -> IncidenceReport:
+    """Exact |{(p, l) : p in l}| over the lines {a + tb : t in F}, one per row of
+    the (L, n) arrays a and b, with the square-root incidence bound.  budget caps
+    the L |F| line points, gathered in blocks against a membership array over F^n.
+    Distinct lines share at most one point, so a line's two smallest flats
+    identify it: repeated keys and zero directions are refused.
+    """
+    pts, a, b = (np.asarray(x, dtype=np.int64) for x in (points, a, b))
+    if a.shape != b.shape or a.ndim != 2 or a.shape[1] != pts.shape[-1]:
+        raise ValueError("lines need (L, n) base points and directions over the points' F^n")
+    if np.any(np.all(b == 0, axis=1)):
+        raise ValueError("a line needs a nonzero direction")
+    q, np_, nl = field.order, len(pts), len(a)
+    if nl * q > budget:
+        raise BudgetExceededError(f"{nl * q} line points exceed the budget {budget}")
+    member = np.zeros(q ** a.shape[1], dtype=bool)
     member[flat_points(field, pts)] = True
-    count = int(member[line_flats(field, x0, v)].sum())
-    np_, nl = len(pts), len(x0)
+    count, keys = 0, np.empty((nl, 2), dtype=np.int64)
+    for rows in _direction_chunks(nl, q):
+        flats = flat_points(field, affine_line(field, a[rows, None, :], b[rows, None, :]))
+        count += int(np.count_nonzero(member[flats]))
+        keys[rows] = np.partition(flats, 1, axis=1)[:, :2]
+    if len(np.unique(keys, axis=0)) != nl:
+        raise ValueError("lines must be distinct")
     bound = min(math.sqrt(np_) * nl + np_, np_ * math.sqrt(nl) + nl)
     return IncidenceReport(count, np_, nl, bound, count <= bound)
 

@@ -43,7 +43,7 @@ from .errors import (
     WrongSurfaceKindError,
 )
 from .field import Field, make_field
-from .kakeya import IncidenceReport
+from .kakeya import IncidenceReport, incidence_count
 from .grid import (
     Grid,
     Side,
@@ -510,37 +510,17 @@ def selfdot_incidence_count(
 ) -> IncidenceReport:
     """Count pairs (xi, eta) in P x P with xi.eta = xi.xi, P in F^2.
 
-    Each xi != 0 contributes the line {eta : xi.eta = xi.xi}; the count is an
-    incidence count between P and |P| distinct lines, so the line-incidence
-    bound min(|P|^{1/2}|L| + |P|, |P||L|^{1/2} + |L|) applies.  Distinctness
-    of the lines needs -1 to be a non-square (else xi.xi can vanish).  The
-    |P|^2 dot products are formed a block of rows at a time; budget caps |P|^2.
+    Each xi != 0 contributes the line {eta : xi.eta = xi.xi} = {xi + t xi^perp},
+    xi^perp = (-xi_2, xi_1), distinct when -1 is a non-square (else xi.xi can
+    vanish), so incidence_count counts them; budget caps their |P| |F| points.
     """
     if field.is_square(field.minus_one):
         raise MinusOneIsSquareError("-1 is a square; the self-dot lines degenerate")
     pts = np.asarray(points, dtype=np.int64)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("points must be an (m, 2) array over F^2")
-    if np.any(np.all(pts == 0, axis=1)):
-        raise ValueError("the origin has a degenerate self-dot line; remove it")
-    m = pts.shape[0]
-    if m * m > budget:
-        raise BudgetExceededError(f"{m}^2 self-dot pairs exceed the budget {budget}")
-
-    self_dots = field.add_arrays(
-        field.mul_arrays(pts[:, 0], pts[:, 0]), field.mul_arrays(pts[:, 1], pts[:, 1])
-    )
-    count = 0
-    step = max(1, (1 << 16) // max(m, 1))  # rows per block: about 2^16 dot products
-    for start in range(0, m, step):
-        rows = pts[start : start + step, None, :]
-        dots = field.add_arrays(
-            field.mul_arrays(rows[..., 0], pts[None, :, 0]),
-            field.mul_arrays(rows[..., 1], pts[None, :, 1]),
-        )
-        count += int(np.count_nonzero(dots == self_dots[start : start + step, None]))
-    bound = math.sqrt(m) * m + m  # |P| = |L| = m, so both terms of the min agree
-    return IncidenceReport(count, m, m, bound, count <= bound)
+    perp = np.stack([field.neg_arrays(pts[:, 1]), pts[:, 0]], axis=1)  # 0 for xi = 0: refused
+    return incidence_count(field, pts, pts, perp, budget=budget)
 
 
 # -- pseudoconformal identity ----------------------------------------------------------

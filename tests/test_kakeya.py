@@ -334,12 +334,32 @@ def test_cordoba_random_weights(f5, f7):
 
 
 def test_incidence_count_bound(f7):
+    # the lines (x0 + vt, t) of the Besicovitch set as point-direction rows
     wit = besicovitch_2d(f7)
     coords = f7.grid_coords(1)
-    rep = incidence_count(f7, f7.grid_coords(2)[wit.flat], coords[wit.assignment], coords)
+    a = np.column_stack([coords[wit.assignment], np.zeros(7, dtype=np.int64)])
+    b = np.column_stack([coords, np.ones(7, dtype=np.int64)])
+    rep = incidence_count(f7, f7.grid_coords(2)[wit.flat], a, b)
     assert rep.count == 49
     assert rep.point_count == 28 and rep.line_count == 7
     assert rep.satisfied and rep.bound == pytest.approx(math.sqrt(28) * 7 + 28)
+
+
+@pytest.mark.parametrize("entries", [1 << 16, 7])  # one block, or one line per block
+def test_incidence_count_rejections(monkeypatch, f7, entries):
+    monkeypatch.setattr(kakeya, "LINE_TABLE_ENTRIES", entries)
+    pts = f7.grid_coords(2)
+    a, b = np.array([[1, 2], [0, 0]]), np.array([[3, 1], [1, 1]])
+    assert incidence_count(f7, pts, a, b).count == 14
+    # the first line again, with b scaled by 2 and then with a moved along b
+    for a2, b2 in (([1, 2], [6, 2]), ([4, 3], [3, 1])):
+        with pytest.raises(ValueError, match="distinct"):
+            incidence_count(f7, pts, np.vstack([a, [a2]]), np.vstack([b, [b2]]))
+    with pytest.raises(ValueError, match="direction"):
+        incidence_count(f7, pts, a, np.array([[3, 1], [0, 0]]))
+    with pytest.raises(BudgetExceededError):
+        incidence_count(f7, pts, a, b, budget=13)
+    assert incidence_count(f7, pts, a, b, budget=14).count == 14
 
 
 def test_chain_counts_two_crossing_lines(f7):

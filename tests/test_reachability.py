@@ -27,7 +27,6 @@ DEFINITIONS = (*FUNCTIONS, ast.ClassDef)
 # (surfaces also keeps an unused import of fourier_inverse for the benchmark's
 # tracer; imports are not definitions, so it has no entry here.)
 ALLOWED_UNREACHED = {
-    "kakeya.incidence_count": "the benchmark tracer wraps it by name until phase spans land",
     "kakeya.incidence_chain_counts": "the benchmark tracer wraps it by name until phase spans land",
     "kakeya.slope_projections": "the benchmark tracer wraps it by name until phase spans land",
     "surfaces.restriction": "the benchmark tracer wraps it by name until phase spans land",

@@ -308,10 +308,26 @@ def test_cli_heisenberg(capsys):
     assert code == 0 and "F_3^2" in out
 
 
-def test_cli_heisenberg_bracket_scales(capsys):
-    # the point-count bracket follows |F|^{5/2}: |P| = 3125 over F_25
-    code, out, _ = run_cli(capsys, "kakeya", "heisenberg", "--field", "5^2")
-    assert code == 0 and "|P| = 3125" in out
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_cli_heisenberg_point_count_exact(capsys, p):
+    code, out, _ = run_cli(capsys, "kakeya", "heisenberg", "--field", f"{p}^2")
+    assert code == 0 and f"|P| = {p**5} " in out
+    assert "[pass] point_count " in out
+
+
+@pytest.mark.parametrize("fld", ["11", "3^3"])
+def test_cli_sd_closed_form_catches_an_off_by_one(capsys, monkeypatch, fld):
+    code, out, _ = run_cli(capsys, "kakeya", "sd", "--field", fld)
+    assert code == 0 and "[pass] closed_form " in out
+    count = rl.selfdot_incidence_count
+
+    def one_short(*args, **kwargs):
+        rep = count(*args, **kwargs)
+        return dataclasses.replace(rep, count=rep.count - 1)
+
+    monkeypatch.setattr(rl, "selfdot_incidence_count", one_short)
+    code, out, _ = run_cli(capsys, "kakeya", "sd", "--field", fld)
+    assert code == 1 and "[FAIL] closed_form " in out and "[pass] incidence_bound" in out
 
 
 def test_cli_figure1_table(capsys):

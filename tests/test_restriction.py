@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from fflab import kakeya
 from fflab.certificates import (
     NormCertificate,
     as_float,
@@ -333,6 +334,7 @@ def test_selfdot_closed_form(p):
 
 
 def test_selfdot_budget_refuses_before_arithmetic(monkeypatch):
+    # the budget caps the |P| |F| points of the self-dot lines
     field = make_field(23)
     pts = field.grid_coords(2)[1:]
 
@@ -342,9 +344,29 @@ def test_selfdot_budget_refuses_before_arithmetic(monkeypatch):
     monkeypatch.setattr(field, "mul_arrays", refuse)
     monkeypatch.setattr(field, "add_arrays", refuse)
     with pytest.raises(BudgetExceededError):
-        selfdot_incidence_count(field, pts, budget=len(pts) ** 2 - 1)
+        selfdot_incidence_count(field, pts, budget=len(pts) * 23 - 1)
     with pytest.raises(AssertionError):
-        selfdot_incidence_count(field, pts, budget=len(pts) ** 2)
+        selfdot_incidence_count(field, pts, budget=len(pts) * 23)
+
+
+def test_selfdot_uneven_blocks(monkeypatch):
+    field = make_field(11)
+    pts = field.grid_coords(2)[1:]
+    monkeypatch.setattr(kakeya, "LINE_TABLE_ENTRIES", 7 * 11)  # 120 lines in blocks of 7
+    assert selfdot_incidence_count(field, pts).count == 11 * 120
+    rows = [tuple(int(c) for c in row) for row in pts[::3]]
+    assert selfdot_incidence_count(field, pts[::3]).count == incidence_oracle(field, rows)
+
+
+def test_selfdot_extension_field_against_oracle():
+    # -1 is a non-square in F_27, which is not a prime field
+    field = make_field(3, 3)
+    pts = field.grid_coords(2)[1:]
+    rep = selfdot_incidence_count(field, pts)
+    assert rep.count == 27 * (27 * 27 - 1)
+    sel = pts[np.random.default_rng(11).choice(len(pts), size=40, replace=False)]
+    rows = [tuple(int(c) for c in row) for row in sel]
+    assert selfdot_incidence_count(field, sel).count == incidence_oracle(field, rows)
 
 
 # -- exact identities ------------------------------------------------------------------
