@@ -9,7 +9,12 @@ The modulus is the lexicographically smallest monic irreducible of degree k,
 coefficients compared constant-term first (degree 1 gets the polynomial x, so
 prime fields are plain residues mod p).  Multiplication in extension fields
 runs through log/antilog tables against the fixed generator: the smallest
-index of multiplicative order p^k - 1.
+index of multiplicative order p^k - 1.  Addition in extension fields is one
+gather from a flat int16 q x q addition table, built on the first array sum
+and kept on the field, up to ADD_TABLE_MAX_ORDER = 2^11 elements (8 MiB at the
+cap); above it, arrays gather their base-p digit rows, add them mod p and pack
+them with the powers of p.  Scalar add and neg work on the digit rows and stay
+the reference for both.
 
 The additive character is e(a) = exp(2*pi*i * lift(trace(a)) / p) with the
 absolute trace down to F_p; it is non-principal and fixed once per field.
@@ -29,6 +34,7 @@ from .errors import (
 )
 
 MAX_ORDER = 1 << 20
+ADD_TABLE_MAX_ORDER = 1 << 11  # q * q int16 entries: 8 MiB at the cap
 
 
 def is_prime(m: int) -> bool:
@@ -93,7 +99,10 @@ def _poly_divisible(num: list, den: list, p: int) -> bool:
 
 
 class Field:
-    """F_{p^k} with all per-element tables built eagerly at construction."""
+    """F_{p^k} with its per-element tables built at construction.
+
+    The one exception is the q x q addition table, built on first use.
+    """
 
     def __init__(self, p: int, k: int = 1):
         if not is_prime(p):
@@ -219,17 +228,34 @@ class Field:
         return t
 
     def _trace_table(self) -> np.ndarray:
-        q = self.order
+        """tr(a) for every a, by F_p-linearity from the traces of x^0 .. x^(k-1)."""
         if self.k == 1:
-            return np.arange(q, dtype=np.int64)
-        acc = np.arange(q, dtype=np.int64)
-        cur = np.arange(q, dtype=np.int64)
+            return np.arange(self.order, dtype=np.int64)
+        basis_traces = np.empty(self.k, dtype=np.int64)
+        for i, power in enumerate(self._powers.tolist()):  # x^i is the index p^i
+            acc = cur = power
+            for _ in range(self.k - 1):
+                cur = int(self._frob[cur])
+                acc = self.add(acc, cur)
+            if acc >= self.p:
+                raise AssertionError("trace left the prime subfield")
+            basis_traces[i] = acc
+        return self._digits @ basis_traces % self.p
+
+    @functools.cached_property
+    def _add_table(self) -> np.ndarray:
+        """Flat int16 table with a + b at a * q + b, for k > 1 and q <= ADD_TABLE_MAX_ORDER.
+
+        Digit i of a + b is (a_i + b_i) mod p, so the table is an outer sum of
+        the p x p table of digit sums, taken once per digit axis from the top.
+        """
+        p = self.p
+        digit_sum = (np.arange(p, dtype=np.int16)[:, None] + np.arange(p, dtype=np.int16)) % p
+        table = digit_sum
         for _ in range(self.k - 1):
-            cur = self._frob[cur]
-            acc = self.add_arrays(acc, cur)
-        if (acc >= self.p).any():
-            raise AssertionError("trace left the prime subfield")
-        return acc
+            m = len(table) * p
+            table = (table[:, None, :, None] * p + digit_sum[None, :, None, :]).reshape(m, m)
+        return table.ravel()
 
     def _square_table(self) -> np.ndarray:
         """squares[a] is True exactly when a = t*t for some t."""
@@ -285,13 +311,15 @@ class Field:
         b = np.asarray(b, dtype=np.int64)
         if self.k == 1:
             return (a + b) % self.p
+        if self.order <= ADD_TABLE_MAX_ORDER:
+            return self._add_table[a * self.order + b].astype(np.int64)
         return ((self._digits[a] + self._digits[b]) % self.p) @ self._powers
 
     def neg_arrays(self, a) -> np.ndarray:
         a = np.asarray(a, dtype=np.int64)
         if self.k == 1:
             return (-a) % self.p
-        return ((self.p - self._digits[a]) % self.p) @ self._powers
+        return self.mul_arrays(a, self.p - 1)  # -a = a (p - 1)
 
     def sub_arrays(self, a, b) -> np.ndarray:
         return self.add_arrays(a, self.neg_arrays(b))

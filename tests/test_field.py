@@ -1,5 +1,7 @@
 """Field arithmetic: exhaustive axioms on small fields, properties on larger ones."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -71,6 +73,98 @@ def test_array_ops_match_scalar(f9):
     assert all(int(x) == f9.mul(int(u), int(v)) for x, u, v in zip(f9.mul_arrays(a, b), a, b))
     assert all(int(x) == f9.sub(int(u), int(v)) for x, u, v in zip(f9.sub_arrays(a, b), a, b))
     assert all(int(x) == f9.neg(int(u)) for x, u in zip(f9.neg_arrays(a), a))
+
+
+TABLE_SIDE = [(3, 2), (7, 3), (3, 5), (13, 2), (43, 2)]  # up to 1,849 elements
+DIGIT_SIDE = [(47, 2), (3, 7), (61, 2), (509, 2)]  # from 2,187 elements
+
+
+@pytest.mark.parametrize("p,k", TABLE_SIDE + DIGIT_SIDE)
+def test_array_addition_matches_scalar_oracle(p, k):
+    field = Field(p, k)
+    assert "_add_table" not in vars(field)  # construction never builds the table
+    q = field.order
+    rng = np.random.default_rng(q)
+    a = np.concatenate([rng.integers(0, q, 400), [0, 0, q - 1, q - 1, p - 1]])
+    b = np.concatenate([rng.integers(0, q, 400), [0, q - 1, 0, q - 1, 1]])
+    for got, want in [
+        (field.add_arrays(a, b), [field.add(int(x), int(y)) for x, y in zip(a, b)]),
+        (field.sub_arrays(a, b), [field.sub(int(x), int(y)) for x, y in zip(a, b)]),
+        (field.neg_arrays(a), [field.neg(int(x)) for x in a]),
+    ]:
+        assert got.dtype == np.int64
+        assert got.tolist() == want
+    # the table is built by the first array sum, and only below the cap
+    assert ("_add_table" in vars(field)) == (q <= field_module.ADD_TABLE_MAX_ORDER)
+    every = np.arange(min(q, 1 << 12))  # all of q, or the first 4,096 of 509^2
+    assert field.neg_arrays(every).tolist() == [field.neg(int(x)) for x in every]
+    # 0-d inputs and (m, 1) + (1, n) broadcasting
+    x, y = int(a[7]), int(b[7])
+    for fn, want in [(field.add_arrays, field.add(x, y)), (field.sub_arrays, field.sub(x, y))]:
+        got = fn(np.int64(x), y)
+        assert np.ndim(got) == 0 and got.dtype == np.int64 and int(got) == want
+    got = field.neg_arrays(x)
+    assert np.ndim(got) == 0 and got.dtype == np.int64 and int(got) == field.neg(x)
+    rows, cols = a[:30, None], b[None, :20]
+    table = field.add_arrays(rows, cols)
+    assert table.shape == (30, 20) and table.dtype == np.int64
+    assert table.tolist() == [[field.add(int(u), int(v)) for v in cols[0]] for u in rows[:, 0]]
+
+
+@pytest.mark.parametrize("p,k", [(3, 2), (5, 2)])
+def test_add_table_exhaustive(p, k):
+    field = Field(p, k)
+    q = field.order
+    want = [[field.add(a, b) for b in range(q)] for a in range(q)]
+    elems = np.arange(q)
+    assert field.add_arrays(elems[:, None], elems[None, :]).tolist() == want
+    table = field._add_table
+    assert table.dtype == np.int16 and table.shape == (q * q,)
+    assert table.reshape(q, q).tolist() == want
+
+
+def test_add_table_cap_boundary(monkeypatch):
+    # q * q int16 entries at the cap are 8 MiB; the cap itself takes the table
+    assert field_module.ADD_TABLE_MAX_ORDER**2 * 2 == 8 << 20
+    elems = np.arange(49)
+    for cap, built in [(49, True), (48, False)]:
+        monkeypatch.setattr(field_module, "ADD_TABLE_MAX_ORDER", cap)
+        field = Field(7, 2)
+        sums = field.add_arrays(elems[:, None], elems[None, :])
+        assert ("_add_table" in vars(field)) == built
+        assert sums.tolist() == [[field.add(a, b) for b in range(49)] for a in range(49)]
+
+
+@pytest.mark.parametrize("p,k", [(3, 2), (3, 5), (7, 3), (13, 2), (509, 2)])
+def test_trace_lift_is_frobenius_sum(p, k):
+    field = make_field(p, k)
+    # a + a^p + ... + a^(p^(k-1)), summed on base-p digit rows
+    elems = np.arange(field.order)
+    digits = np.stack([elems // p**i % p for i in range(k)], axis=1)
+    acc, cur = digits.copy(), elems
+    for _ in range(k - 1):
+        cur = field.frobenius_arrays(cur)
+        acc += digits[cur]
+    acc %= p
+    assert not acc[:, 1:].any()  # the trace lies in the prime subfield
+    assert field.trace_lift.tolist() == acc[:, 0].tolist()
+
+
+def test_field_509_2_construction_peak():
+    # The peak is in _square_table: every array the field keeps, plus t and the
+    # two log gathers of mul_arrays(t, t), three transient q-entry int64 arrays.
+    # 256 KiB covers the interpreter objects made on the way (about 60 KiB on
+    # CPython 3.11 with numpy 2.4, where the peak reads 31,409,289 B here and
+    # 31,409,342 B before the addition table existed).
+    tracemalloc.start()
+    try:
+        field = Field(509, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "_add_table" not in vars(field)
+    kept = sum(v.nbytes for v in vars(field).values() if isinstance(v, np.ndarray))
+    assert peak <= kept + 3 * field.order * 8 + (256 << 10)
 
 
 def _poly_product(field, a: int, b: int) -> int:
