@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -588,7 +589,9 @@ def cmd_cache_gc(args) -> tuple[int, str]:
 # -- parser ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The fflab argument parser, built once per process; no default is mutable."""
     parser = argparse.ArgumentParser(
         prog="fflab",
         description="finite-field restriction and Kakeya laboratory",

@@ -10,7 +10,8 @@ Transforms:
     inverse   g_(x) = |F|^{-n} sum_xi g(xi) e(x.xi)  Frequency -> Space
 
 computed axis by axis as dense 1-D contractions (no FFT; summation order is
-fixed, so results do not depend on parallelism).  Double precision throughout;
+fixed, so results do not depend on how many Python threads run them; a
+multithreaded BLAS can still move the last bits).  Double precision throughout;
 the default check tolerance is 1e-9 relative with a 1e-12 absolute floor.
 
 Prime fields, and extension fields with at most DENSE_MAX_ORDER elements,
@@ -190,16 +191,17 @@ def transform_axes(
     """Apply the q x q kernel ``mat`` along axes 0 .. n_axes-1 (default all n) of length q.
 
     With the flat index sum_i x_i q^i, axis i is the middle axis of the
-    C-order view (q^{n-1-i}, q, q^i), so each contraction is a reshape and
-    a (batched) matmul: no axis is moved and no input is copied.
+    C-order view (-1, q, q^i), so each contraction is a reshape and a
+    (batched) matmul: no axis is moved and no input is copied.  A leading
+    block of several grids, stacked C-order, rides along in the -1.
     """
     arr = values
     for axis in range(n if n_axes is None else n_axes):
-        outer, inner = q ** (n - 1 - axis), q**axis
+        inner = q**axis
         if inner == 1:
-            arr = arr.reshape(outer, q) @ mat.T
+            arr = arr.reshape(-1, q) @ mat.T
         else:
-            arr = np.matmul(mat, arr.reshape(outer, q, inner))
+            arr = np.matmul(mat, arr.reshape(-1, q, inner))
     return arr.reshape(-1)
 
 

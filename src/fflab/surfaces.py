@@ -45,8 +45,10 @@ from .grid import (  # noqa: F401
 )
 
 DEFAULT_TUPLE_BUDGET = 10**9
-# Index entries gathered at once when shifting the pair table (k = 3 counting).
-SHIFT_CHUNK_ENTRIES = 2**16
+# Entries handled at once by the tuple-count tables: pair sums binned per chunk
+# of the pair table (at least |F|^n, the size of each chunk's bincount), index
+# entries gathered per chunk of the shifted table (k = 3 counting).
+TABLE_CHUNK_ENTRIES = 2**16
 
 
 class SurfaceKind(str, enum.Enum):
@@ -280,51 +282,64 @@ def _transform_plan(surface: SurfaceMeasure) -> _TransformPlan:
     return plan
 
 
-def extension(sf: SurfaceFunction) -> Grid:
-    """(g dsigma)_ as a space-side grid, via the surface's transform plan.
+def _extend_rows(surface: SurfaceMeasure, values: np.ndarray) -> np.ndarray:
+    """``extension`` of each row of a (B, |S|) array: a (B, |F|^n) array.
 
     The sparse last axis goes first: each point adds g(s) e(x_{n-1} tau_s) / |S|
     to its head's column (q |S| work instead of q^{n+1}), points sharing a head
-    are merged, and the first n - 1 axes run as dense contractions.
+    are merged, and the first n - 1 axes run as dense contractions.  Rows are
+    independent; the block axis rides in front of every step.
     """
-    surf = sf.surface
-    q = surf.field.order
-    n = surf.n
-    plan = _transform_plan(surf)
-    kernel = _transform_matrices(surf.field)
-    cols = plan.lift * sf.values[plan.order]
+    q = surface.field.order
+    n = surface.n
+    plan = _transform_plan(surface)
+    kernel = _transform_matrices(surface.field)
+    cols = plan.lift * values[:, None, plan.order]
     if plan.starts is not None:
-        cols = np.add.reduceat(cols, plan.starts, axis=1)
+        cols = np.add.reduceat(cols, plan.starts, axis=2)
     if plan.columns is not None:
-        dense = np.zeros((q, q ** (n - 1)), dtype=np.complex128)
-        dense[:, plan.columns] = cols
+        dense = np.zeros((len(values), q, q ** (n - 1)), dtype=np.complex128)
+        dense[:, :, plan.columns] = cols
         cols = dense
     d = kernel.digits
     out = transform_axes(cols, kernel.plus, kernel.size, n * d, (n - 1) * d)
-    return Grid(surf.field, n, out, Side.SPACE)
+    return out.reshape(len(values), -1)
 
 
-def extension_adjoint(f: Grid, surface: SurfaceMeasure) -> SurfaceFunction:
-    """f^ on the surface, sum_x f(x) e(-x.s): the adjoint of ``extension``.
+def _adjoint_rows(surface: SurfaceMeasure, values: np.ndarray) -> np.ndarray:
+    """``extension_adjoint`` of each row of a (B, |F|^n) array: a (B, |S|) array.
 
-    Equals restriction(fourier_forward(f), surface).  The first n - 1 axes run
-    as dense contractions; each point then sums over x_{n-1} against
-    e(-x_{n-1} tau_s) in its head's column.
+    The first n - 1 axes run as dense contractions; each point then sums over
+    x_{n-1} against e(-x_{n-1} tau_s) in its head's column.
     """
-    if f.side != Side.SPACE:
-        raise WrongSideError("the extension adjoint expects a space-side grid")
-    if f.n != surface.n or f.field != surface.field:
-        raise ValueError("grid and surface do not match")
     q = surface.field.order
     n = surface.n
     plan = _transform_plan(surface)
     kernel = _transform_matrices(surface.field)
     d = kernel.digits
-    part = transform_axes(f.values, kernel.minus, kernel.size, n * d, (n - 1) * d)
-    part = part.reshape(q, q ** (n - 1))
-    vals = np.empty(surface.size, dtype=np.complex128)
-    vals[plan.order] = np.einsum("ts,ts->s", plan.sample, part[:, plan.heads])
-    return SurfaceFunction(surface, vals)
+    part = transform_axes(values, kernel.minus, kernel.size, n * d, (n - 1) * d)
+    part = part.reshape(len(values), q, q ** (n - 1))
+    out = np.empty((len(values), surface.size), dtype=np.complex128)
+    out[:, plan.order] = np.einsum("ts,bts->bs", plan.sample, part[:, :, plan.heads])
+    return out
+
+
+def extension(sf: SurfaceFunction) -> Grid:
+    """(g dsigma)_ as a space-side grid, via the surface's transform plan."""
+    out = _extend_rows(sf.surface, sf.values[None, :])
+    return Grid(sf.surface.field, sf.surface.n, out[0], Side.SPACE)
+
+
+def extension_adjoint(f: Grid, surface: SurfaceMeasure) -> SurfaceFunction:
+    """f^ on the surface, sum_x f(x) e(-x.s): the adjoint of ``extension``.
+
+    Equals restriction(fourier_forward(f), surface).
+    """
+    if f.side != Side.SPACE:
+        raise WrongSideError("the extension adjoint expects a space-side grid")
+    if f.n != surface.n or f.field != surface.field:
+        raise ValueError("grid and surface do not match")
+    return SurfaceFunction(surface, _adjoint_rows(surface, f.values[None, :])[0])
 
 
 def extension_direct(sf: SurfaceFunction) -> Grid:
@@ -474,7 +489,11 @@ def surface_sum_table(surface: SurfaceMeasure, k: int, budget: int = DEFAULT_TUP
 
 
 def _pair_table(surface: SurfaceMeasure) -> np.ndarray:
-    """table_2 from all ordered pair sums, chunked over the first point."""
+    """table_2 from all ordered pair sums, chunked over the first point.
+
+    A chunk holds about max(TABLE_CHUNK_ENTRIES, |F|^n) pair sums, so its
+    temporaries stay near the size of the table itself.
+    """
     fld = surface.field
     q = fld.order
     n = surface.n
@@ -482,7 +501,7 @@ def _pair_table(surface: SurfaceMeasure) -> np.ndarray:
     pts = surface.points
     pw = q ** np.arange(n, dtype=np.int64)
     table = np.zeros(q**n, dtype=np.int64)
-    chunk = max(1, min(m, 1 + 10**7 // max(m, 1)))
+    chunk = max(1, max(TABLE_CHUNK_ENTRIES, q**n) // max(m, 1))
     for lo in range(0, m, chunk):
         hi = min(m, lo + chunk)
         cols = [
@@ -510,7 +529,7 @@ def _shifted_sum(surface: SurfaceMeasure, table: np.ndarray) -> np.ndarray:
         fld.sub_arrays(values[None, :], surface.points[:, j, None]) * q**j for j in range(n)
     ]
     out = np.zeros(total, dtype=np.int64)
-    chunk = max(1, SHIFT_CHUNK_ENTRIES // total)
+    chunk = max(1, TABLE_CHUNK_ENTRIES // total)
     for lo in range(0, m, chunk):
         hi = min(m, lo + chunk)
         # coordinate j on axis n - j, so the C-order flattening is sum_j eta_j q^j

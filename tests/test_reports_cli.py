@@ -156,6 +156,15 @@ def test_cli_determinism(capsys):
     assert a == b
 
 
+def test_cli_parser_is_built_once_and_parses_afresh():
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    first = parser.parse_args(["kakeya", "sd", "--field", "7", "--seed", "3", "--format", "json"])
+    second = parser.parse_args(["kakeya", "sd", "--field", "11"])
+    assert (first.seed, first.fmt, first.field) == (3, "json", "7")
+    assert (second.seed, second.fmt, second.field, second.out) == (0, "text", "11", None)
+
+
 def test_cli_region_always_exits_zero(capsys):
     code, out, _ = run_cli(
         capsys,

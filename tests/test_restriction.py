@@ -1,12 +1,14 @@
 """Restriction-constant certificates: closed forms, counting uppers, witnesses."""
 
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from fflab import kakeya
+from fflab import cli, grid, kakeya
 from fflab.certificates import (
     NormCertificate,
     as_float,
@@ -146,12 +148,123 @@ def test_power_maps_zeros_to_zero(f7, p, q):
     # for p > 2 the surface-side dual |w|^{1/(p-1)} phase(w) is a negative
     # power of |w|^2, and a point mass start has zeros everywhere but one point
     surface = paraboloid(f7, 3)
-    point = np.zeros(surface.size, dtype=np.complex128)
-    point[0] = 1.0
-    g, val, _, _ = rl._power_ascent(
+    point = np.zeros((1, surface.size), dtype=np.complex128)  # a block of one start
+    point[0, 0] = 1.0
+    (g,), (val,), _, _ = rl._power_ascent(
         surface, parse_exponent(p), parse_exponent(q), point, 20, 1e-10
     )
     assert np.all(np.isfinite(g)) and math.isfinite(val) and val > 0
+
+
+ASCENT_SURFACES = {
+    "paraboloid F_5": lambda: paraboloid(make_field(5), 3),
+    "paraboloid F_7": lambda: paraboloid(make_field(7), 3),
+    "cone F_7": lambda: cone(make_field(7)),
+    "moment F_7": lambda: moment_curve(make_field(7), 3),
+}
+
+
+@pytest.mark.parametrize("name,p,q", [
+    ("paraboloid F_5", 2, 4),
+    ("paraboloid F_5", 1, 3),
+    ("paraboloid F_7", 3, 3),
+    ("paraboloid F_7", math.inf, 4),
+    ("cone F_7", math.inf, 1),
+    ("cone F_7", 3, math.inf),
+    ("moment F_7", 2, math.inf),
+    ("moment F_7", 1, 1),
+])
+def test_power_blocks_match_one_at_a_time(monkeypatch, name, p, q):
+    # p and q run through every branch of both duals and the ratio:
+    # p in {2, 3, 1, oo}, q in {3, 4, 1, oo}
+    surface = ASCENT_SURFACES[name]()
+    p, q = parse_exponent(p), parse_exponent(q)
+    restarts, iters, tol = 8, 60, 1e-10
+    g0 = rl._starts(surface.size, restarts, 5)
+    alone = [rl._power_ascent(surface, p, q, g0[i : i + 1], iters, tol) for i in range(restarts)]
+    g1, v1, it1, c1 = (np.concatenate(col) for col in zip(*alone))
+    for width in (1, 3, 32):
+        parts = [
+            rl._power_ascent(surface, p, q, g0[lo : lo + width], iters, tol)
+            for lo in range(0, restarts, width)
+        ]
+        g, v, it, c = (np.concatenate(col) for col in zip(*parts))
+        assert np.array_equal(it, it1) and np.array_equal(c, c1)
+        np.testing.assert_allclose(v, v1, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(g, g1, rtol=1e-12, atol=1e-12)
+
+    best = 0
+    for i in range(1, restarts):
+        if v1[i] > v1[best] + 1e-15:
+            best = i
+    for width in (1, 3, 32):
+        for cpus in (1, 2):
+            monkeypatch.setattr(rl, "POWER_BLOCK_ENTRIES", width * surface.field.order**surface.n)
+            monkeypatch.setattr(rl, "_cpu_count", lambda: cpus)
+            cert = rstar_lower_power(surface, p, q, restarts=restarts, max_iters=iters, seed=5)
+            assert cert.meta["restart_iterations"] == it1.tolist()
+            assert cert.meta["restarts_converged"] == int(c1.sum())
+            assert cert.meta["best_restart"] == best
+            assert cert.meta["converged"] == bool(c1[best])
+            assert cert.meta["transform_value"] == pytest.approx(v1[best], rel=1e-12, abs=0)
+            witness = SurfaceFunction(surface, g1[best])
+            expect = rl.lp_norm(extension(witness), q) / rl.surface_lp_norm(witness, p)
+            assert cert.value == pytest.approx(expect, rel=1e-12, abs=0)
+
+
+def test_power_many_workers_match_one_worker(monkeypatch, f7):
+    # more workers than cores, one restart per block and a short switch
+    # interval, so the threads interleave as much as they can
+    surface = paraboloid(f7, 3)
+    monkeypatch.setattr(rl, "POWER_BLOCK_ENTRIES", 1)
+    monkeypatch.setattr(rl, "_cpu_count", lambda: 1)
+    serial = rstar_lower_power(surface, 2, 3, restarts=24, max_iters=40, seed=9)
+    monkeypatch.setattr(rl, "_cpu_count", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = rstar_lower_power(surface, 2, 3, restarts=24, max_iters=40, seed=9)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded.witness == serial.witness
+    assert threaded.meta == serial.meta
+    assert threaded.value == serial.value
+
+
+def test_power_workers_call_no_traced_function(monkeypatch, capsys):
+    # the benchmark's tracer keeps one span stack, so every function it wraps
+    # must run on the main thread; F_13, n = 3 makes 5 blocks of the 32 restarts
+    def main_thread_only(fn):
+        def guarded(*args, **kwargs):
+            assert threading.current_thread() is threading.main_thread(), fn.__name__
+            return fn(*args, **kwargs)
+        return guarded
+
+    modules = [m for key, m in sys.modules.items() if key == "fflab" or key.startswith("fflab.")]
+    for owner, name in [
+        (surfaces, "extension"), (surfaces, "extension_adjoint"),
+        (grid, "lp_norm"), (grid, "fourier_forward"),
+    ]:
+        orig = getattr(owner, name)
+        guarded = main_thread_only(orig)
+        for m in modules:
+            for key, val in list(vars(m).items()):
+                if val is orig:
+                    monkeypatch.setattr(m, key, guarded)
+    on_main = []
+    ascent = rl._power_ascent
+
+    def recorded(*args, **kwargs):
+        on_main.append(threading.current_thread() is threading.main_thread())
+        return ascent(*args, **kwargs)
+
+    monkeypatch.setattr(rl, "_power_ascent", recorded)
+    monkeypatch.setattr(rl, "_cpu_count", lambda: 2)
+    argv = ["restriction", "estimate", "--field", "13", "--dim", "3", "--surface", "cone",
+            "--p", "2", "--q", "4"]
+    assert cli.main(argv) == 0
+    assert "[pass] lower_recheck" in capsys.readouterr().out
+    assert len(on_main) == 5 and not any(on_main)
 
 
 def test_recheck_independent_of_transform_plan(monkeypatch, f5, f7):

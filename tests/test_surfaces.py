@@ -1,6 +1,7 @@
 """Surface measures, extension operators, kernels, and tuple-sum counting."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -286,8 +287,8 @@ def test_fourier_dimension_values(f7):
 # -- tuple sums -----------------------------------------------------------------------
 
 
-def pair_sum_oracle(surface, field) -> int:
-    """max_eta #{(a, b) on S x S : a + b = eta} by explicit loops."""
+def pair_sum_counts(surface, field):
+    """#{(a, b) on S x S : a + b = eta} for every eta, by explicit loops."""
     from collections import Counter
 
     counts = Counter()
@@ -295,7 +296,12 @@ def pair_sum_oracle(surface, field) -> int:
     for a in pts:
         for b in pts:
             counts[tuple(field.add(x, y) for x, y in zip(a, b))] += 1
-    return max(counts.values())
+    return counts
+
+
+def pair_sum_oracle(surface, field) -> int:
+    """max_eta #{(a, b) on S x S : a + b = eta} by explicit loops."""
+    return max(pair_sum_counts(surface, field).values())
 
 
 def test_pair_sums_against_oracle(f5, f7):
@@ -303,6 +309,41 @@ def test_pair_sums_against_oracle(f5, f7):
     assert surface_sum_max(surface, 2) == pair_sum_oracle(surface, f5) == 2
     surface = paraboloid(f7, 3)
     assert surface_sum_max(surface, 2) == pair_sum_oracle(surface, f7) == 8
+
+
+@pytest.mark.parametrize("entries", [1, 2**10, 2**16])
+@pytest.mark.parametrize("make", [
+    lambda: paraboloid(make_field(5), 3),
+    lambda: cone(make_field(5)),
+    lambda: paraboloid(make_field(7), 3),
+    lambda: cone(make_field(7)),
+])
+def test_pair_table_against_oracle_across_chunks(monkeypatch, make, entries):
+    # chunks of max(entries, |F|^n) // |S| first points: even chunks, a
+    # short last chunk (the cones), or every point in one chunk
+    surface = make()
+    field = surface.field
+    expect = np.zeros(field.order**surface.n, dtype=np.int64)
+    for eta, count in pair_sum_counts(surface, field).items():
+        expect[point_index(field, eta)] = count
+    monkeypatch.setattr(surfaces, "TABLE_CHUNK_ENTRIES", entries)
+    table = surfaces._pair_table(surface)
+    assert table.dtype == np.int64
+    assert np.array_equal(table, expect)
+
+
+def test_pair_table_peak_stays_chunked():
+    # all 923,521 pair sums at once peaked at 35.5 MiB; chunks of 2^16 stay
+    # within a few MiB
+    surface = paraboloid(make_field(31), 3)
+    tracemalloc.start()
+    try:
+        table = surfaces._pair_table(surface)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.sum() == surface.size**2
+    assert peak < 8 * 2**20
 
 
 def triple_sum_oracle(surface, field):
@@ -335,7 +376,7 @@ def test_triple_sums_against_oracle(monkeypatch, make):
     assert table.dtype == np.int64
     assert np.array_equal(table, expect)
     # shifts gathered 4 surface points at a time: the last chunk is short
-    monkeypatch.setattr(surfaces, "SHIFT_CHUNK_ENTRIES", 4 * field.order**surface.n)
+    monkeypatch.setattr(surfaces, "TABLE_CHUNK_ENTRIES", 4 * field.order**surface.n)
     assert np.array_equal(surface_sum_table(surface, 3), expect)
 
 
