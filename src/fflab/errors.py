@@ -2,6 +2,7 @@
 
 Division by zero raises the builtin ZeroDivisionError; everything else gets a
 named subclass so callers can tell a bad configuration from a failed check.
+Every --budget refusal goes through require_budget, in one message form.
 """
 
 
@@ -101,3 +102,9 @@ class BudgetExceededError(FFLabError):
 
 class VersionMismatchError(FFLabError):
     pass
+
+
+def require_budget(work: int, budget: int, what: str) -> None:
+    """Refuse work above budget; callers check before they allocate."""
+    if work > budget:
+        raise BudgetExceededError(f"{what} = {work} exceeds the budget {budget}")

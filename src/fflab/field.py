@@ -331,6 +331,15 @@ class Field:
             return (a * b) % self.p
         return self._exp_ext[self._log[a] + self._log[b]]
 
+    def dot_arrays(self, a, b) -> np.ndarray:
+        """sum_j a[..., j] b[..., j] over F for at least one coordinate j;
+        broadcasts like mul_arrays."""
+        prod = self.mul_arrays(a, b)
+        acc = prod[..., 0]
+        for j in range(1, prod.shape[-1]):
+            acc = self.add_arrays(acc, prod[..., j])
+        return acc
+
     # -- structure maps ---------------------------------------------------------
 
     def frobenius(self, a: int) -> int:

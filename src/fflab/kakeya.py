@@ -27,7 +27,6 @@ import numpy as np
 
 from .certificates import NormCertificate, as_float, holder_dual, parse_exponent, recheck_agrees
 from .errors import (
-    BudgetExceededError,
     ConstraintViolatedError,
     DegenerateHeightsError,
     ImproperSlopeError,
@@ -35,6 +34,7 @@ from .errors import (
     NotQuadraticExtensionError,
     UnknownWitnessError,
     UnsupportedDimensionError,
+    require_budget,
 )
 from .field import Field
 from .grid import (
@@ -162,16 +162,6 @@ def verify_besicovitch(field: Field, n: int, flat: np.ndarray):
 # -- maximal function ----------------------------------------------------------------
 
 
-def _require_maximal_budget(field: Field, n: int, budget: int) -> None:
-    """Refuse a maximal function whose |F|^{2n-1} gathers, one per point of
-    every line, exceed the budget."""
-    gathers = field.order ** (2 * n - 1)
-    if gathers > budget:
-        raise BudgetExceededError(
-            f"maximal function at n = {n}: {gathers} line-point gathers exceed the budget {budget}"
-        )
-
-
 def kakeya_maximal(f: Grid, include_horizontal: bool = False, budget: int = 10**9) -> np.ndarray:
     """f*(v) = max_{x0} sum_{t} |f(x0 + vt, t)| over all directions.
 
@@ -183,7 +173,7 @@ def kakeya_maximal(f: Grid, include_horizontal: bool = False, budget: int = 10**
         raise ValueError("maximal function acts on space-side grids")
     q = f.field.order
     n = f.n
-    _require_maximal_budget(f.field, n, budget)
+    require_budget(q ** (2 * n - 1), budget, "line-point gathers |F|^{2n-1}")
     if include_horizontal and n != 2:
         raise UnsupportedDimensionError("horizontal rows are a 2-D exploration only")
     m = q ** (n - 1)
@@ -272,7 +262,7 @@ def kakeya_norm_certificates(
     """
     p = parse_exponent(p)
     q = parse_exponent(q)
-    _require_maximal_budget(field, n, budget)
+    require_budget(field.order ** (2 * n - 1), budget, "line-point gathers |F|^{2n-1}")
     qf = field.order
     total = qf**n
     out = []
@@ -411,8 +401,7 @@ def incidence_count(field: Field, points: np.ndarray, a, b, budget: int = 10**9)
     if np.any(np.all(b == 0, axis=1)):
         raise ValueError("a line needs a nonzero direction")
     q, np_, nl = field.order, len(pts), len(a)
-    if nl * q > budget:
-        raise BudgetExceededError(f"{nl * q} line points exceed the budget {budget}")
+    require_budget(nl * q, budget, "line points L |F|")
     member = np.zeros(q ** a.shape[1], dtype=bool)
     member[flat_points(field, pts)] = True
     count, keys = 0, np.empty((nl, 2), dtype=np.int64)
@@ -485,8 +474,7 @@ def incidence_chain_counts(
         raise ValueError("points must be distinct")
     _require_distinct(x0, v)
     npts = len(pflat)
-    if npts * max(1, len(x0)) > budget:
-        raise BudgetExceededError("configuration too large for chain counting")
+    require_budget(npts * max(1, len(x0)), budget, "point-line pairs |P| |L|")
 
     pid = np.full(field.order ** pts.shape[1], -1, dtype=np.int64)
     pid[pflat] = np.arange(npts)
@@ -512,8 +500,7 @@ def incidence_chain_counts(
     nondeg_triangles = linked - pointed
 
     cost = int(np.sum(np.bincount(arm_from, minlength=npts) ** 2))
-    if cost > budget:
-        raise BudgetExceededError("quadrilateral counting exceeds the budget")
+    require_budget(cost, budget, "arm pairs sharing a point")
     i, j = _join(arm_from, arm_from)
     keep = arm_line[i] != arm_line[j]
     _, ends = np.unique(arm_to[i[keep]] * npts + arm_to[j[keep]], return_counts=True)
@@ -575,15 +562,11 @@ def wolff_axiom_check(
     _require_distinct(x0, v)
     q = field.order
     n_lines = len(x0)
-    if n_lines * (q + 1) > budget:
-        raise BudgetExceededError(
-            f"{n_lines * (q + 1)} line-plane keys exceed the budget {budget}"
-        )
+    require_budget(n_lines * (q + 1), budget, "line-plane keys L (|F| + 1)")
     vx = np.stack([v, x0])
     best = (1, (), None)  # line count, tie score, (a1, a2, a3, c)
     for a12 in [(1, s) for s in range(q)] + [(0, 1)]:
-        prod = field.mul_arrays(vx, a12)
-        dots = field.add_arrays(prod[..., 0], prod[..., 1])  # a[:2] . v, a[:2] . x0
+        dots = field.dot_arrays(vx, a12)  # a[:2] . v, a[:2] . x0
         keys = field.neg_arrays(dots[0]) * q + dots[1]
         order = np.argsort(keys, kind="stable")
         starts = np.flatnonzero(np.diff(keys[order], prepend=-1))
@@ -616,7 +599,6 @@ def wolff_axiom_check(
 
 @dataclass(frozen=True)
 class QuadExtensionReport:
-    point_flats: np.ndarray
     x0: np.ndarray  # (L, 2) base points of the contained lines
     v: np.ndarray  # (L, 2) their directions
     point_count: int
@@ -636,39 +618,46 @@ def heisenberg_example(field: Field) -> QuadExtensionReport:
     Im(z1 conj(z2)) along a line leaves a term linear in t whose coefficient
     must be exactly 1 and a norm-quadratic term that must vanish.  The family
     repeats directions, which is the point of the construction.  Lines come
-    ordered by x0, then v, each in flat order over F^2.
+    ordered by x0, then v, each in flat order over F^2.  Membership over F^3
+    is read off the Im table over F^2; the line search and the containment
+    test run in blocks of about LINE_TABLE_ENTRIES entries.
     """
     if field.k != 2:
         raise NotQuadraticExtensionError("the construction needs a quadratic extension")
     q = field.order
-    coords = field.grid_coords(3)
-    lhs = field.im_arrays(field.mul_arrays(coords[:, 0], field.frobenius_arrays(coords[:, 1])))
-    member = lhs == field.im_arrays(coords[:, 2])
-    pflat = np.flatnonzero(member).astype(np.int64)
-
     pairs = field.grid_coords(2)
     im = field.im_arrays(field.mul_arrays(pairs[:, 0], field.frobenius_arrays(pairs[:, 1])))
+    # [z3, (z1, z2)] in C order is the flat index over F^3
+    member = (field.im_arrays(np.arange(q))[:, None] == im).ravel()
     zero_im = pairs[im == 0]
     conj = field.frobenius_arrays(zero_im)
-    # [x, v] over zero_im x zero_im: v1 conj(x2) - v2 conj(x1) = 1
-    hit = field.sub_arrays(
-        field.mul_arrays(zero_im[None, :, 0], conj[:, None, 1]),
-        field.mul_arrays(zero_im[None, :, 1], conj[:, None, 0]),
-    ) == field.rational(1)
-    xi, vi = np.nonzero(hit)
+    hits = []
+    for xs in _direction_chunks(len(zero_im), len(zero_im)):
+        # [x, v] over a block of zero_im x zero_im: v1 conj(x2) - v2 conj(x1) = 1
+        hit = field.sub_arrays(
+            field.mul_arrays(zero_im[None, :, 0], conj[xs, None, 1]),
+            field.mul_arrays(zero_im[None, :, 1], conj[xs, None, 0]),
+        ) == field.rational(1)
+        xi, vi = np.nonzero(hit)
+        hits.append((xi + xs.start, vi))
+    xi, vi = (np.concatenate(col) for col in zip(*hits))
     x0, v = zero_im[xi], zero_im[vi]
+    contained = all(
+        member[line_flats(field, x0[rows], v[rows])].all()
+        for rows in _direction_chunks(len(x0), q)
+    )
 
     _, first, repeats = np.unique(v, axis=0, return_index=True, return_counts=True)
     dup = first[repeats > 1]
+    points = int(np.count_nonzero(member))
     return QuadExtensionReport(
-        point_flats=pflat,
         x0=x0,
         v=v,
-        point_count=len(pflat),
+        point_count=points,
         line_count=len(x0),
-        containment_ok=bool(member[line_flats(field, x0, v)].all()),
+        containment_ok=contained,
         duplicate_direction=tuple(int(c) for c in v[dup.min()]) if len(dup) else None,
-        point_ratio=len(pflat) / float(q) ** 2.5,
+        point_ratio=points / float(q) ** 2.5,
         line_ratio=len(x0) / float(q) ** 2,
     )
 

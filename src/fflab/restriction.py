@@ -34,7 +34,6 @@ from .certificates import (
     recheck_agrees,
 )
 from .errors import (
-    BudgetExceededError,
     MinusOneIsSquareError,
     NoClosedFormError,
     NotAMajorantError,
@@ -44,7 +43,7 @@ from .errors import (
     WrongSurfaceKindError,
 )
 from .field import Field, make_field
-from .kakeya import IncidenceReport, incidence_count
+from .kakeya import IncidenceReport, _direction_chunks, incidence_count
 from .grid import (
     Grid,
     Side,
@@ -412,26 +411,25 @@ def find_affine_line(surface: SurfaceMeasure):
     """Search the surface for a fully contained affine line {a + tb}.
 
     Base points run over the surface, directions over projective
-    representatives (first nonzero coordinate scaled to 1).  Returns (a, b)
-    as coordinate arrays; raises SubspaceNotFound when no line exists.
+    representatives (first nonzero coordinate scaled to 1) in flat order;
+    each base point tests its directions against a membership array over F^n,
+    one gather per block of about 2^16 line points.  Returns (a, b) as
+    coordinate arrays; raises SubspaceNotFound when no line exists.
     """
     if surface.size > 10**4:
         raise SubspaceNotFoundError("surface too large for line search (> 10000)")
     fld = surface.field
-    n = surface.n
-    flats = set(int(f) for f in surface.flat)
-    qn = fld.order**n
-    coords = fld.grid_coords(n)
-    reps = []
-    for v in range(1, qn):
-        c = coords[v]
-        lead = next(int(x) for x in c if x != 0)
-        if lead == 1:
-            reps.append(c)
+    member = np.zeros(fld.order**surface.n, dtype=bool)
+    member[surface.flat] = True
+    dirs = fld.grid_coords(surface.n)[1:]
+    lead = dirs[np.arange(len(dirs)), (dirs != 0).argmax(axis=1)]  # first nonzero coordinate
+    reps = dirs[lead == 1]
     for a in surface.points:
-        for b in reps:
-            if all(int(f) in flats for f in flat_points(fld, affine_line(fld, a, b))):
-                return np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
+        for rows in _direction_chunks(len(reps), fld.order):
+            b = reps[rows]
+            inside = member[flat_points(fld, affine_line(fld, a, b[:, None, :]))].all(axis=1)
+            if inside.any():
+                return a.copy(), b[inside.argmax()]
     raise SubspaceNotFoundError("no affine line inside the surface")
 
 
@@ -473,9 +471,7 @@ def rstar_lower_witness(surface: SurfaceMeasure, p, q, name: str) -> NormCertifi
         extra = {}
     elif name == "subspace":
         a, b = find_affine_line(surface)
-        lf = set(int(x) for x in flat_points(fld, affine_line(fld, a, b)))
-        vals = np.array([1.0 if int(f) in lf else 0.0 for f in surface.flat], dtype=np.complex128)
-        g = SurfaceFunction(surface, vals)
+        g = SurfaceFunction(surface, np.isin(surface.flat, flat_points(fld, affine_line(fld, a, b))))
         extra = {"line_base": [int(x) for x in a], "line_dir": [int(x) for x in b]}
     else:
         raise UnknownWitnessError(f"no witness named {name!r}")
@@ -629,15 +625,6 @@ def pseudoconformal_identity_check(g: Grid) -> float:
 # -- lift identities -------------------------------------------------------------------
 
 
-def _surface_phase(field: Field, point: np.ndarray, n: int) -> np.ndarray:
-    """e(x . point) over the flat space grid F^n."""
-    xs = field.grid_coords(n)
-    acc = np.zeros(field.order**n, dtype=np.int64)
-    for j in range(n):
-        acc = field.add_arrays(acc, field.mul_arrays(xs[:, j], point[j]))
-    return field.character[acc]
-
-
 def _rel_dev(lhs: np.ndarray, rhs: np.ndarray) -> float:
     scale = max(float(np.abs(lhs).max(initial=0.0)), float(np.abs(rhs).max(initial=0.0)))
     if scale == 0.0:
@@ -662,6 +649,7 @@ def bridge_identity_checks(field: Field, n: int, seed: int = 0, trials: int = 5)
     surf = paraboloid(field, n)
     dsurf = double_paraboloid(field, n)
     coords = field.grid_coords(n - 1)
+    ys = field.grid_coords(n)
     neg_flat = flat_points(field, field.neg_arrays(coords))
     dev = {"embed": 0.0, "line_sum": 0.0, "cap": 0.0}
 
@@ -680,21 +668,14 @@ def bridge_identity_checks(field: Field, n: int, seed: int = 0, trials: int = 5)
     for _ in range(trials):
         h = rng.random(m) + 0.25  # positive so the square root stays real
         x0map = rng.integers(0, m, size=m)
-        vals = np.empty(dsurf.size, dtype=np.complex128)
-        for theta_flat in range(m):
-            theta = coords[theta_flat]
-            for eta_flat in range(m):
-                nf = int(neg_flat[eta_flat])
-                x0 = coords[x0map[nf]]
-                phase = field.character[field.neg(int(field.dot(x0, theta)))]
-                vals[double_paraboloid_index(field, n, eta_flat, theta_flat)] = (
-                    math.sqrt(h[nf]) * phase
-                )
+        # [theta, eta] in C order is the point-list index eta + |F|^{n-1} theta
+        dots = field.dot_arrays(coords[x0map[neg_flat]][None, :, :], coords[:, None, :])
+        vals = (np.sqrt(h[neg_flat]) * field.character[field.neg_arrays(dots)]).ravel()
         lhs = extension(SurfaceFunction(dsurf, vals)).values
         rhs = np.zeros_like(lhs)
         for eta_flat in range(m):
             nf = int(neg_flat[eta_flat])
-            xline = _surface_phase(field, surf.points[eta_flat], n)
+            xline = field.character[field.dot_arrays(ys, surf.points[eta_flat])]
             x0, v = coords[x0map[nf]], field.neg_arrays(coords[eta_flat])
             yline = indicator_grid(field, n, affine_line(field, (*x0, 0), (*v, 1))).values
             rhs += math.sqrt(h[nf]) * np.multiply.outer(yline, xline).reshape(-1)
@@ -707,15 +688,11 @@ def bridge_identity_checks(field: Field, n: int, seed: int = 0, trials: int = 5)
         alpha = coords[alpha_flat]
         cap_vals = rng.normal(size=m) + 1j * rng.normal(size=m)
         vals = np.zeros(dsurf.size, dtype=np.complex128)
-        for theta_flat in range(m):
-            vals[double_paraboloid_index(field, n, alpha_flat, theta_flat)] = cap_vals[theta_flat]
+        vals[double_paraboloid_index(field, n, alpha_flat, np.arange(m))] = cap_vals
         lhs = extension(SurfaceFunction(dsurf, vals)).values
         hh = fourier_inverse(Grid(field, n - 1, cap_vals, Side.FREQUENCY)).values
-        xphase = _surface_phase(field, surf.points[alpha_flat], n)
-        ys = field.grid_coords(n)
-        w = ys[:, : n - 1].copy()
-        for j in range(n - 1):
-            w[:, j] = field.add_arrays(w[:, j], field.mul_arrays(ys[:, n - 1], alpha[j]))
+        xphase = field.character[field.dot_arrays(ys, surf.points[alpha_flat])]
+        w = field.add_arrays(ys[:, : n - 1], field.mul_arrays(ys[:, n - 1 :], alpha))
         hv = hh[flat_points(field, w)]
         rhs = float(q) ** (1 - n) * np.multiply.outer(hv, xphase).reshape(-1)
         dev["cap"] = max(dev["cap"], _rel_dev(lhs, rhs))

@@ -24,12 +24,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import (
-    BudgetExceededError,
     CharacteristicTooSmallError,
     DegenerateKernelError,
     UnsupportedDimensionError,
     WrongSideError,
-    WrongSurfaceKindError,
+    require_budget,
 )
 from .field import Field
 # fourier_inverse is not called here; it stays importable from this module
@@ -112,27 +111,12 @@ class SurfaceFunction:
 # -- builders -------------------------------------------------------------------
 
 
-def _self_dot(field: Field, coords: np.ndarray) -> np.ndarray:
-    """Row-wise xi.xi for an (m, d) coordinate array."""
-    acc = np.zeros(coords.shape[0], dtype=np.int64)
-    for j in range(coords.shape[1]):
-        acc = field.add_arrays(acc, field.mul_arrays(coords[:, j], coords[:, j]))
-    return acc
-
-
-def _pair_dot(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    acc = np.zeros(a.shape[0], dtype=np.int64)
-    for j in range(a.shape[1]):
-        acc = field.add_arrays(acc, field.mul_arrays(a[:, j], b[:, j]))
-    return acc
-
-
 def paraboloid(field: Field, n: int) -> SurfaceMeasure:
     """{(xi, xi.xi) : xi in F^{n-1}}, |S| = |F|^{n-1}."""
     if n < 2:
         raise UnsupportedDimensionError("paraboloid needs n >= 2")
     base = field.grid_coords(n - 1)
-    tau = _self_dot(field, base)
+    tau = field.dot_arrays(base, base)
     pts = np.concatenate([base, tau[:, None]], axis=1)
     name = "parabola" if n == 2 else f"paraboloid(n={n})"
     return SurfaceMeasure(field, n, pts, SurfaceKind.PARABOLOID, name)
@@ -185,8 +169,8 @@ def double_paraboloid(field: Field, n: int) -> SurfaceMeasure:
     base = field.grid_coords(n - 1)
     eta = np.tile(base, (m, 1))
     theta = np.repeat(base, m, axis=0)
-    ee = _self_dot(field, eta)
-    et = _pair_dot(field, eta, theta)
+    ee = field.dot_arrays(eta, eta)
+    et = field.dot_arrays(eta, theta)
     pts = np.concatenate([eta, ee[:, None], theta, et[:, None]], axis=1)
     return SurfaceMeasure(
         field, 2 * n, pts, SurfaceKind.DOUBLE_PARABOLOID, f"double_paraboloid(base n={n})"
@@ -369,7 +353,7 @@ def extension_direct(sf: SurfaceFunction) -> Grid:
 def restriction(f_hat: Grid, surface: SurfaceMeasure) -> SurfaceFunction:
     """Read a frequency-side grid at the surface points."""
     if f_hat.side != Side.FREQUENCY:
-        raise WrongSurfaceKindError("restriction expects a frequency-side grid")
+        raise WrongSideError("restriction expects a frequency-side grid")
     if f_hat.n != surface.n or f_hat.field != surface.field:
         raise ValueError("grid and surface do not match")
     return SurfaceFunction(surface, f_hat.values[surface.flat])
@@ -452,7 +436,7 @@ def paraboloid_kernel_formula_check(field: Field, n: int) -> float:
     q = field.order
     m = q ** (n - 1)
     base = field.grid_coords(n - 1)
-    ydot = _self_dot(field, base)  # y.y per base index
+    ydot = field.dot_arrays(base, base)  # y.y per base index
     gs = gauss_sum(field, np.arange(q))
     closed = np.empty(q**n, dtype=np.complex128)
     closed[:m] = 0.0
@@ -479,13 +463,11 @@ def surface_sum_table(surface: SurfaceMeasure, k: int, budget: int = DEFAULT_TUP
     if k not in (2, 3):
         raise ValueError("tuple length must be 2 or 3")
     m = surface.size
-    total = surface.field.order**surface.n
-    work = m * m if k == 2 else m * m + m * total
-    if work > budget:
-        what = "|S|^2" if k == 2 else "|S|^2 + |S| |F|^n"
-        raise BudgetExceededError(f"{what} = {work} exceeds budget {budget}")
-    table = _pair_table(surface)
-    return table if k == 2 else _shifted_sum(surface, table)
+    if k == 2:
+        require_budget(m * m, budget, "|S|^2")
+        return _pair_table(surface)
+    require_budget(m * m + m * surface.field.order**surface.n, budget, "|S|^2 + |S| |F|^n")
+    return _shifted_sum(surface, _pair_table(surface))
 
 
 def _pair_table(surface: SurfaceMeasure) -> np.ndarray:

@@ -111,6 +111,25 @@ def test_array_addition_matches_scalar_oracle(p, k):
     assert table.tolist() == [[field.add(int(u), int(v)) for v in cols[0]] for u in rows[:, 0]]
 
 
+@pytest.mark.parametrize("p,k", [(7, 1), (3, 2), (47, 2)])  # prime, add table, digit add
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_dot_arrays_matches_scalar_dot(p, k, d):
+    field = make_field(p, k)
+    q = field.order
+    rng = np.random.default_rng(q + d)
+    a, b = rng.integers(0, q, (2, 50, d))
+    a[0], b[1] = q - 1, 0
+    got = field.dot_arrays(a, b)
+    assert got.shape == (50,) and got.dtype == np.int64
+    assert got.tolist() == [field.dot(x.tolist(), y.tolist()) for x, y in zip(a, b)]
+    # one row against a table, and a (L, 1, d) block against (m, d) rows
+    row = b[7]
+    assert field.dot_arrays(a, row).tolist() == [field.dot(x.tolist(), row.tolist()) for x in a]
+    table = field.dot_arrays(a[:6, None, :], b[None, :9, :])
+    assert table.tolist() == [[field.dot(x.tolist(), y.tolist()) for y in b[:9]] for x in a[:6]]
+    assert int(field.dot_arrays(a[3], b[3])) == field.dot(a[3].tolist(), b[3].tolist())
+
+
 @pytest.mark.parametrize("p,k", [(3, 2), (5, 2)])
 def test_add_table_exhaustive(p, k):
     field = Field(p, k)

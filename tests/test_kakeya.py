@@ -1,6 +1,7 @@
 """Line families, maximal functions, and direction-set certificates."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +19,7 @@ from fflab.errors import (
     UnknownWitnessError,
     UnsupportedDimensionError,
 )
-from fflab.field import make_field
+from fflab.field import Field, make_field
 from fflab.grid import Grid, Side, flat_points, mean_lp_norm
 from fflab.kakeya import (
     besicovitch_2d,
@@ -362,6 +363,22 @@ def test_incidence_count_rejections(monkeypatch, f7, entries):
     assert incidence_count(f7, pts, a, b, budget=14).count == 14
 
 
+def test_chain_counts_budget_boundary(f5):
+    # the five lines (vt, t) through the origin cover F^2: 125 point-line
+    # pairs, and the origin's 20 arms plus 4 arms at each other point give
+    # 20^2 + 20 * 4^2 = 720 arm pairs
+    pts, x0, v = f5.grid_coords(2), np.zeros((5, 1), dtype=np.int64), np.arange(5)[:, None]
+    with pytest.raises(BudgetExceededError, match=r"\|P\| \|L\| = 125 exceeds the budget 124"):
+        incidence_chain_counts(f5, pts, x0, v, budget=124)
+    with pytest.raises(BudgetExceededError, match="arm pairs sharing a point = 720 exceeds the budget 125"):
+        incidence_chain_counts(f5, pts, x0, v, budget=125)
+    with pytest.raises(BudgetExceededError, match="= 720 exceeds the budget 719"):
+        incidence_chain_counts(f5, pts, x0, v, budget=719)
+    counts = incidence_chain_counts(f5, pts, x0, v, budget=720)
+    assert counts == incidence_chain_counts(f5, pts, x0, v)
+    assert (counts.incidences, counts.corner_paths) == (25, 320)
+
+
 def test_chain_counts_two_crossing_lines(f7):
     x0, v = np.array([[0], [0]]), np.array([[0], [1]])
     pts = f7.grid_coords(2)[np.unique(line_flats(f7, x0, v))]
@@ -616,6 +633,48 @@ def test_heisenberg_point_count_scales():
     rep = heisenberg_example(make_field(5, 2))
     assert rep.point_count == 3125  # |F|^{5/2} = 5^5
     assert rep.containment_ok
+
+
+def test_heisenberg_peak_stays_blocked():
+    # no |F|^3 coordinate grid and no |zero-Im pairs|^2 hit matrix: about
+    # 160 MiB at F_{11^2} when both were held whole
+    field = Field(11, 2)
+    tracemalloc.start()
+    try:
+        rep = heisenberg_example(field)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rep.point_count, rep.line_count, rep.containment_ok) == (11**5, 15840, True)
+    assert peak < 16 * 2**20
+
+
+def test_heisenberg_blocks_match_one_block(monkeypatch):
+    field = make_field(5, 2)
+    whole = heisenberg_example(field)
+    monkeypatch.setattr(kakeya, "LINE_TABLE_ENTRIES", 7 * 25 + 3)  # uneven blocks
+    blocked = heisenberg_example(field)
+    assert np.array_equal(blocked.x0, whole.x0) and np.array_equal(blocked.v, whole.v)
+    for name in ("point_count", "line_count", "containment_ok", "duplicate_direction"):
+        assert getattr(blocked, name) == getattr(whole, name)
+
+
+@pytest.mark.parametrize("entries", [kakeya.LINE_TABLE_ENTRIES, 7 * 25 + 3])
+def test_heisenberg_containment_reads_every_line(entries, monkeypatch):
+    field = make_field(5, 2)
+    last = heisenberg_example(field)
+    x_last, v_last = last.x0[-1], last.v[-1]
+    z3 = int(np.flatnonzero(field.im_arrays(np.arange(25)))[0])  # (0, 0, z3) is not in P
+    real = kakeya.line_flats
+
+    def last_line_leaves_the_set(field, x0, v):
+        flats = real(field, x0, v)
+        last_row = np.all(x0 == x_last, axis=1) & np.all(v == v_last, axis=1)
+        return np.where(last_row[:, None], 25**2 * z3, flats)
+
+    monkeypatch.setattr(kakeya, "LINE_TABLE_ENTRIES", entries)
+    monkeypatch.setattr(kakeya, "line_flats", last_line_leaves_the_set)
+    assert not heisenberg_example(field).containment_ok
 
 
 def heisenberg_lines_oracle(field):

@@ -25,7 +25,7 @@ DEFINITIONS = (*FUNCTIONS, ast.ClassDef)
 # Public definitions kept although no command reaches them, with the reason.
 # Each one is also followed as a root, so what it uses is kept with it.
 # (surfaces also keeps an unused import of fourier_inverse for the benchmark's
-# tracer; imports are not definitions, so it has no entry here.)
+# tracer; imports are not definitions, so test_imports.py allows it instead.)
 ALLOWED_UNREACHED = {
     "kakeya.incidence_chain_counts": "the benchmark tracer wraps it by name until phase spans land",
     "kakeya.slope_projections": "the benchmark tracer wraps it by name until phase spans land",

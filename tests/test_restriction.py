@@ -333,6 +333,61 @@ def test_subspace_witness(f5, f7):
         find_affine_line(paraboloid(f7, 3))
 
 
+def affine_line_scan(surface):
+    """The first contained line {a + tb} of the scan in scalar arithmetic: base
+    points in surface order, then directions with first nonzero coordinate 1
+    in flat order; None when there is none."""
+    fld, n, q = surface.field, surface.n, surface.field.order
+    on = {tuple(pt) for pt in surface.points.tolist()}
+    dirs = [[flat // q**j % q for j in range(n)] for flat in range(1, q**n)]
+    reps = [b for b in dirs if next(c for c in b if c) == 1]
+    for a in surface.points.tolist():
+        for b in reps:
+            line = (tuple(fld.add(x, fld.mul(t, y)) for x, y in zip(a, b)) for t in range(q))
+            if all(pt in on for pt in line):
+                return a, b
+    return None
+
+
+@pytest.mark.parametrize(
+    "p,k,n,kind",
+    [
+        (5, 1, 3, "paraboloid"), (13, 1, 3, "paraboloid"), (17, 1, 3, "paraboloid"),
+        (3, 2, 3, "paraboloid"), (5, 1, 4, "paraboloid"),
+        (7, 1, 3, "paraboloid"), (13, 1, 3, "cone"),  # no line
+        (7, 1, 3, "paraboloid+line"),  # the line's only paraboloid point is 9th in order
+    ],
+)
+def test_find_affine_line_against_scan(p, k, n, kind, monkeypatch):
+    field = make_field(p, k)
+    if kind == "paraboloid+line":  # the F_7 paraboloid with the line (1, 1, t) added
+        pts = surfaces.paraboloid(field, n).points
+        extra = [[1, 1, t] for t in range(p) if t != 2]  # (1, 1, 2) is on the paraboloid
+        surface = surfaces.SurfaceMeasure(
+            field, n, np.vstack([pts, extra]), surfaces.SurfaceKind.CUSTOM
+        )
+    else:
+        surface = surfaces.build_surface(kind, field, n)
+    want = affine_line_scan(surface)
+    if want is None:
+        with pytest.raises(SubspaceNotFoundError):
+            find_affine_line(surface)
+        monkeypatch.setattr(kakeya, "LINE_TABLE_ENTRIES", 5 * surface.field.order + 2)
+        with pytest.raises(SubspaceNotFoundError):
+            find_affine_line(surface)  # blocks of 5 directions
+        return
+    a, b = find_affine_line(surface)
+    assert a.dtype == b.dtype == np.int64
+    assert (a.tolist(), b.tolist()) == want
+    # the subspace witness is the indicator of that line on the surface
+    cert = rstar_lower_witness(surface, 2, 4, "subspace")
+    vals = np.frombuffer(cert.witness, dtype="<c16")
+    on_line = {tuple(row) for row in grid.affine_line(surface.field, a, b).tolist()}
+    assert vals.tolist() == [complex(tuple(pt) in on_line) for pt in surface.points.tolist()]
+    monkeypatch.setattr(kakeya, "LINE_TABLE_ENTRIES", 5 * surface.field.order + 2)
+    assert [x.tolist() for x in find_affine_line(surface)] == list(want)  # blocks of 5
+
+
 def test_dual_cone_witness_frozen(f7):
     cert = rstar_lower_witness(cone(f7), 2, 4, "dual_cone_X")
     assert cert.value == pytest.approx(0.8367291862806082, abs=1e-12)

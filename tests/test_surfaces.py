@@ -16,7 +16,6 @@ from fflab.errors import (
     DegenerateKernelError,
     UnsupportedDimensionError,
     WrongSideError,
-    WrongSurfaceKindError,
 )
 from fflab.field import Field, make_field
 from fflab.grid import Grid, Side, fourier_forward, index_point, lp_norm, point_index
@@ -220,7 +219,7 @@ def test_restriction_two_paths_agree(f5):
 
 def test_restriction_requires_frequency_side(f5):
     surface = paraboloid(f5, 2)
-    with pytest.raises(WrongSurfaceKindError):
+    with pytest.raises(WrongSideError):
         restriction(Grid.constant(f5, 2, 1.0, Side.SPACE), surface)
 
 
@@ -384,6 +383,9 @@ def test_triple_budget_refuses_before_pair_table(monkeypatch, f5):
     surface = paraboloid(f5, 3)
     work = 25**2 + 25 * 5**3  # |S|^2 pair sums + |S| |F|^n shifted reads
     assert surface_sum_table(surface, 3, budget=work).sum() == 25**3
+    assert surface_sum_table(surface, 2, budget=25**2).sum() == 25**2
+    with pytest.raises(BudgetExceededError, match=r"\|S\|\^2 = 625 exceeds the budget 624"):
+        surface_sum_table(surface, 2, budget=25**2 - 1)
 
     def refuse(*args, **kwargs):
         raise AssertionError("the budget must refuse before the pair table is built")
