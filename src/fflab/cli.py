@@ -34,7 +34,7 @@ from .certificates import (
     exponent_str,
     parse_exponent,
 )
-from .errors import FFLabError
+from .errors import DEFAULT_BUDGET, FFLabError
 from .field import Field, is_prime, make_field
 from .grid import Grid, Side, fourier_forward, fourier_inverse, lp_norm, parseval_defect
 from .reports import CheckResult, ExperimentReport, cache_gc, results_dir, store_report
@@ -88,7 +88,9 @@ def build_surface_arg(name: str, field: Field, n: int) -> sf.SurfaceMeasure:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="RNG seed (always recorded)")
-    parser.add_argument("--budget", type=int, default=10**9, help="work cap for counting loops")
+    parser.add_argument(
+        "--budget", type=int, default=DEFAULT_BUDGET, help="work cap for counting loops"
+    )
     parser.add_argument("--out", type=Path, default=None, help="also write the output here")
     parser.add_argument(
         "--format", choices=("text", "json", "csv"), default="text", dest="fmt",
@@ -199,7 +201,7 @@ def cmd_restriction_witness(args) -> tuple[int, str]:
     surface = build_surface_arg(args.surface, field, args.dim)
     p = parse_exponent(args.p)
     q = parse_exponent(args.q)
-    cert = rl.rstar_lower_witness(surface, p, q, args.witness)
+    cert = rl.rstar_lower_witness(surface, p, q, args.witness, budget=args.budget)
     checks = [CheckResult("witness_recheck", rl.verify_lower(cert), None)]
     return _report(
         args, t0, checks,
@@ -344,7 +346,7 @@ def _wolff_family(args, field: Field) -> tuple[np.ndarray, np.ndarray]:
     """(x0, v) arrays of the chosen line family in F^3."""
     q = field.order
     if args.family == "heisenberg":
-        rep = kk.heisenberg_example(field)
+        rep = kk.heisenberg_example(field, budget=args.budget)
         return rep.x0, rep.v
     if args.family == "distinct-directions":
         v = field.grid_coords(2)
@@ -376,7 +378,7 @@ def cmd_kakeya_wolff(args) -> tuple[int, str]:
 def cmd_kakeya_heisenberg(args) -> tuple[int, str]:
     t0 = time.perf_counter()
     field = make_field(*parse_field_token(args.field))
-    rep = kk.heisenberg_example(field)
+    rep = kk.heisenberg_example(field, budget=args.budget)
     # Im is F_p-linear from F_{p^2} onto p values, so p z3 fit each (z1, z2): |P| = p^5
     checks = [
         CheckResult("all_lines_contained", rep.containment_ok, None),

@@ -5,6 +5,9 @@ named subclass so callers can tell a bad configuration from a failed check.
 Every --budget refusal goes through require_budget, in one message form.
 """
 
+# Work cap of every budgeted enumeration, and the default of the CLI's --budget.
+DEFAULT_BUDGET = 10**9
+
 
 class FFLabError(Exception):
     """Base class for library-specific failures."""

@@ -49,6 +49,9 @@ DENSE_MAX_ORDER = 128
 # Cap on a kernel's side: the two complex128 kernels take 32 size^2 bytes,
 # 512 MiB at this cap.  Only prime fields can reach it.
 DFT_MAX_ORDER = 4096
+# Entries per block of a blocked scan (512 KiB of int64), so that a block's
+# index table, its gather and its accumulator stay in cache.
+BLOCK_ENTRIES = 2**16
 
 
 class Side(enum.IntEnum):
@@ -84,6 +87,35 @@ def affine_line(field: Field, a, b) -> np.ndarray:
     """(|F|, n) coordinate rows of the points a + t b, in the order t = 0, 1, ..."""
     ts = np.arange(field.order, dtype=np.int64)[:, None]
     return field.add_arrays(a, field.mul_arrays(ts, b))
+
+
+def blocks(count: int, width: int, entries: int | None = None, floor: int = 0):
+    """Consecutive slices covering range(count) once and in order, each of
+    about entries // width rows of width entries, and at least one row.
+
+    entries defaults to BLOCK_ENTRIES, read at call time; floor raises it for a
+    scan whose every block also costs that many entries, whatever its rows.
+    """
+    step = max(1, max(BLOCK_ENTRIES if entries is None else entries, floor) // max(width, 1))
+    for start in range(0, count, step):
+        yield slice(start, min(start + step, count))
+
+
+def translate_flats(field: Field, c) -> np.ndarray:
+    """(..., |F|^d) flat indices over F^d of c + x for every x in F^d, in flat
+    order of x, for a (..., d) array c.
+
+    An outer sum of one shifted axis per coordinate, so field addition runs
+    on only |F| entries per coordinate and row of c.
+    """
+    c = np.asarray(c, dtype=np.int64)
+    q, d, lead = field.order, c.shape[-1], c.shape[:-1]
+    axis = np.arange(q, dtype=np.int64)
+    out = np.zeros((*lead, 1), dtype=np.int64)
+    for j in range(d):  # coordinate j on the slower axis, so the long axis stays inner
+        row = field.add_arrays(c[..., j, None], axis) * q**j
+        out = (row[..., :, None] + out[..., None, :]).reshape(*lead, q ** (j + 1))
+    return out
 
 
 @dataclass(frozen=True)
@@ -148,8 +180,8 @@ def _transform_matrices(field: Field) -> TransformKernel:
     Dense |F| x |F| for prime fields and for |F| <= DENSE_MAX_ORDER, else the
     p x p kernel with the trace-form permutation (see the module docstring).
     Refuses a kernel side above DFT_MAX_ORDER before any field arithmetic.
-    Dense kernels are filled a block of rows at a time (about 2^16 products
-    each), so no q x q index table is held.
+    Kernels are filled one block of rows at a time, so no q x q index table
+    is held.
     """
     cached = getattr(field, "_dft_mats", None)
     if cached is not None:
@@ -174,12 +206,11 @@ def _transform_matrices(field: Field) -> TransformKernel:
     conj_character = np.conj(character)
     minus = np.empty((size, size), dtype=np.complex128)
     plus = np.empty((size, size), dtype=np.complex128)  # plus[x, xi] = e(x.xi)
-    step = max(1, (1 << 16) // size)
-    for start in range(0, size, step):
-        block = a[start : start + step, None]
+    for rows in blocks(size, size):
+        block = a[rows, None]
         prod = field.mul_arrays(block, a[None, :]) if dense else block * a[None, :] % p
-        plus[start : start + step] = character[prod]
-        minus[start : start + step] = conj_character[prod]
+        plus[rows] = character[prod]
+        minus[rows] = conj_character[prod]
     kernel = TransformKernel(minus, plus, size, 1 if dense else field.k, perm)
     field._dft_mats = kernel
     return kernel

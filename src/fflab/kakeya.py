@@ -27,6 +27,7 @@ import numpy as np
 
 from .certificates import NormCertificate, as_float, holder_dual, parse_exponent, recheck_agrees
 from .errors import (
+    DEFAULT_BUDGET,
     ConstraintViolatedError,
     DegenerateHeightsError,
     ImproperSlopeError,
@@ -41,11 +42,13 @@ from .grid import (
     Grid,
     Side,
     affine_line,
+    blocks,
     flat_points,
     grid_from_bytes,
     grid_to_bytes,
     lp_norm,
     mean_lp_norm,
+    translate_flats,
 )
 
 # -- lines ---------------------------------------------------------------------------
@@ -67,38 +70,6 @@ def _require_distinct(x0, v) -> None:
     rows = np.concatenate([np.asarray(x0), np.asarray(v)], axis=1)
     if len(np.unique(rows, axis=0)) != len(rows):
         raise ValueError("lines must be distinct")
-
-
-# -- line tables ---------------------------------------------------------------------
-
-# Index entries in one direction chunk of a line table (512 KiB of int64), so
-# the table, its gather and the accumulator stay in cache.
-LINE_TABLE_ENTRIES = 1 << 16
-
-
-def _direction_chunks(m: int, width: int):
-    """Consecutive slices of m directions (or lines) of width entries each,
-    each slice small enough for one table."""
-    step = max(1, LINE_TABLE_ENTRIES // width)
-    for start in range(0, m, step):
-        yield slice(start, min(start + step, m))
-
-
-def _line_table(field: Field, n: int, vfs: slice, t: int) -> np.ndarray:
-    """(directions, |F|^{n-1}) flat indices over F^{n-1} of x0 + vt.
-
-    Rows follow the direction flats in vfs, columns every base point x0 in
-    flat order.  The table is an outer sum of per-axis shift rows, so it
-    needs field addition only on |F| entries per axis and direction.
-    """
-    q = field.order
-    vt = field.mul_arrays(field.grid_coords(n - 1)[vfs], np.int64(t))
-    axis = np.arange(q, dtype=np.int64)
-    table = np.zeros((len(vt), 1), dtype=np.int64)
-    for j in reversed(range(n - 1)):  # coordinate 0 varies fastest
-        row = field.add_arrays(vt[:, j, None], axis) * q**j
-        table = (table[:, :, None] + row[:, None, :]).reshape(len(vt), -1)
-    return table
 
 
 # -- Besicovitch ---------------------------------------------------------------------
@@ -149,11 +120,13 @@ def verify_besicovitch(field: Field, n: int, flat: np.ndarray):
     member = np.zeros(q**n, dtype=bool)
     member[np.asarray(flat, dtype=np.int64)] = True
     slices = member.reshape(m, q, order="F")  # [base-space flat, height]
+    v = field.grid_coords(n - 1)
     assignment = np.full(m, -1, dtype=np.int64)
-    for vfs in _direction_chunks(m, m):
+    for vfs in blocks(m, m):
         ok = np.ones((vfs.stop - vfs.start, m), dtype=bool)
-        for t in range(q):
-            ok &= slices[:, t].take(_line_table(field, n, vfs, t))
+        for t in range(q):  # row v, column x0: the flat of x0 + vt over F^{n-1}
+            vt = field.mul_arrays(v[vfs], np.int64(t))
+            ok &= slices[:, t].take(translate_flats(field, vt))
         assignment[vfs] = np.where(ok.any(axis=1), ok.argmax(axis=1), -1)
     missing = np.flatnonzero(assignment < 0).tolist()
     return (not missing, missing, assignment)
@@ -162,7 +135,9 @@ def verify_besicovitch(field: Field, n: int, flat: np.ndarray):
 # -- maximal function ----------------------------------------------------------------
 
 
-def kakeya_maximal(f: Grid, include_horizontal: bool = False, budget: int = 10**9) -> np.ndarray:
+def kakeya_maximal(
+    f: Grid, include_horizontal: bool = False, budget: int = DEFAULT_BUDGET
+) -> np.ndarray:
     """f*(v) = max_{x0} sum_{t} |f(x0 + vt, t)| over all directions.
 
     Returns one value per direction flat.  include_horizontal (2-D only)
@@ -178,11 +153,13 @@ def kakeya_maximal(f: Grid, include_horizontal: bool = False, budget: int = 10**
         raise UnsupportedDimensionError("horizontal rows are a 2-D exploration only")
     m = q ** (n - 1)
     absf = np.abs(f.values).reshape(m, q, order="F")
+    v = f.field.grid_coords(n - 1)
     out = np.empty(m + (1 if include_horizontal else 0), dtype=np.float64)
-    for vfs in _direction_chunks(m, m):
+    for vfs in blocks(m, m):
         acc = np.zeros((vfs.stop - vfs.start, m), dtype=np.float64)
-        for t in range(q):
-            acc += absf[:, t].take(_line_table(f.field, n, vfs, t))
+        for t in range(q):  # row v, column x0: the flat of x0 + vt over F^{n-1}
+            vt = f.field.mul_arrays(v[vfs], np.int64(t))
+            acc += absf[:, t].take(translate_flats(f.field, vt))
         out[vfs] = acc.max(axis=1)
     if include_horizontal:
         out[m] = absf.sum(axis=0).max()
@@ -196,8 +173,7 @@ def kakeya_maximal_direct(f: Grid) -> np.ndarray:
     indices of (x0 + vt, t) straight from the coordinate table with
     field.mul_arrays and field.add_arrays, then sums each column over t and
     takes the largest.  Deliberately shares no code with kakeya_maximal: no
-    line tables, no direction chunks; certificates are re-evaluated through
-    this path.
+    line tables, no blocks; certificates are re-evaluated through this path.
     """
     field = f.field
     q = field.order
@@ -249,7 +225,7 @@ def kakeya_norm_certificates(
     witnesses: Iterable[str] = ("point", "line", "full_space"),
     seed: int = 0,
     count: int = 8,
-    budget: int = 10**9,
+    budget: int = DEFAULT_BUDGET,
 ) -> list[NormCertificate]:
     """Lower certificates for K(p -> q) from named test functions.
 
@@ -388,7 +364,9 @@ class IncidenceReport:
     satisfied: bool
 
 
-def incidence_count(field: Field, points: np.ndarray, a, b, budget: int = 10**9) -> IncidenceReport:
+def incidence_count(
+    field: Field, points: np.ndarray, a, b, budget: int = DEFAULT_BUDGET
+) -> IncidenceReport:
     """Exact |{(p, l) : p in l}| over the lines {a + tb : t in F}, one per row of
     the (L, n) arrays a and b, with the square-root incidence bound.  budget caps
     the L |F| line points, gathered in blocks against a membership array over F^n.
@@ -405,7 +383,7 @@ def incidence_count(field: Field, points: np.ndarray, a, b, budget: int = 10**9)
     member = np.zeros(q ** a.shape[1], dtype=bool)
     member[flat_points(field, pts)] = True
     count, keys = 0, np.empty((nl, 2), dtype=np.int64)
-    for rows in _direction_chunks(nl, q):
+    for rows in blocks(nl, q):
         flats = flat_points(field, affine_line(field, a[rows, None, :], b[rows, None, :]))
         count += int(np.count_nonzero(member[flats]))
         keys[rows] = np.partition(flats, 1, axis=1)[:, :2]
@@ -535,7 +513,7 @@ class PlaneSpreadReport:
 
 
 def wolff_axiom_check(
-    field: Field, x0, v, mode: str = "pairs", budget: int = 10**9
+    field: Field, x0, v, mode: str = "pairs", budget: int = DEFAULT_BUDGET
 ) -> PlaneSpreadReport:
     """Largest number of family lines lying in a single 2-plane of F^3.
 
@@ -609,7 +587,7 @@ class QuadExtensionReport:
     line_ratio: float  # |L| / |F|^2
 
 
-def heisenberg_example(field: Field) -> QuadExtensionReport:
+def heisenberg_example(field: Field, budget: int = DEFAULT_BUDGET) -> QuadExtensionReport:
     """The norm-form point set P = {Im(z1 conj(z2)) = Im(z3)} in F^3 with its
     contained line family.
 
@@ -619,12 +597,14 @@ def heisenberg_example(field: Field) -> QuadExtensionReport:
     must be exactly 1 and a norm-quadratic term that must vanish.  The family
     repeats directions, which is the point of the construction.  Lines come
     ordered by x0, then v, each in flat order over F^2.  Membership over F^3
-    is read off the Im table over F^2; the line search and the containment
-    test run in blocks of about LINE_TABLE_ENTRIES entries.
+    is read off the Im table over F^2 into one |F|^3 array, which budget caps
+    before any table is built; the line search and the containment test run
+    in blocks.
     """
     if field.k != 2:
         raise NotQuadraticExtensionError("the construction needs a quadratic extension")
     q = field.order
+    require_budget(q**3, budget, "membership array |F|^3")
     pairs = field.grid_coords(2)
     im = field.im_arrays(field.mul_arrays(pairs[:, 0], field.frobenius_arrays(pairs[:, 1])))
     # [z3, (z1, z2)] in C order is the flat index over F^3
@@ -632,7 +612,7 @@ def heisenberg_example(field: Field) -> QuadExtensionReport:
     zero_im = pairs[im == 0]
     conj = field.frobenius_arrays(zero_im)
     hits = []
-    for xs in _direction_chunks(len(zero_im), len(zero_im)):
+    for xs in blocks(len(zero_im), len(zero_im)):
         # [x, v] over a block of zero_im x zero_im: v1 conj(x2) - v2 conj(x1) = 1
         hit = field.sub_arrays(
             field.mul_arrays(zero_im[None, :, 0], conj[xs, None, 1]),
@@ -644,7 +624,7 @@ def heisenberg_example(field: Field) -> QuadExtensionReport:
     x0, v = zero_im[xi], zero_im[vi]
     contained = all(
         member[line_flats(field, x0[rows], v[rows])].all()
-        for rows in _direction_chunks(len(x0), q)
+        for rows in blocks(len(x0), q)
     )
 
     _, first, repeats = np.unique(v, axis=0, return_index=True, return_counts=True)

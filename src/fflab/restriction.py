@@ -34,6 +34,7 @@ from .certificates import (
     recheck_agrees,
 )
 from .errors import (
+    DEFAULT_BUDGET,
     MinusOneIsSquareError,
     NoClosedFormError,
     NotAMajorantError,
@@ -41,13 +42,15 @@ from .errors import (
     SupportViolationError,
     UnknownWitnessError,
     WrongSurfaceKindError,
+    require_budget,
 )
 from .field import Field, make_field
-from .kakeya import IncidenceReport, _direction_chunks, incidence_count
+from .kakeya import IncidenceReport, incidence_count
 from .grid import (
     Grid,
     Side,
     affine_line,
+    blocks,
     convolve,
     flat_points,
     fourier_forward,
@@ -158,7 +161,9 @@ def rstar_exact_closed(surface: SurfaceMeasure, p, q) -> NormCertificate:
     raise NoClosedFormError(f"no closed form at ({exponent_str(p)}, {exponent_str(q)})")
 
 
-def rstar_upper_even(surface: SurfaceMeasure, k: int, budget: int = 10**9) -> NormCertificate:
+def rstar_upper_even(
+    surface: SurfaceMeasure, k: int, budget: int = DEFAULT_BUDGET
+) -> NormCertificate:
     """Certified upper bound R*(2 -> 2k) <= A^{1/2k} |F|^{n/2k} |S|^{-1/2}.
 
     A is the exact maximum number of ordered k-tuples of surface points with
@@ -362,22 +367,22 @@ def rstar_lower_power(
         raise ValueError("need at least one restart")
     _transform_plan(surface)  # lazy caches and budget refusals, before any worker
     g0 = _starts(surface.size, restarts, seed)
-    width = max(1, POWER_BLOCK_ENTRIES // surface.field.order**surface.n)
-    blocks = [g0[lo : lo + width] for lo in range(0, restarts, width)]
+    width = surface.field.order**surface.n
+    stacks = [g0[rows] for rows in blocks(restarts, width, entries=POWER_BLOCK_ENTRIES)]
 
     def ascend(block):
         return _power_ascent(surface, p, q, block, max_iters, tol)
 
-    workers = min(_cpu_count(), len(blocks))
+    workers = min(_cpu_count(), len(stacks))
     if workers == 1:
-        parts = [ascend(block) for block in blocks]
+        parts = [ascend(block) for block in stacks]
     else:
         # imported here: concurrent.futures (and the logging it loads) would
         # add about 7 ms to every fflab import, most of which never ascend
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(ascend, blocks))
+            parts = list(pool.map(ascend, stacks))
     gs, vals, iters, convs = (np.concatenate(col) for col in zip(*parts))
     idx = 0
     for i in range(1, restarts):
@@ -407,39 +412,51 @@ def rstar_lower_power(
 # -- explicit witnesses --------------------------------------------------------------
 
 
-def find_affine_line(surface: SurfaceMeasure):
+def find_affine_line(surface: SurfaceMeasure, budget: int = DEFAULT_BUDGET):
     """Search the surface for a fully contained affine line {a + tb}.
 
     Base points run over the surface, directions over projective
     representatives (first nonzero coordinate scaled to 1) in flat order;
-    each base point tests its directions against a membership array over F^n,
-    one gather per block of about 2^16 line points.  Returns (a, b) as
-    coordinate arrays; raises SubspaceNotFound when no line exists.
+    each base point tests a block of directions at a time against a
+    membership array over F^n, gathering whole lines only for the directions
+    b with a + b on the surface.  budget caps the |F|^n membership array
+    before it is allocated, and the |F| line points of every direction tried
+    so far before each block: a line is often found early, so the whole scan
+    is not refused up front.  Returns (a, b) as coordinate arrays; raises
+    SubspaceNotFound when no line exists.
     """
-    if surface.size > 10**4:
-        raise SubspaceNotFoundError("surface too large for line search (> 10000)")
-    fld = surface.field
-    member = np.zeros(fld.order**surface.n, dtype=bool)
+    fld, n = surface.field, surface.n
+    q = fld.order
+    require_budget(q**n, budget, "membership array |F|^n")
+    member = np.zeros(q**n, dtype=bool)
     member[surface.flat] = True
-    dirs = fld.grid_coords(surface.n)[1:]
-    lead = dirs[np.arange(len(dirs)), (dirs != 0).argmax(axis=1)]  # first nonzero coordinate
-    reps = dirs[lead == 1]
+    # first nonzero coordinate j scaled to 1: flats q^j + q^{j+1} r, r < q^{n-1-j}
+    flats = np.sort(np.concatenate([
+        q**j + q ** (j + 1) * np.arange(q ** (n - 1 - j), dtype=np.int64) for j in range(n)
+    ]))
+    reps = flats[:, None] // q ** np.arange(n, dtype=np.int64) % q
+    tried = 0
     for a in surface.points:
-        for rows in _direction_chunks(len(reps), fld.order):
+        for rows in blocks(len(reps), q):
+            tried += rows.stop - rows.start
+            require_budget(tried * q, budget, "line points of the directions tried")
             b = reps[rows]
+            b = b[member[flat_points(fld, fld.add_arrays(a, b))]]  # a + b on the surface
             inside = member[flat_points(fld, affine_line(fld, a, b[:, None, :]))].all(axis=1)
             if inside.any():
                 return a.copy(), b[inside.argmax()]
     raise SubspaceNotFoundError("no affine line inside the surface")
 
 
-def rstar_lower_witness(surface: SurfaceMeasure, p, q, name: str) -> NormCertificate:
+def rstar_lower_witness(
+    surface: SurfaceMeasure, p, q, name: str, budget: int = DEFAULT_BUDGET
+) -> NormCertificate:
     """Lower bound from a named explicit witness.
 
     dirac and constant test the extension directly; subspace uses the
-    indicator of an affine line inside the surface; dual_cone_X tests the
-    dual form with the half-dimension set X whose transform is large on the
-    cone.
+    indicator of an affine line inside the surface, whose search budget caps;
+    dual_cone_X tests the dual form with the half-dimension set X whose
+    transform is large on the cone.
     """
     p = parse_exponent(p)
     q = parse_exponent(q)
@@ -470,7 +487,7 @@ def rstar_lower_witness(surface: SurfaceMeasure, p, q, name: str) -> NormCertifi
         g = SurfaceFunction.constant(surface)
         extra = {}
     elif name == "subspace":
-        a, b = find_affine_line(surface)
+        a, b = find_affine_line(surface, budget)
         g = SurfaceFunction(surface, np.isin(surface.flat, flat_points(fld, affine_line(fld, a, b))))
         extra = {"line_base": [int(x) for x in a], "line_dir": [int(x) for x in b]}
     else:
@@ -576,7 +593,7 @@ def _exp_ge(a: Exponent, b: Exponent) -> bool:
 
 
 def selfdot_incidence_count(
-    field: Field, points: np.ndarray, budget: int = 10**9
+    field: Field, points: np.ndarray, budget: int = DEFAULT_BUDGET
 ) -> IncidenceReport:
     """Count pairs (xi, eta) in P x P with xi.eta = xi.xi, P in F^2.
 

@@ -24,6 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import (
+    DEFAULT_BUDGET,
     CharacteristicTooSmallError,
     DegenerateKernelError,
     UnsupportedDimensionError,
@@ -37,17 +38,13 @@ from .grid import (  # noqa: F401
     Grid,
     Side,
     _transform_matrices,
+    blocks,
     flat_points,
     fourier_inverse,
     mean_lp_norm,
     transform_axes,
+    translate_flats,
 )
-
-DEFAULT_TUPLE_BUDGET = 10**9
-# Entries handled at once by the tuple-count tables: pair sums binned per chunk
-# of the pair table (at least |F|^n, the size of each chunk's bincount), index
-# entries gathered per chunk of the shifted table (k = 3 counting).
-TABLE_CHUNK_ENTRIES = 2**16
 
 
 class SurfaceKind(str, enum.Enum):
@@ -391,18 +388,15 @@ def gauss_sum(field: Field, x):
     """S(x) = sum_t e(x t^2), for an int x or elementwise over an int array x.
 
     S(0) = |F| and |S(x)|^2 = |F| for x != 0.  Every S(x) is summed directly
-    over t: t^2 is formed once and the x are taken a block at a time, about
-    2^16 products per block.
+    over t: t^2 is formed once and the x are taken a block at a time.
     """
     t = np.arange(field.order, dtype=np.int64)
     sq = field.mul_arrays(t, t)[None, :]
     xs = np.asarray(x, dtype=np.int64)
     flat = xs.reshape(-1)
     out = np.empty(len(flat), dtype=np.complex128)
-    step = max(1, (1 << 16) // field.order)
-    for start in range(0, len(flat), step):
-        block = flat[start : start + step, None]
-        out[start : start + step] = field.character[field.mul_arrays(block, sq)].sum(axis=1)
+    for rows in blocks(len(flat), field.order):
+        out[rows] = field.character[field.mul_arrays(flat[rows, None], sq)].sum(axis=1)
     return complex(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
 
@@ -452,11 +446,12 @@ def paraboloid_kernel_formula_check(field: Field, n: int) -> float:
 # -- solution counting --------------------------------------------------------------
 
 
-def surface_sum_table(surface: SurfaceMeasure, k: int, budget: int = DEFAULT_TUPLE_BUDGET) -> np.ndarray:
+def surface_sum_table(surface: SurfaceMeasure, k: int, budget: int = DEFAULT_BUDGET) -> np.ndarray:
     """Dense table of ordered k-tuple sums: table[flat(eta)] = #{tuples summing to eta}.
 
     k = 2 bins all |S|^2 pair sums.  k = 3 adds one shifted copy of that table
-    per surface point, table_3(eta) = sum_{s in S} table_2(eta - s).  Counts
+    per surface point, table_3(eta) = sum_{s in S} table_2(eta - s), read
+    through the flats of -s + eta for a block of points s at a time.  Counts
     stay exact int64.  The budget bounds that work, |S|^2 for k = 2 and
     |S|^2 + |S| |F|^n for k = 3, and is checked before any table is built.
     """
@@ -467,14 +462,18 @@ def surface_sum_table(surface: SurfaceMeasure, k: int, budget: int = DEFAULT_TUP
         require_budget(m * m, budget, "|S|^2")
         return _pair_table(surface)
     require_budget(m * m + m * surface.field.order**surface.n, budget, "|S|^2 + |S| |F|^n")
-    return _shifted_sum(surface, _pair_table(surface))
+    pairs, minus = _pair_table(surface), surface.field.neg_arrays(surface.points)
+    table = np.zeros_like(pairs)
+    for rows in blocks(m, len(table)):
+        table += pairs[translate_flats(surface.field, minus[rows])].sum(axis=0)
+    return table
 
 
 def _pair_table(surface: SurfaceMeasure) -> np.ndarray:
-    """table_2 from all ordered pair sums, chunked over the first point.
+    """table_2 from all ordered pair sums, in blocks of first points.
 
-    A chunk holds about max(TABLE_CHUNK_ENTRIES, |F|^n) pair sums, so its
-    temporaries stay near the size of the table itself.
+    Every block also bins into a table of |F|^n entries, so a block holds at
+    least that many pair sums and its temporaries stay near the table's size.
     """
     fld = surface.field
     q = fld.order
@@ -483,50 +482,14 @@ def _pair_table(surface: SurfaceMeasure) -> np.ndarray:
     pts = surface.points
     pw = q ** np.arange(n, dtype=np.int64)
     table = np.zeros(q**n, dtype=np.int64)
-    chunk = max(1, max(TABLE_CHUNK_ENTRIES, q**n) // max(m, 1))
-    for lo in range(0, m, chunk):
-        hi = min(m, lo + chunk)
-        cols = [
-            fld.add_arrays(pts[lo:hi, None, j], pts[None, :, j]) for j in range(n)
-        ]
+    for rows in blocks(m, m, floor=q**n):
+        cols = [fld.add_arrays(pts[rows, None, j], pts[None, :, j]) for j in range(n)]
         flat = sum(cols[j] * pw[j] for j in range(n)).reshape(-1)
         table += np.bincount(flat, minlength=q**n)
     return table
 
 
-def _shifted_sum(surface: SurfaceMeasure, table: np.ndarray) -> np.ndarray:
-    """sum_{s in S} table(eta - s) for every eta, in exact int64.
-
-    Row s of ``shift[j]`` holds the flat-index contribution of coordinate j of
-    eta - s for each value of eta_j (field subtraction, so F_{p^2} works); the
-    outer sum of the n rows indexes the shifted table.
-    """
-    fld = surface.field
-    q = fld.order
-    n = surface.n
-    m = surface.size
-    total = q**n
-    values = np.arange(q, dtype=np.int64)
-    shift = [
-        fld.sub_arrays(values[None, :], surface.points[:, j, None]) * q**j for j in range(n)
-    ]
-    out = np.zeros(total, dtype=np.int64)
-    chunk = max(1, TABLE_CHUNK_ENTRIES // total)
-    for lo in range(0, m, chunk):
-        hi = min(m, lo + chunk)
-        # coordinate j on axis n - j, so the C-order flattening is sum_j eta_j q^j
-        idx = np.zeros((hi - lo,) + (1,) * n, dtype=np.int64)
-        for j in range(n):
-            shape = [hi - lo] + [1] * n
-            shape[n - j] = q
-            idx = idx + shift[j][lo:hi].reshape(shape)
-        out += table[idx.reshape(hi - lo, total)].sum(axis=0)
-    return out
-
-
-def surface_sum_max(
-    surface, k, exclude_zero: bool = False, budget: int = DEFAULT_TUPLE_BUDGET
-) -> int:
+def surface_sum_max(surface, k, exclude_zero: bool = False, budget: int = DEFAULT_BUDGET) -> int:
     """Largest ordered k-tuple sum count over eta (optionally over eta != 0)."""
     table = surface_sum_table(surface, k, budget)
     if exclude_zero:

@@ -83,6 +83,45 @@ def test_affine_line_matches_coordinate_stack(p, k):
                           affine_line_stack(field, (2, 0), (1, 1)))
 
 
+@pytest.mark.parametrize(
+    "count,width,entries,floor,sizes",
+    [
+        (0, 5, None, 0, []),  # nothing to cover
+        (10, 0, 4, 0, [4, 4, 2]),  # width 0, as for an empty surface
+        (3, 2**16 + 1, None, 0, [1, 1, 1]),  # a row wider than the entries: one row per block
+        (10, 3, 10, 0, [3, 3, 3, 1]),  # a short last block
+        (10, 3, 4, 12, [4, 4, 2]),  # the floor raises the entries
+        (10, 3, 14, 12, [4, 4, 2]),  # and leaves larger entries alone
+    ],
+)
+def test_blocks_cover_the_range_once_in_order(count, width, entries, floor, sizes):
+    got = list(grid_module.blocks(count, width, entries, floor))
+    assert [s.stop - s.start for s in got] == sizes
+    assert [i for s in got for i in range(count)[s]] == list(range(count))
+
+
+def test_blocks_read_the_block_entries_at_call_time(monkeypatch):
+    assert [s.stop - s.start for s in grid_module.blocks(10, 2**13)] == [8, 2]
+    monkeypatch.setattr(grid_module, "BLOCK_ENTRIES", 12)
+    assert [s.stop - s.start for s in grid_module.blocks(10, 3)] == [4, 4, 2]
+
+
+# d = 1-3 over F_7, the add table of F_9, and F_{3^3}
+@pytest.mark.parametrize("p,k,d", [(7, 1, 1), (7, 1, 2), (7, 1, 3), (3, 2, 2), (3, 2, 3), (3, 3, 2)])
+def test_translate_flats_against_scalar_add(p, k, d):
+    field = make_field(p, k)
+    q = field.order
+    c = np.random.default_rng(10 * p + d).integers(q, size=(2, 3, d))  # two leading axes
+    got = grid_module.translate_flats(field, c)
+    assert got.dtype == np.int64 and got.shape == (2, 3, q**d)
+    for lead in np.ndindex(2, 3):
+        want = [
+            point_index(field, [field.add(int(ci), xi) for ci, xi in zip(c[lead], x)])
+            for x in (index_point(field, d, flat) for flat in range(q**d))
+        ]
+        assert got[lead].tolist() == want
+
+
 # F_{13^2} and F_{3^5} are above DENSE_MAX_ORDER and take the factored kernel
 @pytest.mark.parametrize("p,k,n", [(3, 1, 2), (5, 1, 1), (3, 2, 1), (13, 2, 1), (3, 5, 1)])
 def test_forward_matches_double_sum(p, k, n):

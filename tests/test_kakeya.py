@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fflab import kakeya
+from fflab import grid, kakeya
 from fflab.certificates import certificate_consistency
 from fflab.errors import (
     BudgetExceededError,
@@ -188,9 +188,9 @@ def test_uneven_direction_chunks(monkeypatch, f5, f7):
     flat = np.flatnonzero(rng.random(5**3) < 0.5)
     ok, missing, assignment = verify_besicovitch(f5, 3, flat)
     # 49 directions in chunks of 5, then 25 directions in chunks of 7
-    monkeypatch.setattr(kakeya, "LINE_TABLE_ENTRIES", 5 * 49)
+    monkeypatch.setattr(grid, "BLOCK_ENTRIES", 5 * 49)
     assert np.array_equal(kakeya_maximal(f), kakeya_maximal_direct(f))
-    monkeypatch.setattr(kakeya, "LINE_TABLE_ENTRIES", 7 * 25)
+    monkeypatch.setattr(grid, "BLOCK_ENTRIES", 7 * 25)
     chunked = verify_besicovitch(f5, 3, flat)
     assert chunked[:2] == (ok, missing)
     assert np.array_equal(chunked[2], assignment)
@@ -204,8 +204,8 @@ def test_recheck_independent_of_line_tables(monkeypatch, f7):
     def refuse(*args, **kwargs):
         raise AssertionError("the recheck must not build line tables")
 
-    monkeypatch.setattr(kakeya, "_line_table", refuse)
-    monkeypatch.setattr(kakeya, "_direction_chunks", refuse)
+    monkeypatch.setattr(kakeya, "translate_flats", refuse)
+    monkeypatch.setattr(kakeya, "blocks", refuse)
     with pytest.raises(AssertionError):
         kakeya_maximal(indicator_grid(f7, 3, [(0, 0, 0)]))
     assert all(verify_lower(c) for c in certs)
@@ -348,7 +348,7 @@ def test_incidence_count_bound(f7):
 
 @pytest.mark.parametrize("entries", [1 << 16, 7])  # one block, or one line per block
 def test_incidence_count_rejections(monkeypatch, f7, entries):
-    monkeypatch.setattr(kakeya, "LINE_TABLE_ENTRIES", entries)
+    monkeypatch.setattr(grid, "BLOCK_ENTRIES", entries)
     pts = f7.grid_coords(2)
     a, b = np.array([[1, 2], [0, 0]]), np.array([[3, 1], [1, 1]])
     assert incidence_count(f7, pts, a, b).count == 14
@@ -649,17 +649,36 @@ def test_heisenberg_peak_stays_blocked():
     assert peak < 16 * 2**20
 
 
+def test_heisenberg_budget_refuses_before_arithmetic(monkeypatch):
+    field = Field(3, 2)  # not the cached field, so the patches below stay local
+    assert heisenberg_example(field, budget=9**3).point_count == 3**5
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("field arithmetic ran before the refusal")
+
+    for name in ("add_arrays", "sub_arrays", "mul_arrays", "frobenius_arrays", "im_arrays"):
+        monkeypatch.setattr(field, name, refuse)
+    with pytest.raises(BudgetExceededError, match=r"\|F\|\^3 = 729 exceeds the budget 728"):
+        heisenberg_example(field, budget=9**3 - 1)
+    # the default budget admits F_{31^2} (887,503,681 entries), not F_{37^2}
+    big = Field(37, 2)
+    for name in ("mul_arrays", "frobenius_arrays", "im_arrays"):
+        monkeypatch.setattr(big, name, refuse)
+    with pytest.raises(BudgetExceededError, match="2565726409 exceeds the budget 1000000000"):
+        heisenberg_example(big)
+
+
 def test_heisenberg_blocks_match_one_block(monkeypatch):
     field = make_field(5, 2)
     whole = heisenberg_example(field)
-    monkeypatch.setattr(kakeya, "LINE_TABLE_ENTRIES", 7 * 25 + 3)  # uneven blocks
+    monkeypatch.setattr(grid, "BLOCK_ENTRIES", 7 * 25 + 3)  # uneven blocks
     blocked = heisenberg_example(field)
     assert np.array_equal(blocked.x0, whole.x0) and np.array_equal(blocked.v, whole.v)
     for name in ("point_count", "line_count", "containment_ok", "duplicate_direction"):
         assert getattr(blocked, name) == getattr(whole, name)
 
 
-@pytest.mark.parametrize("entries", [kakeya.LINE_TABLE_ENTRIES, 7 * 25 + 3])
+@pytest.mark.parametrize("entries", [grid.BLOCK_ENTRIES, 7 * 25 + 3])
 def test_heisenberg_containment_reads_every_line(entries, monkeypatch):
     field = make_field(5, 2)
     last = heisenberg_example(field)
@@ -672,7 +691,7 @@ def test_heisenberg_containment_reads_every_line(entries, monkeypatch):
         last_row = np.all(x0 == x_last, axis=1) & np.all(v == v_last, axis=1)
         return np.where(last_row[:, None], 25**2 * z3, flats)
 
-    monkeypatch.setattr(kakeya, "LINE_TABLE_ENTRIES", entries)
+    monkeypatch.setattr(grid, "BLOCK_ENTRIES", entries)
     monkeypatch.setattr(kakeya, "line_flats", last_line_leaves_the_set)
     assert not heisenberg_example(field).containment_ok
 

@@ -247,6 +247,23 @@ def test_cli_refusals_exit_before_arithmetic(capsys, monkeypatch):
     assert code == 2 and "budget" in err
 
 
+@pytest.mark.parametrize("argv,gate", [
+    ("kakeya heisenberg --field 3^2 --budget 728", "|F|^3 = 729"),
+    ("kakeya wolff-check --field 3^2 --family heisenberg --budget 728", "|F|^3 = 729"),
+    (
+        "restriction witness --field 7 --dim 3 --surface paraboloid --p 2 --q 4"
+        " --witness subspace --budget 342", "|F|^n = 343",
+    ),
+    (
+        "restriction witness --field 7 --dim 3 --surface paraboloid --p 2 --q 4"
+        " --witness subspace --budget 19550", "line points of the directions tried = 19551",
+    ),
+])
+def test_cli_membership_and_line_search_gates_exit_2(capsys, argv, gate):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 2 and out == "" and gate in err and "budget" in err
+
+
 def test_cli_parseval_runs_on_factored_fields(capsys):
     # |F| = 4489 is above the old dense-kernel cap; its kernel is 67 x 67
     code, out, _ = run_cli(

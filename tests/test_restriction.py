@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fflab import cli, grid, kakeya
+from fflab import cli, grid
 from fflab.certificates import (
     NormCertificate,
     as_float,
@@ -27,7 +27,7 @@ from fflab.errors import (
     UnknownWitnessError,
     WrongSurfaceKindError,
 )
-from fflab.field import make_field
+from fflab.field import Field, make_field
 from fflab.grid import Grid, Side, flat_points, fourier_forward, fourier_inverse
 from fflab.restriction import (
     ExponentRegion,
@@ -372,7 +372,7 @@ def test_find_affine_line_against_scan(p, k, n, kind, monkeypatch):
     if want is None:
         with pytest.raises(SubspaceNotFoundError):
             find_affine_line(surface)
-        monkeypatch.setattr(kakeya, "LINE_TABLE_ENTRIES", 5 * surface.field.order + 2)
+        monkeypatch.setattr(grid, "BLOCK_ENTRIES", 5 * surface.field.order + 2)
         with pytest.raises(SubspaceNotFoundError):
             find_affine_line(surface)  # blocks of 5 directions
         return
@@ -384,8 +384,38 @@ def test_find_affine_line_against_scan(p, k, n, kind, monkeypatch):
     vals = np.frombuffer(cert.witness, dtype="<c16")
     on_line = {tuple(row) for row in grid.affine_line(surface.field, a, b).tolist()}
     assert vals.tolist() == [complex(tuple(pt) in on_line) for pt in surface.points.tolist()]
-    monkeypatch.setattr(kakeya, "LINE_TABLE_ENTRIES", 5 * surface.field.order + 2)
+    monkeypatch.setattr(grid, "BLOCK_ENTRIES", 5 * surface.field.order + 2)
     assert [x.tolist() for x in find_affine_line(surface)] == list(want)  # blocks of 5
+
+
+def test_find_affine_line_budget_boundaries(monkeypatch):
+    field = Field(7)  # not the cached field, so the patches below stay local
+    surface = paraboloid(field, 3)  # no line, so the whole scan runs
+    work = 49 * 57 * 7  # base points x projective directions x |F| line points
+    with pytest.raises(SubspaceNotFoundError):
+        find_affine_line(surface, budget=work)
+    with pytest.raises(BudgetExceededError, match=f"tried = {work} exceeds the budget {work - 1}"):
+        find_affine_line(surface, budget=work - 1)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("field arithmetic ran before the refusal")
+
+    for name in ("add_arrays", "mul_arrays"):
+        monkeypatch.setattr(field, name, refuse)
+    # the |F|^n membership array passes at 343, and the first block of
+    # 57 x 7 line points is refused before its arithmetic
+    with pytest.raises(BudgetExceededError, match=r"\|F\|\^n = 343 exceeds the budget 342"):
+        find_affine_line(surface, budget=7**3 - 1)
+    with pytest.raises(BudgetExceededError, match="tried = 399 exceeds the budget 343"):
+        find_affine_line(surface, budget=7**3)
+
+
+def test_subspace_witness_runs_at_the_default_budget():
+    # the whole scan at F_97, n = 3 (9,409 base points x 9,507 directions x 97
+    # points) exceeds the default budget, but the first base point holds a line
+    surface = paraboloid(make_field(97), 3)
+    cert = rstar_lower_witness(surface, 2, 4, "subspace")
+    assert cert.meta["line_base"] == [0, 0, 0] and cert.value == pytest.approx(1.0, rel=1e-12)
 
 
 def test_dual_cone_witness_frozen(f7):
@@ -520,7 +550,7 @@ def test_selfdot_budget_refuses_before_arithmetic(monkeypatch):
 def test_selfdot_uneven_blocks(monkeypatch):
     field = make_field(11)
     pts = field.grid_coords(2)[1:]
-    monkeypatch.setattr(kakeya, "LINE_TABLE_ENTRIES", 7 * 11)  # 120 lines in blocks of 7
+    monkeypatch.setattr(grid, "BLOCK_ENTRIES", 7 * 11)  # 120 lines in blocks of 7
     assert selfdot_incidence_count(field, pts).count == 11 * 120
     rows = [tuple(int(c) for c in row) for row in pts[::3]]
     assert selfdot_incidence_count(field, pts[::3]).count == incidence_oracle(field, rows)

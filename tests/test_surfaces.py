@@ -325,7 +325,7 @@ def test_pair_table_against_oracle_across_chunks(monkeypatch, make, entries):
     expect = np.zeros(field.order**surface.n, dtype=np.int64)
     for eta, count in pair_sum_counts(surface, field).items():
         expect[point_index(field, eta)] = count
-    monkeypatch.setattr(surfaces, "TABLE_CHUNK_ENTRIES", entries)
+    monkeypatch.setattr(grid_module, "BLOCK_ENTRIES", entries)
     table = surfaces._pair_table(surface)
     assert table.dtype == np.int64
     assert np.array_equal(table, expect)
@@ -375,7 +375,7 @@ def test_triple_sums_against_oracle(monkeypatch, make):
     assert table.dtype == np.int64
     assert np.array_equal(table, expect)
     # shifts gathered 4 surface points at a time: the last chunk is short
-    monkeypatch.setattr(surfaces, "TABLE_CHUNK_ENTRIES", 4 * field.order**surface.n)
+    monkeypatch.setattr(grid_module, "BLOCK_ENTRIES", 4 * field.order**surface.n)
     assert np.array_equal(surface_sum_table(surface, 3), expect)
 
 
