@@ -213,12 +213,24 @@ def cmd_restriction_witness(args) -> tuple[int, str]:
 
 
 def _suite_gauss(fields, checks, rng) -> None:
+    """Each field's transform-computed Gauss sums against |S|^2 = |F|, against
+    Gauss's closed form, and against direct sums over t at x = 1 and at the
+    smallest non-square (no transform on that path)."""
     for pk in fields:
         field = make_field(*pk)
-        sums = sf.gauss_sum(field, np.arange(1, field.order)).tolist()
-        devs = [abs(abs(s) ** 2 - field.order) for s in sums]
-        worst = max(devs)
-        checks.append(CheckResult(f"gauss:{field_label(field)}", worst <= 1e-6, worst))
+        label = field_label(field)
+        t = np.arange(field.order, dtype=np.int64)
+        sums = sf.gauss_sum(field, t)
+        worst = float(np.abs(np.abs(sums[1:]) ** 2 - field.order).max())
+        checks.append(CheckResult(f"gauss:{label}", worst <= 1e-6, worst))
+        closed = sf.gauss_sum_closed_form(field, t)
+        worst = float((np.abs(sums - closed) / np.maximum(1.0, np.abs(closed))).max())
+        checks.append(CheckResult(f"gauss_closed_form:{label}", worst <= 1e-9, worst))
+        squares = field.mul_arrays(t, t)
+        xs = [1, int(np.argmin(field.squares))]  # 0 is a square: argmin is the first non-square
+        direct = np.array([field.character[field.mul_arrays(squares, x)].sum() for x in xs])
+        worst = float((np.abs(direct - sums[xs]) / np.maximum(1.0, np.abs(direct))).max())
+        checks.append(CheckResult(f"gauss_direct:{label}", worst <= 1e-9, worst))
 
 
 def _suite_parseval(fields, checks, rng) -> None:

@@ -420,10 +420,11 @@ def find_affine_line(surface: SurfaceMeasure, budget: int = DEFAULT_BUDGET):
     each base point tests a block of directions at a time against a
     membership array over F^n, gathering whole lines only for the directions
     b with a + b on the surface.  budget caps the |F|^n membership array
-    before it is allocated, and the |F| line points of every direction tried
-    so far before each block: a line is often found early, so the whole scan
-    is not refused up front.  Returns (a, b) as coordinate arrays; raises
-    SubspaceNotFound when no line exists.
+    before it is allocated, and the points tested so far, n per direction
+    tried (the a + b test) and |F| per direction kept (its line), before
+    each block's test and before its line gather: a line is often found
+    early, so the whole scan is not refused up front.  Returns (a, b) as
+    coordinate arrays; raises SubspaceNotFound when no line exists.
     """
     fld, n = surface.field, surface.n
     q = fld.order
@@ -435,13 +436,15 @@ def find_affine_line(surface: SurfaceMeasure, budget: int = DEFAULT_BUDGET):
         q**j + q ** (j + 1) * np.arange(q ** (n - 1 - j), dtype=np.int64) for j in range(n)
     ]))
     reps = flats[:, None] // q ** np.arange(n, dtype=np.int64) % q
-    tried = 0
+    tested, what = 0, "points tested n (directions tried) + |F| (directions kept)"
     for a in surface.points:
         for rows in blocks(len(reps), q):
-            tried += rows.stop - rows.start
-            require_budget(tried * q, budget, "line points of the directions tried")
+            tested += n * (rows.stop - rows.start)
+            require_budget(tested, budget, what)
             b = reps[rows]
             b = b[member[flat_points(fld, fld.add_arrays(a, b))]]  # a + b on the surface
+            tested += q * len(b)
+            require_budget(tested, budget, what)
             inside = member[flat_points(fld, affine_line(fld, a, b[:, None, :]))].all(axis=1)
             if inside.any():
                 return a.copy(), b[inside.argmax()]

@@ -7,9 +7,10 @@ import json
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
-from fflab import cli
+from fflab import cli, grid
 from fflab import restriction as rl
 from fflab import surfaces
 from fflab.certificates import NormCertificate
@@ -224,6 +225,69 @@ def test_cli_verify_suites(capsys):
     assert code2 == 0
 
 
+def test_cli_gauss_suite_checks_modulus_closed_form_and_direct_sums(capsys):
+    code, out, _ = run_cli(
+        capsys, "verify", "identities", "--suite", "gauss", "--fields", "61^2,7",
+        "--format", "json",
+    )
+    checks = json.loads(out)["checks"]
+    assert code == 0 and all(c["pass"] for c in checks)
+    assert [c["name"] for c in checks] == [
+        f"{kind}:{label}" for label in ("F_61^2", "F_7")
+        for kind in ("gauss", "gauss_closed_form", "gauss_direct")
+    ]
+
+
+@pytest.mark.parametrize(
+    "fault,fields", [("conjugate", "7"), ("conjugate", "3^3"), ("negate", "7"), ("negate", "5,3^2")]
+)
+def test_cli_gauss_closed_form_catches_a_wrong_phase(capsys, monkeypatch, fault, fields):
+    # S(1) is imaginary over F_7 and F_{3^3}, so conjugation moves it (over F_5
+    # and F_{3^2} S is real and it would not); negation moves every S(x), x != 0;
+    # neither changes |S|^2
+    produce = surfaces.gauss_sum
+    wrong = {"conjugate": np.conj, "negate": np.negative}[fault]
+    monkeypatch.setattr(surfaces, "gauss_sum", lambda field, x: wrong(produce(field, x)))
+    code, out, _ = run_cli(capsys, "verify", "identities", "--suite", "gauss", "--fields", fields)
+    assert code == 1
+    assert "[pass] gauss:" in out and "[FAIL] gauss:" not in out
+    assert "[pass] gauss_closed_form" not in out and "[pass] gauss_direct" not in out
+
+
+def test_cli_gauss_direct_independent_of_transforms(capsys, monkeypatch):
+    fields = [make_field(61, 2), make_field(7), make_field(3, 5)]
+    tables = {f: surfaces.gauss_sum(f, np.arange(f.order)) for f in fields}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the recheck must not run a transform")
+
+    for module in (grid, surfaces):
+        monkeypatch.setattr(module, "fourier_forward", refuse)
+        monkeypatch.setattr(module, "_transform_matrices", refuse)
+    with pytest.raises(AssertionError):
+        surfaces.gauss_sum(fields[0], 1)
+    monkeypatch.setattr(surfaces, "gauss_sum", lambda field, x: tables[field][x])
+    code, out, _ = run_cli(
+        capsys, "verify", "identities", "--suite", "gauss", "--fields", "61^2,7,3^5"
+    )
+    assert code == 0 and out.count("[pass] gauss_direct:") == 3
+
+
+def test_cli_gauss_refuses_a_field_without_a_kernel(capsys):
+    # a 4099 x 4099 kernel pair would take 512 MiB
+    make_field(4099)
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(
+            capsys, "verify", "identities", "--suite", "gauss", "--fields", "4099"
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == "" and "DFT" in err and peak < 4 * 2**20
+    assert not hasattr(make_field(4099), "_dft_mats")
+
+
 def test_cli_parseval_skips_fields_past_its_grid_cap(capsys):
     # every n has |F|^n > 20000 at 509^2, so the suite builds the field and checks nothing
     code, out, _ = run_cli(
@@ -256,7 +320,8 @@ def test_cli_refusals_exit_before_arithmetic(capsys, monkeypatch):
     ),
     (
         "restriction witness --field 7 --dim 3 --surface paraboloid --p 2 --q 4"
-        " --witness subspace --budget 19550", "line points of the directions tried = 19551",
+        " --witness subspace --budget 11122",
+        "points tested n (directions tried) + |F| (directions kept) = 11123",
     ),
 ])
 def test_cli_membership_and_line_search_gates_exit_2(capsys, argv, gate):

@@ -388,13 +388,28 @@ def test_find_affine_line_against_scan(p, k, n, kind, monkeypatch):
     assert [x.tolist() for x in find_affine_line(surface)] == list(want)  # blocks of 5
 
 
+def points_tested(surface):
+    """The whole scan's work in scalar arithmetic: n points per direction tried
+    (the a + b test) plus |F| per direction kept (a + b on the surface)."""
+    fld, n, q = surface.field, surface.n, surface.field.order
+    on = {tuple(pt) for pt in surface.points.tolist()}
+    dirs = [[flat // q**j % q for j in range(n)] for flat in range(1, q**n)]
+    reps = [b for b in dirs if next(c for c in b if c) == 1]
+    kept = sum(
+        tuple(fld.add(x, y) for x, y in zip(a, b)) in on
+        for a in surface.points.tolist() for b in reps
+    )
+    return n * surface.size * len(reps) + q * kept
+
+
 def test_find_affine_line_budget_boundaries(monkeypatch):
     field = Field(7)  # not the cached field, so the patches below stay local
     surface = paraboloid(field, 3)  # no line, so the whole scan runs
-    work = 49 * 57 * 7  # base points x projective directions x |F| line points
+    work = points_tested(surface)
+    assert work == 3 * 49 * 57 + 7 * 392  # 392 of the 49 x 57 a + b tests land on S
     with pytest.raises(SubspaceNotFoundError):
         find_affine_line(surface, budget=work)
-    with pytest.raises(BudgetExceededError, match=f"tried = {work} exceeds the budget {work - 1}"):
+    with pytest.raises(BudgetExceededError, match=rf"kept\) = {work} exceeds the budget {work - 1}"):
         find_affine_line(surface, budget=work - 1)
 
     def refuse(*args, **kwargs):
@@ -402,17 +417,39 @@ def test_find_affine_line_budget_boundaries(monkeypatch):
 
     for name in ("add_arrays", "mul_arrays"):
         monkeypatch.setattr(field, name, refuse)
-    # the |F|^n membership array passes at 343, and the first block of
-    # 57 x 7 line points is refused before its arithmetic
+    # the |F|^n membership array is refused before any arithmetic
     with pytest.raises(BudgetExceededError, match=r"\|F\|\^n = 343 exceeds the budget 342"):
         find_affine_line(surface, budget=7**3 - 1)
-    with pytest.raises(BudgetExceededError, match="tried = 399 exceeds the budget 343"):
-        find_affine_line(surface, budget=7**3)
+
+    # over F_3 a block's a + b tests (3 x 13 points) outweigh the 27 membership
+    # entries, so both in-scan gates can refuse the first block
+    f3 = Field(3)
+    surface = paraboloid(f3, 3)
+    assert points_tested(surface) == 3 * 9 * 13 + 3 * 36
+    for name in ("add_arrays", "mul_arrays"):
+        monkeypatch.setattr(f3, name, refuse)
+    with pytest.raises(BudgetExceededError, match=r"kept\) = 39 exceeds the budget 38"):
+        find_affine_line(surface, budget=38)
+    monkeypatch.undo()
+
+    def no_gather(*args, **kwargs):
+        raise AssertionError("a line was gathered before the refusal")
+
+    monkeypatch.setattr(rl, "affine_line", no_gather)
+    # the base point 0 keeps its 4 directions b on S: 39 + 3 x 4 line points
+    with pytest.raises(BudgetExceededError, match=r"kept\) = 51 exceeds the budget 50"):
+        find_affine_line(surface, budget=50)
+
+
+def test_find_affine_line_scans_the_moment_curve_at_the_default_budget():
+    # n = 3 moment curve over F_179: no line, about 1.7e7 points tested (the
+    # old count of |F| per direction tried, 1.03e9, was refused)
+    with pytest.raises(SubspaceNotFoundError):
+        find_affine_line(moment_curve(make_field(179), 3))
 
 
 def test_subspace_witness_runs_at_the_default_budget():
-    # the whole scan at F_97, n = 3 (9,409 base points x 9,507 directions x 97
-    # points) exceeds the default budget, but the first base point holds a line
+    # the first base point of the F_97, n = 3 paraboloid holds a line
     surface = paraboloid(make_field(97), 3)
     cert = rstar_lower_witness(surface, 2, 4, "subspace")
     assert cert.meta["line_base"] == [0, 0, 0] and cert.value == pytest.approx(1.0, rel=1e-12)

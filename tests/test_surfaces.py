@@ -34,6 +34,7 @@ from fflab.surfaces import (
     extension_direct,
     fourier_dimension,
     gauss_sum,
+    gauss_sum_closed_form,
     indicator_grid,
     moment_curve,
     paraboloid,
@@ -248,6 +249,48 @@ def test_gauss_sum_array_matches_scalar(p, k):
     scalar = np.array([gauss_sum(field, int(x)) for x in xs])
     assert np.array_equal(gauss_sum(field, xs), scalar)
     assert np.array_equal(gauss_sum(field, xs[:6].reshape(2, 3)), scalar[:6].reshape(2, 3))
+
+
+def gauss_sum_oracle(field):
+    """Every S(x) = sum_t e(x t^2) summed directly over t: O(|F|^2), no transform."""
+    t = np.arange(field.order, dtype=np.int64)
+    squares = field.mul_arrays(t, t)
+    return np.array([field.character[field.mul_arrays(squares, x)].sum() for x in t])
+
+
+@pytest.mark.parametrize("p,k", [(7, 1), (3, 2), (23, 2), (61, 2), (3, 5), (509, 1)])
+def test_gauss_sum_against_direct_sums_and_closed_form(p, k):
+    # F_{61^2} and F_{3^5} take the factored kernel, F_509 the dense prime one
+    field = make_field(p, k)
+    xs = np.arange(field.order)
+    oracle = gauss_sum_oracle(field)
+    assert np.abs(gauss_sum(field, xs) - oracle).max() <= 1e-9
+    assert np.abs(gauss_sum_closed_form(field, xs) - oracle).max() <= 1e-9
+
+
+def test_gauss_sum_closed_form_signs():
+    # S(1) = i sqrt(3) over F_3, -i sqrt(27) over F_{3^3}, sqrt(5) over F_5, -9 over
+    # F_{3^4} and 7 over F_{7^2}; a non-square flips the sign and S(0) = |F|
+    for (p, k), s1 in {
+        (3, 1): 1j * math.sqrt(3), (3, 3): -1j * math.sqrt(27), (5, 1): math.sqrt(5),
+        (3, 4): -9.0, (7, 2): 7.0,
+    }.items():
+        field = make_field(p, k)
+        nonsquare = int(np.argmin(field.squares))
+        assert gauss_sum_closed_form(field, 1) == pytest.approx(s1, abs=1e-12)
+        assert gauss_sum_closed_form(field, nonsquare) == pytest.approx(-s1, abs=1e-12)
+        assert gauss_sum_closed_form(field, 0) == field.order
+        assert gauss_sum_closed_form(field, np.array([[0, 1]])).shape == (1, 2)
+
+
+def test_paraboloid_kernel_check_uses_no_transformed_gauss_sum(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the closed form side ran a transform")
+
+    monkeypatch.setattr(surfaces, "gauss_sum", refuse)
+    monkeypatch.setattr(surfaces, "fourier_forward", refuse)
+    for p, n in ((5, 2), (7, 3), (3, 3)):
+        assert paraboloid_kernel_formula_check(make_field(p), n) <= 1e-9
 
 
 def test_f3_kernel_hand_value():
