@@ -306,8 +306,8 @@ def cmd_kakeya_maximal(args) -> tuple[int, str]:
         field, n, p, q, witnesses=names, seed=args.seed, budget=args.budget,
     )
     checks = [
-        CheckResult(f"recheck:{c.meta['witness_name']}", kk.verify_lower(c), None)
-        for c in certs
+        CheckResult(f"recheck:{c.meta['witness_name']}", ok, None)
+        for c, ok in zip(certs, kk.verify_lowers(certs))
     ]
     if (p, q) == (Fraction(2), Fraction(2 * n - 2)):
         certs.append(kk.kakeya_upper_overlap(field, n))
@@ -323,7 +323,7 @@ def cmd_kakeya_besicovitch(args) -> tuple[int, str]:
     t0 = time.perf_counter()
     field = make_field(*parse_field_token(args.field))
     wit = kk.besicovitch_2d(field)
-    ok, missing, _ = kk.verify_besicovitch(field, 2, wit.flat)
+    ok, missing, _ = kk.verify_besicovitch(field, 2, wit.flat, budget=args.budget)
     expected = (field.order**2 + field.order) // 2
     checks = [
         CheckResult("contains_line_every_direction", ok, float(len(missing))),

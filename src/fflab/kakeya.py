@@ -109,13 +109,15 @@ def besicovitch_2d(field: Field) -> BesicovitchWitness:
     return BesicovitchWitness(field, 2, assignment.astype(np.int64), np.sort(flat))
 
 
-def verify_besicovitch(field: Field, n: int, flat: np.ndarray):
+def verify_besicovitch(field: Field, n: int, flat: np.ndarray, budget: int = DEFAULT_BUDGET):
     """(ok, missing direction flats, assignment) for a candidate set.
 
     Scans every direction for a fully contained line, taking the smallest
-    flat base point when several work.
+    flat base point when several work.  budget caps the |F|^{2n-1} gathers
+    and is checked before the membership array is built.
     """
     q = field.order
+    require_budget(q ** (2 * n - 1), budget, "line-point gathers |F|^{2n-1}")
     m = q ** (n - 1)
     member = np.zeros(q**n, dtype=bool)
     member[np.asarray(flat, dtype=np.int64)] = True
@@ -135,60 +137,75 @@ def verify_besicovitch(field: Field, n: int, flat: np.ndarray):
 # -- maximal function ----------------------------------------------------------------
 
 
-def kakeya_maximal(
-    f: Grid, include_horizontal: bool = False, budget: int = DEFAULT_BUDGET
-) -> np.ndarray:
-    """f*(v) = max_{x0} sum_{t} |f(x0 + vt, t)| over all directions.
-
-    Returns one value per direction flat.  include_horizontal (2-D only)
-    appends the best constant-height row sum as a final extra entry.
-    budget caps the |F|^{2n-1} gathers.
-    """
-    if f.side != Side.SPACE:
+def _common_space(fs: Sequence[Grid]) -> tuple[Field, int]:
+    """The field and dimension every grid of a stack shares."""
+    if not fs:
+        raise ValueError("the maximal function needs at least one grid")
+    field, n = fs[0].field, fs[0].n
+    if any(f.n != n or (f.field.p, f.field.k) != (field.p, field.k) for f in fs):
+        raise ValueError("stacked grids must share one field and one dimension")
+    if any(f.side != Side.SPACE for f in fs):
         raise ValueError("maximal function acts on space-side grids")
-    q = f.field.order
-    n = f.n
+    return field, n
+
+
+def kakeya_maximal(
+    *fs: Grid, include_horizontal: bool = False, budget: int = DEFAULT_BUDGET
+) -> np.ndarray:
+    """f*(v) = max_{x0} sum_{t} |f(x0 + vt, t)| over all directions, for a
+    stack of grids on one F^n in one line sweep.
+
+    Returns one row per grid, one value per direction flat.
+    include_horizontal (2-D only) appends the best constant-height row sum as
+    a final extra entry.  budget caps the |F|^{2n-1} gathers of one grid;
+    each block's c + x index table is built once and read for every grid.
+    """
+    field, n = _common_space(fs)
+    q = field.order
     require_budget(q ** (2 * n - 1), budget, "line-point gathers |F|^{2n-1}")
     if include_horizontal and n != 2:
         raise UnsupportedDimensionError("horizontal rows are a 2-D exploration only")
     m = q ** (n - 1)
-    absf = np.abs(f.values).reshape(m, q, order="F")
-    v = f.field.grid_coords(n - 1)
-    out = np.empty(m + (1 if include_horizontal else 0), dtype=np.float64)
-    for vfs in blocks(m, m):
-        acc = np.zeros((vfs.stop - vfs.start, m), dtype=np.float64)
+    absf = np.empty((q, m, len(fs)), dtype=np.float64)  # [height, base point, grid]
+    for i, f in enumerate(fs):
+        absf[:, :, i] = np.abs(f.values).reshape(q, m)
+    v = field.grid_coords(n - 1)
+    out = np.empty((len(fs), m + (1 if include_horizontal else 0)), dtype=np.float64)
+    for vfs in blocks(m, m * len(fs)):
+        acc = np.zeros((vfs.stop - vfs.start, m, len(fs)), dtype=np.float64)
         for t in range(q):  # row v, column x0: the flat of x0 + vt over F^{n-1}
-            vt = f.field.mul_arrays(v[vfs], np.int64(t))
-            acc += absf[:, t].take(translate_flats(f.field, vt))
-        out[vfs] = acc.max(axis=1)
+            vt = field.mul_arrays(v[vfs], np.int64(t))
+            acc += absf[t].take(translate_flats(field, vt), axis=0)
+        out[:, vfs] = acc.max(axis=1).T
     if include_horizontal:
-        out[m] = absf.sum(axis=0).max()
+        for i, f in enumerate(fs):
+            out[i, m] = np.abs(f.values).reshape(m, q, order="F").sum(axis=0).max()
     return out
 
 
-def kakeya_maximal_direct(f: Grid) -> np.ndarray:
+def kakeya_maximal_direct(*fs: Grid) -> np.ndarray:
     """Same maximal function by a per-direction walk in field arithmetic.
 
     For each direction v it forms the (heights, base points) array of flat
     indices of (x0 + vt, t) straight from the coordinate table with
-    field.mul_arrays and field.add_arrays, then sums each column over t and
-    takes the largest.  Deliberately shares no code with kakeya_maximal: no
-    line tables, no blocks; certificates are re-evaluated through this path.
+    field.mul_arrays and field.add_arrays, reads every grid of the stack
+    through it, then sums each column over t and takes the largest.
+    Deliberately shares none of kakeya_maximal's indexing: no line tables,
+    no blocks; certificates are re-evaluated through this path.
     """
-    field = f.field
+    field, n = _common_space(fs)
     q = field.order
-    n = f.n
     m = q ** (n - 1)
-    absf = np.abs(f.values)
+    absf = np.stack([np.abs(f.values) for f in fs])  # [grid, point flat]
     coords = field.grid_coords(n - 1)
     ts = np.arange(q, dtype=np.int64)[:, None]
-    out = np.zeros(m, dtype=np.float64)
+    out = np.zeros((len(fs), m), dtype=np.float64)
     for vf in range(m):
         flat = ts * m  # [height, base point]
         for j in range(n - 1):
             shift = field.mul_arrays(ts, coords[vf, j])
             flat = flat + field.add_arrays(coords[None, :, j], shift) * q**j
-        out[vf] = absf[flat].sum(axis=0).max()
+        out[:, vf] = absf[:, flat].sum(axis=1).max(axis=1)
     return out
 
 
@@ -212,11 +229,6 @@ def _kakeya_cert(field, n, kind, method, p, q, value, witness=None, meta=None) -
     )
 
 
-def _maximal_ratio(f: Grid, p, q, budget: int) -> float:
-    star = kakeya_maximal(f, budget=budget)
-    return mean_lp_norm(star, q) / lp_norm(f, p)
-
-
 def kakeya_norm_certificates(
     field: Field,
     n: int,
@@ -232,33 +244,34 @@ def kakeya_norm_certificates(
     point, line and full_space carry their closed-form ratios in metadata
     (the measured value can only exceed the line formula, which keeps just
     the leading direction); besicovitch_indicator uses the 2-D construction;
-    random_sets tries seeded random indicators and keeps the best.  budget
-    caps each maximal function's gathers and is checked before any grid
-    is built.
+    random_sets tries seeded random indicators and keeps the first best.
+    Every test function is drawn first and all are evaluated in one
+    kakeya_maximal sweep.  budget caps that sweep's gathers per grid and is
+    checked before any grid is built.
     """
     p = parse_exponent(p)
     q = parse_exponent(q)
     require_budget(field.order ** (2 * n - 1), budget, "line-point gathers |F|^{2n-1}")
     qf = field.order
     total = qf**n
-    out = []
+    drawn: list[tuple[dict, list[Grid]]] = []  # per name: metadata, candidate grids
     for name in witnesses:
         meta: dict = {"witness_name": name}
         if name == "point":
             vals = np.zeros(total, dtype=np.complex128)
             vals[0] = 1.0
-            f = Grid(field, n, vals, Side.SPACE)
+            fs = [Grid(field, n, vals, Side.SPACE)]
             meta["formula_value"] = 1.0
         elif name == "line":
             vals = np.zeros(total, dtype=np.complex128)
             origin = np.zeros((1, n - 1), dtype=np.int64)
             vals[line_flats(field, origin, origin)] = 1.0
-            f = Grid(field, n, vals, Side.SPACE)
+            fs = [Grid(field, n, vals, Side.SPACE)]
             meta["formula_value"] = float(qf) ** (
                 -(n - 1) / as_float(q) + 1.0 / as_float(holder_dual(p))
             )
         elif name == "full_space":
-            f = Grid.constant(field, n, 1.0, Side.SPACE)
+            fs = [Grid.constant(field, n, 1.0, Side.SPACE)]
             meta["formula_value"] = float(qf) ** (1.0 - n / as_float(p))
         elif name == "besicovitch_indicator":
             if n != 2:
@@ -266,29 +279,31 @@ def kakeya_norm_certificates(
             wit = besicovitch_2d(field)
             vals = np.zeros(total, dtype=np.complex128)
             vals[wit.flat] = 1.0
-            f = Grid(field, n, vals, Side.SPACE)
+            fs = [Grid(field, n, vals, Side.SPACE)]
             meta["set_size"] = wit.size
         elif name == "random_sets":
             rng = np.random.default_rng(seed)
-            best = None
-            for i in range(count):
+            fs = []
+            for _ in range(count):
                 vals = (rng.random(total) < 0.5).astype(np.complex128)
                 if not vals.any():
                     vals[0] = 1.0
-                cand = Grid(field, n, vals, Side.SPACE)
-                ratio = _maximal_ratio(cand, p, q, budget)
-                if best is None or ratio > best[0]:
-                    best = (ratio, cand, i)
-            assert best is not None
-            f = best[1]
-            meta.update({"seed": seed, "tried": count, "best_index": best[2]})
+                fs.append(Grid(field, n, vals, Side.SPACE))
         else:
             raise UnknownWitnessError(f"no Kakeya witness named {name!r}")
-        value = best[0] if name == "random_sets" else _maximal_ratio(f, p, q, budget)
+        drawn.append((meta, fs))
+    stack = [f for _, fs in drawn for f in fs]
+    stars = iter(kakeya_maximal(*stack, budget=budget))
+    out = []
+    for meta, fs in drawn:
+        ratios = [mean_lp_norm(next(stars), q) / lp_norm(f, p) for f in fs]
+        best = ratios.index(max(ratios))  # the first of equal ratios
+        if meta["witness_name"] == "random_sets":
+            meta.update({"seed": seed, "tried": count, "best_index": best})
         out.append(
             _kakeya_cert(
-                field, n, "lower", "witness", p, q, value,
-                witness=grid_to_bytes(f), meta=meta,
+                field, n, "lower", "witness", p, q, ratios[best],
+                witness=grid_to_bytes(fs[best]), meta=meta,
             )
         )
     return out
@@ -311,17 +326,33 @@ def kakeya_upper_overlap(field: Field, n: int) -> NormCertificate:
     )
 
 
+def _recheck_values(certs: Sequence[NormCertificate]) -> list[float]:
+    """Each Kakeya lower certificate's ratio, re-evaluated in one direct walk."""
+    for cert in certs:
+        if cert.quantity != "kakeya" or cert.kind != "lower" or cert.witness is None:
+            raise UnknownWitnessError("expected a witness-bearing Kakeya lower certificate")
+    if not certs:
+        return []
+    fs = [grid_from_bytes(cert.witness) for cert in certs]
+    stars = kakeya_maximal_direct(*fs)
+    return [mean_lp_norm(s, c.q) / lp_norm(f, c.p) for s, c, f in zip(stars, certs, fs)]
+
+
 def recheck_lower(cert: NormCertificate) -> float:
     """Re-evaluate a Kakeya lower certificate through the per-line path."""
-    if cert.quantity != "kakeya" or cert.kind != "lower" or cert.witness is None:
-        raise UnknownWitnessError("expected a witness-bearing Kakeya lower certificate")
-    f = grid_from_bytes(cert.witness)
-    star = kakeya_maximal_direct(f)
-    return mean_lp_norm(star, cert.q) / lp_norm(f, cert.p)
+    (value,) = _recheck_values([cert])
+    return value
+
+
+def verify_lowers(certs: Sequence[NormCertificate]) -> list[bool]:
+    """One recheck verdict per certificate, from a single direct walk over
+    all their witnesses; the witnesses must share one field and one n."""
+    return [recheck_agrees(c, v) for c, v in zip(certs, _recheck_values(certs))]
 
 
 def verify_lower(cert: NormCertificate) -> bool:
-    return recheck_agrees(cert, recheck_lower(cert))
+    (ok,) = verify_lowers([cert])
+    return ok
 
 
 # -- line averages -------------------------------------------------------------------
@@ -335,9 +366,9 @@ def line_sum_grid(field: Field, n: int, g: np.ndarray, x0map: np.ndarray) -> Gri
     coords = field.grid_coords(n - 1)
     vfs = np.flatnonzero(g != 0)
     flat = line_flats(field, coords[np.asarray(x0map, dtype=np.int64)[vfs]], coords[vfs])
-    vals = np.zeros(q**n, dtype=np.complex128)
-    np.add.at(vals, flat, g[vfs, None])
-    vals /= float(m)
+    vals = np.bincount(flat.ravel(), weights=np.repeat(g[vfs], q), minlength=q**n)
+    vals = vals.astype(np.complex128)
+    vals /= float(m)  # complex division scales by 1/m: a float division would round otherwise
     return Grid(field, n, vals, Side.SPACE)
 
 

@@ -170,7 +170,7 @@ def test_criterion_07_besicovitch_family():
         wit = besicovitch_2d(field)
         vals = np.zeros(p * p, dtype=np.complex128)
         vals[wit.flat] = 1.0
-        star = kakeya_maximal(Grid(field, 2, vals, Side.SPACE))
+        (star,) = kakeya_maximal(Grid(field, 2, vals, Side.SPACE))
         assert np.all(star == float(p))
     assert time.perf_counter() - t0 < 30.0
 

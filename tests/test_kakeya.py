@@ -1,5 +1,6 @@
 """Line families, maximal functions, and direction-set certificates."""
 
+import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
@@ -39,6 +40,7 @@ from fflab.kakeya import (
     slope_projections,
     verify_besicovitch,
     verify_lower,
+    verify_lowers,
     wolff_axiom_check,
 )
 from fflab.surfaces import indicator_grid
@@ -145,6 +147,24 @@ def test_verify_besicovitch_against_oracle(f5, f7):
         assert missing and len(missing) < len(expected)  # both outcomes occur
 
 
+def test_besicovitch_budget_boundary(f5):
+    gathers = 5**5  # |F|^{2n-1} at n = 3: one per point of every line
+    flat = np.flatnonzero(np.random.default_rng(4).random(5**3) < 0.5)
+    assert verify_besicovitch(f5, 3, flat, budget=gathers)[0] is False
+    with pytest.raises(BudgetExceededError, match="3125"):
+        verify_besicovitch(f5, 3, flat, budget=gathers - 1)
+    # 31^6 membership entries would take 887 MB; 31^11 gathers exceed the default budget
+    f31 = make_field(31)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError):
+            verify_besicovitch(f31, 6, flat)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 # -- maximal function ------------------------------------------------------------------
 
 
@@ -152,14 +172,14 @@ def test_maximal_hand_example():
     f3 = make_field(3)
     vals = np.zeros(9, dtype=np.complex128)
     vals[flat_points(f3, np.array([[0, 0], [1, 1], [2, 2]]))] = 1.0
-    star = kakeya_maximal(Grid(f3, 2, vals, Side.SPACE))
+    (star,) = kakeya_maximal(Grid(f3, 2, vals, Side.SPACE))
     assert star.tolist() == [1.0, 3.0, 1.0]
     assert mean_lp_norm(star, math.inf) == 3.0
     assert mean_lp_norm(star, 2) == pytest.approx(math.sqrt(11 / 3))
 
 
 def test_maximal_of_point_mass(f5):
-    star = kakeya_maximal(indicator_grid(f5, 3, [(0, 0, 0)]))
+    (star,) = kakeya_maximal(indicator_grid(f5, 3, [(0, 0, 0)]))
     assert star.shape == (25,)
     assert np.all(star == 1.0)
 
@@ -196,6 +216,68 @@ def test_uneven_direction_chunks(monkeypatch, f5, f7):
     assert np.array_equal(chunked[2], assignment)
 
 
+STACK_SPACES = [(5, 1, 2), (5, 1, 3), (5, 1, 4), (7, 1, 2), (7, 1, 3), (7, 1, 4),
+                (3, 2, 2), (3, 2, 3), (3, 2, 4), (5, 2, 2), (5, 2, 3)]
+
+
+@pytest.mark.parametrize("p, k, n", STACK_SPACES)
+def test_stacked_maximal_rows_match_one_grid(monkeypatch, p, k, n):
+    field = make_field(p, k)
+    rng = np.random.default_rng(10 * p + k + 100 * n)
+    fs = [Grid.random(field, n, rng), indicator_grid(field, n, [(0,) * n]),
+          Grid.constant(field, n, 1.0), Grid.random(field, n, rng)]
+    horizontal = n == 2
+    one = [kakeya_maximal(f, include_horizontal=horizontal)[0] for f in fs]
+    m = field.order ** (n - 1)
+    tables = []
+
+    def counted(field, c):
+        tables.append(len(c))
+        return grid.translate_flats(field, c)
+
+    monkeypatch.setattr(kakeya, "translate_flats", counted)
+    monkeypatch.setattr(grid, "BLOCK_ENTRIES", 4 * m * len(fs) + 3)  # 4 rows: m is odd
+    stacked = kakeya_maximal(*fs, include_horizontal=horizontal)
+    direct = kakeya_maximal_direct(*fs)
+    assert stacked.shape == (len(fs), m + horizontal)
+    # blocks shrink with the stack, so a block's gather stays near BLOCK_ENTRIES
+    assert len(tables) == math.ceil(m / 4) * field.order and max(tables) == min(4, m)
+    for i, f in enumerate(fs):
+        assert np.array_equal(stacked[i], one[i])
+        assert np.array_equal(direct[i], kakeya_maximal_direct(f)[0])
+        assert np.array_equal(direct[i], one[i][:m])
+
+
+def test_stacked_maximal_refuses_mixed_grids(f5, f7):
+    with pytest.raises(ValueError):
+        kakeya_maximal()
+    for other in (Grid.constant(f7, 2, 1.0), Grid.constant(f5, 3, 1.0),
+                  Grid.constant(f5, 2, 1.0, Side.FREQUENCY)):
+        with pytest.raises(ValueError):
+            kakeya_maximal(Grid.constant(f5, 2, 1.0), other)
+        with pytest.raises(ValueError):
+            kakeya_maximal_direct(Grid.constant(f5, 2, 1.0), other)
+
+
+def test_norm_certificates_sweep_lines_once(monkeypatch, f7):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return grid.translate_flats(*args, **kwargs)
+
+    monkeypatch.setattr(kakeya, "translate_flats", counted)
+    monkeypatch.setattr(grid, "BLOCK_ENTRIES", 1)  # one direction per block either way
+    kakeya_norm_certificates(f7, 3, 2, 4, witnesses=("point",))
+    one = len(calls)
+    calls.clear()
+    certs = kakeya_norm_certificates(
+        f7, 3, 2, 4, witnesses=("point", "line", "full_space", "random_sets")
+    )
+    assert one == len(calls) == 7**2 * 7  # one table per direction and height
+    assert len(certs) == 4 and certs[3].meta["tried"] == 8
+
+
 def test_recheck_independent_of_line_tables(monkeypatch, f7):
     certs = kakeya_norm_certificates(
         f7, 3, 2, 4, witnesses=("point", "line", "full_space", "random_sets"), count=2
@@ -209,11 +291,12 @@ def test_recheck_independent_of_line_tables(monkeypatch, f7):
     with pytest.raises(AssertionError):
         kakeya_maximal(indicator_grid(f7, 3, [(0, 0, 0)]))
     assert all(verify_lower(c) for c in certs)
+    assert verify_lowers(certs) == [True] * len(certs)
 
 
 def test_maximal_horizontal_row(f5):
     f = Grid.constant(f5, 2, 1.0)
-    star = kakeya_maximal(f, include_horizontal=True)
+    (star,) = kakeya_maximal(f, include_horizontal=True)
     assert star.shape == (6,)
     assert np.all(star == 5.0)
     with pytest.raises(UnsupportedDimensionError):
@@ -261,6 +344,48 @@ def test_random_set_certificates(f5):
     assert verify_lower(cert)
     again = kakeya_norm_certificates(f5, 2, 2, 2, witnesses=("random_sets",), seed=3, count=4)
     assert repr(again[0].value) == repr(cert.value)
+
+
+def test_verify_lowers_one_verdict_per_certificate(f7):
+    certs = kakeya_norm_certificates(
+        f7, 2, 2, 2, witnesses=("point", "line", "full_space", "random_sets"), count=3
+    )
+    assert verify_lowers(certs) == [True] * 4 and verify_lowers([]) == []
+    assert [recheck_lower(c) for c in certs] == pytest.approx([c.value for c in certs], rel=1e-12)
+    tampered = list(certs)
+    tampered[1] = dataclasses.replace(certs[1], value=certs[1].value * 1.01)
+    assert verify_lowers(tampered) == [True, False, True, True]
+    full = grid.grid_from_bytes(certs[2].witness)
+    bumped = full.values.copy()
+    bumped[0] = 3.0  # no longer a constant, so its ratio moves
+    tampered[2] = dataclasses.replace(certs[2], witness=grid.grid_to_bytes(full.with_values(bumped)))
+    assert verify_lowers(tampered) == [True, False, False, True]
+
+
+def test_verify_lowers_needs_one_field_and_dimension(f5, f7):
+    (a,) = kakeya_norm_certificates(f7, 2, 2, 2, witnesses=("line",))
+    for other in (
+        kakeya_norm_certificates(f5, 2, 2, 2, witnesses=("line",))[0],
+        kakeya_norm_certificates(f7, 3, 2, 4, witnesses=("line",))[0],
+    ):
+        with pytest.raises(ValueError):
+            verify_lowers([a, other])
+    with pytest.raises(UnknownWitnessError):
+        verify_lowers([a, kakeya_upper_overlap(f7, 2)])
+
+
+def test_random_sets_keep_the_first_best():
+    f3 = make_field(3)
+    rng = np.random.default_rng(0)
+    draws = [(rng.random(9) < 0.5).astype(np.complex128) for _ in range(8)]
+    fs = [Grid(f3, 2, vals if vals.any() else np.eye(1, 9)[0], Side.SPACE) for vals in draws]
+    stars = kakeya_maximal_direct(*fs)
+    ratios = [mean_lp_norm(s, 2) / grid.lp_norm(f, 2) for s, f in zip(stars, fs)]
+    first = ratios.index(max(ratios))
+    assert ratios.count(max(ratios)) == 2  # seed 0 draws a tie
+    (cert,) = kakeya_norm_certificates(f3, 2, 2, 2, witnesses=("random_sets",), seed=0)
+    assert cert.meta["best_index"] == first
+    assert cert.witness == grid.grid_to_bytes(fs[first])
 
 
 def test_certificate_rejections(f7):
@@ -312,6 +437,20 @@ def test_line_sum_against_per_line_loop(f5, f7):
                 expected[row] += g[vf]
         expected /= float(m)
         assert np.array_equal(line_sum_grid(field, n, g, x0map).values, expected)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_line_sum_repeated_flats_against_add_at(f5, n):
+    m = 5 ** (n - 1)
+    coords = f5.grid_coords(n - 1)
+    g = np.random.default_rng(n).random(m)
+    x0map = np.zeros(m, dtype=np.int64)  # every line passes through the origin at t = 0
+    flat = line_flats(f5, coords[x0map], coords)
+    assert np.count_nonzero(flat == 0) == m
+    expected = np.zeros(5**n, dtype=np.complex128)
+    np.add.at(expected, flat, g[:, None])
+    expected /= float(m)
+    assert np.array_equal(line_sum_grid(f5, n, g, x0map).values, expected)
 
 
 def test_cordoba_constant_weight_deficit(f7):

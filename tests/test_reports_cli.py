@@ -313,6 +313,7 @@ def test_cli_refusals_exit_before_arithmetic(capsys, monkeypatch):
 
 @pytest.mark.parametrize("argv,gate", [
     ("kakeya heisenberg --field 3^2 --budget 728", "|F|^3 = 729"),
+    ("kakeya besicovitch --field 7 --budget 342", "|F|^{2n-1} = 343"),
     ("kakeya wolff-check --field 3^2 --family heisenberg --budget 728", "|F|^3 = 729"),
     (
         "restriction witness --field 7 --dim 3 --surface paraboloid --p 2 --q 4"
