@@ -337,6 +337,18 @@ def _cpu_count() -> int:
     return len(os.sched_getaffinity(0))
 
 
+def _ascent_workers(n_blocks: int) -> int:
+    """Threads for ``n_blocks`` ascent blocks: min(CPUs, blocks) when BLAS is
+    pinned to one thread, else one.
+
+    Pinned means OPENBLAS_NUM_THREADS is 1 or, when it is unset,
+    OMP_NUM_THREADS is 1.  A multithreaded BLAS's own threads contend with the
+    ascent's, and two ascent threads then ran slower than one.
+    """
+    pinned = os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS", ""))
+    return min(_cpu_count(), n_blocks) if pinned.strip() == "1" else 1
+
+
 def rstar_lower_power(
     surface: SurfaceMeasure,
     p,
@@ -358,7 +370,8 @@ def rstar_lower_power(
 
     The restarts run as stacked blocks of max(1, POWER_BLOCK_ENTRIES // |F|^n)
     rows, and the blocks run on one thread per CPU this process may use (at
-    most one per block).  Every row follows its own serial path, so the
+    most one per block) when BLAS is pinned to one thread (``_ascent_workers``),
+    else on the calling thread.  Every row follows its own serial path, so the
     result depends on neither the block width nor the thread count.
     """
     p = parse_exponent(p)
@@ -373,7 +386,7 @@ def rstar_lower_power(
     def ascend(block):
         return _power_ascent(surface, p, q, block, max_iters, tol)
 
-    workers = min(_cpu_count(), len(stacks))
+    workers = _ascent_workers(len(stacks))
     if workers == 1:
         parts = [ascend(block) for block in stacks]
     else:

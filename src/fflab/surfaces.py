@@ -324,28 +324,40 @@ def extension_adjoint(f: Grid, surface: SurfaceMeasure) -> SurfaceFunction:
     return SurfaceFunction(surface, _adjoint_rows(surface, f.values[None, :])[0])
 
 
+def _point_waves(surface: SurfaceMeasure, rows: slice, character: np.ndarray):
+    """The waves x -> character[x.s] of the surface points s in ``rows``, as (head, last).
+
+    head is a (B, |F|^{n-1}) array over the flat index of (x_0, ..., x_{n-2}),
+    the outer product of one character row per coordinate; last is a (B, |F|)
+    array over x_{n-1}.  Only field arithmetic and the character table: no
+    transform kernel or plan.
+    """
+    fld = surface.field
+    axis = np.arange(fld.order, dtype=np.int64)
+    pts = surface.points[rows]
+    waves = [character[fld.mul_arrays(pts[:, j, None], axis)] for j in range(surface.n)]
+    head = np.ones((len(pts), 1), dtype=np.complex128)
+    for wave in waves[:-1]:  # coordinate j on the slower axis, as in the flat index
+        head = (wave[:, :, None] * head[:, None, :]).reshape(len(pts), -1)
+    return head, waves[-1]
+
+
 def extension_direct(sf: SurfaceFunction) -> Grid:
     """Same operator by direct summation over surface points (no transform).
 
-    Kept as an independent code path so lower-bound certificates can be
-    re-evaluated without trusting the fast transform.
+    Each block of points (from ``grid.blocks``) adds its waves as one product
+    last^T (g head) onto the (x_{n-1}, head) view of the output: |S| |F|^n
+    multiply-adds, as the plain sum.  Kept as an independent code path, so that
+    lower-bound certificates are re-evaluated without trusting the fast
+    transform: it calls no transform kernel, plan or axis contraction.
     """
     surf = sf.surface
-    fld = surf.field
-    q = fld.order
-    axis = np.arange(q, dtype=np.int64)
-    nd: np.ndarray | None = None
-    for val, pt in zip(sf.values, surf.points):
-        cols = [fld.character[fld.mul_arrays(axis, pt[j])] for j in range(surf.n)]
-        term = cols[0] * val
-        for c in cols[1:]:
-            term = np.multiply.outer(c, term)
-        # outer(c, term) puts the new axis first; accumulate with axes reversed
-        nd = term if nd is None else nd + term
-    assert nd is not None
-    # axes currently run last coordinate first; flatten accordingly
-    flat = nd.reshape(-1, order="C")
-    return Grid(surf.field, surf.n, flat / surf.size, Side.SPACE)
+    q, n = surf.field.order, surf.n
+    out = np.zeros((q, q ** (n - 1)), dtype=np.complex128)
+    for rows in blocks(surf.size, q ** (n - 1)):
+        head, last = _point_waves(surf, rows, surf.field.character)
+        out += last.T @ (sf.values[rows, None] * head)
+    return Grid(surf.field, n, out.reshape(-1) / surf.size, Side.SPACE)
 
 
 def restriction(f_hat: Grid, surface: SurfaceMeasure) -> SurfaceFunction:
@@ -358,18 +370,19 @@ def restriction(f_hat: Grid, surface: SurfaceMeasure) -> SurfaceFunction:
 
 
 def restriction_direct(f: Grid, surface: SurfaceMeasure) -> SurfaceFunction:
-    """f^ sampled on the surface by direct summation from a space-side grid."""
-    fld = surface.field
-    q = fld.order
-    axis = np.arange(q, dtype=np.int64)
+    """f^ sampled on the surface by direct summation from a space-side grid.
+
+    Each block of points sums f against its conjugate waves: the head part as
+    one product with the (head, x_{n-1}) view of f, then the last coordinate
+    row by row.  Like ``extension_direct``, it calls no transform.
+    """
+    q, n = surface.field.order, surface.n
+    table = f.values.reshape(q, q ** (n - 1)).T
+    character = np.conj(surface.field.character)
     vals = np.empty(surface.size, dtype=np.complex128)
-    nd = f.values.reshape((q,) * f.n, order="F")
-    for i, pt in enumerate(surface.points):
-        acc = nd
-        for j in range(surface.n):
-            col = np.conj(fld.character[fld.mul_arrays(axis, pt[j])])
-            acc = np.tensordot(col, acc, axes=([0], [0]))
-        vals[i] = complex(acc)
+    for rows in blocks(surface.size, q ** (n - 1)):
+        head, last = _point_waves(surface, rows, character)
+        vals[rows] = ((head @ table) * last).sum(axis=1)
     return SurfaceFunction(surface, vals)
 
 

@@ -197,6 +197,7 @@ def test_power_blocks_match_one_at_a_time(monkeypatch, name, p, q):
     for i in range(1, restarts):
         if v1[i] > v1[best] + 1e-15:
             best = i
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     for width in (1, 3, 32):
         for cpus in (1, 2):
             monkeypatch.setattr(rl, "POWER_BLOCK_ENTRIES", width * surface.field.order**surface.n)
@@ -216,6 +217,7 @@ def test_power_many_workers_match_one_worker(monkeypatch, f7):
     # more workers than cores, one restart per block and a short switch
     # interval, so the threads interleave as much as they can
     surface = paraboloid(f7, 3)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     monkeypatch.setattr(rl, "POWER_BLOCK_ENTRIES", 1)
     monkeypatch.setattr(rl, "_cpu_count", lambda: 1)
     serial = rstar_lower_power(surface, 2, 3, restarts=24, max_iters=40, seed=9)
@@ -259,12 +261,57 @@ def test_power_workers_call_no_traced_function(monkeypatch, capsys):
         return ascent(*args, **kwargs)
 
     monkeypatch.setattr(rl, "_power_ascent", recorded)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     monkeypatch.setattr(rl, "_cpu_count", lambda: 2)
     argv = ["restriction", "estimate", "--field", "13", "--dim", "3", "--surface", "cone",
             "--p", "2", "--q", "4"]
     assert cli.main(argv) == 0
     assert "[pass] lower_recheck" in capsys.readouterr().out
     assert len(on_main) == 5 and not any(on_main)
+
+
+@pytest.mark.parametrize("env,workers", [
+    ({"OPENBLAS_NUM_THREADS": "1"}, 3),
+    ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, 3),
+    ({"OMP_NUM_THREADS": "1"}, 3),
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 1),
+    ({"OPENBLAS_NUM_THREADS": "", "OMP_NUM_THREADS": "1"}, 1),
+    ({"OMP_NUM_THREADS": "8"}, 1),
+    ({}, 1),
+])
+def test_ascent_threads_only_with_blas_pinned(monkeypatch, f7, env, workers):
+    # OPENBLAS_NUM_THREADS decides when set, OMP_NUM_THREADS when it is not;
+    # a multithreaded or unknown BLAS gets one ascent thread
+    for key in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(key, raising=False)
+    for key, val in env.items():
+        monkeypatch.setenv(key, val)
+    monkeypatch.setattr(rl, "_cpu_count", lambda: 3)
+    assert rl._ascent_workers(5) == workers
+    assert rl._ascent_workers(2) == min(workers, 2)
+    # 7 one-row blocks: the certificate does not depend on the thread count
+    surface = paraboloid(f7, 2)
+    monkeypatch.setattr(rl, "POWER_BLOCK_ENTRIES", 1)
+    started = []
+    ascent = rl._power_ascent
+
+    def recorded(*args, **kwargs):
+        started.append(threading.current_thread() is threading.main_thread())
+        return ascent(*args, **kwargs)
+
+    monkeypatch.setattr(rl, "_power_ascent", recorded)
+    cert = rstar_lower_power(surface, 2, 4, restarts=7, max_iters=30, seed=3)
+    assert len(started) == 7 and all(started) == (workers == 1)
+    monkeypatch.setattr(rl, "_power_ascent", ascent)
+    monkeypatch.setattr(rl, "_cpu_count", lambda: 1)
+    serial = rstar_lower_power(surface, 2, 4, restarts=7, max_iters=30, seed=3)
+    assert (cert.witness, cert.meta, cert.value) == (serial.witness, serial.meta, serial.value)
+
+
+TRANSFORM_PATH = (
+    "_transform_matrices", "transform_axes", "_transform_plan", "_extend_rows",
+    "_adjoint_rows", "fourier_forward", "fourier_inverse",
+)
 
 
 def test_recheck_independent_of_transform_plan(monkeypatch, f5, f7):
@@ -274,15 +321,26 @@ def test_recheck_independent_of_transform_plan(monkeypatch, f5, f7):
         rstar_lower_power(cone(f7), Fraction(8, 5), 4, restarts=3, max_iters=60),
         rstar_lower_power(moment_curve(f7, 3), 2, math.inf, restarts=3, max_iters=60),
         rstar_lower_witness(paraboloid(f5, 3), 2, 4, "constant"),
+        rstar_lower_witness(paraboloid(f7, 2), 2, 4, "dirac"),
+        rstar_lower_witness(cone(f7), 2, 4, "dual_cone_X"),
     ]
     assert all(math.isfinite(c.value) and c.value > 0 for c in certs)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the recheck must not use the transform plan")
+        raise AssertionError("the recheck must not use the transform path")
 
-    monkeypatch.setattr(surfaces, "_transform_plan", refuse)
+    # built first, then every transform-path name refused wherever it is bound
+    patched = 0
+    for module in (grid, surfaces, rl):
+        for name in TRANSFORM_PATH:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+                patched += 1
+    assert patched >= 12
     with pytest.raises(AssertionError):
         extension(SurfaceFunction.constant(paraboloid(f5, 2)))
+    with pytest.raises(AssertionError):
+        surfaces.extension_adjoint(Grid.constant(f5, 2), paraboloid(f5, 2))
     assert all(verify_lower(c) for c in certs)
 
 

@@ -154,21 +154,13 @@ PLAN_CASES = [
     pytest.param(pk, name, id=f"pk{i}-{name}")
     for i, pk in enumerate(PLAN_FIELDS)
     for name in sorted(PLAN_SURFACES)
-    # the direct sums over the 4-dimensional double paraboloid take seconds from |F| = 25 on
-    if name != "double_paraboloid" or pk[0] ** pk[1] <= 9
 ]
 
 
 @pytest.mark.parametrize("pk,name", PLAN_CASES)
 def test_plan_matches_direct_paths(monkeypatch, pk, name):
     p, k, factored = pk
-    if factored:
-        # kernels are cached on the field object, so build a fresh one
-        monkeypatch.setattr(grid_module, "DENSE_MAX_ORDER", 1)
-        field = Field(p, k)
-        assert grid_module._transform_matrices(field).digits == k
-    else:
-        field = make_field(p, k)
+    field = _factored_field(p, k, monkeypatch) if factored else make_field(p, k)
     surface = PLAN_SURFACES[name](field)
     rng = np.random.default_rng(surface.size)
     g = SurfaceFunction(
@@ -180,6 +172,83 @@ def test_plan_matches_direct_paths(monkeypatch, pk, name):
     slow = restriction_direct(f, surface).values
     fast = extension_adjoint(f, surface).values
     assert np.abs(fast - slow).max() <= 1e-12 * max(1.0, np.abs(slow).max())
+
+
+def _factored_field(p, k, monkeypatch):
+    """F_{p^k} built afresh (kernels are cached on the field object) with the
+    factored transform kernel."""
+    monkeypatch.setattr(grid_module, "DENSE_MAX_ORDER", 1)
+    field = Field(p, k)
+    assert grid_module._transform_matrices(field).digits == k
+    return field
+
+
+def character_table(surface):
+    """E[x, s] = e(x.s) over every x in F^n (flat order) and surface point s,
+    one scalar Field.dot per entry: no array arithmetic and no transform."""
+    field = surface.field
+    pts = [tuple(int(c) for c in row) for row in surface.points]
+    table = np.empty((field.order**surface.n, len(pts)), dtype=np.complex128)
+    for x_flat in range(len(table)):
+        x = index_point(field, surface.n, x_flat)
+        for i, s in enumerate(pts):
+            table[x_flat, i] = field.character[field.dot(x, s)]
+    return table
+
+
+ORACLE_SURFACES = {
+    "F5-parabola": lambda mp: paraboloid(make_field(5), 2),
+    "F5-paraboloid": lambda mp: paraboloid(make_field(5), 3),
+    "F7-cone": lambda mp: cone(make_field(7)),
+    "F9-paraboloid": lambda mp: paraboloid(make_field(3, 2), 3),
+    "F27-factored-moment-curve": lambda mp: moment_curve(_factored_field(3, 3, mp), 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SURFACES))
+def test_direct_sums_against_scalar_oracle(monkeypatch, name):
+    surface = ORACLE_SURFACES[name](monkeypatch)
+    table = character_table(surface)
+    rng = np.random.default_rng(surface.size)
+    g = SurfaceFunction(
+        surface, rng.standard_normal(surface.size) + 1j * rng.standard_normal(surface.size)
+    )
+    f = Grid.random(surface.field, surface.n, rng)
+    ext_expect = table @ g.values / surface.size
+    res_expect = np.conj(table).T @ f.values
+    # default blocks, then one surface point per block so every boundary shows
+    for entries in (grid_module.BLOCK_ENTRIES, 2):
+        monkeypatch.setattr(grid_module, "BLOCK_ENTRIES", entries)
+        ext = extension_direct(g).values
+        res = restriction_direct(f, surface).values
+        np.testing.assert_allclose(ext, ext_expect, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(res, res_expect, rtol=0, atol=1e-11)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: cone(make_field(7)),
+    lambda: paraboloid(make_field(3, 2), 3),
+    lambda: double_paraboloid(make_field(5), 2),
+])
+def test_direct_sums_with_a_short_last_block(monkeypatch, make):
+    # blocks of 7 points leave a short last block on each of these (48, 81
+    # and 25 points); the block split must not change the sums
+    surface = make()
+    width = surface.field.order ** (surface.n - 1)
+    rng = np.random.default_rng(11)
+    g = SurfaceFunction(
+        surface, rng.standard_normal(surface.size) + 1j * rng.standard_normal(surface.size)
+    )
+    f = Grid.random(surface.field, surface.n, rng)
+    whole_ext = extension_direct(g).values
+    whole_res = restriction_direct(f, surface).values
+    monkeypatch.setattr(grid_module, "BLOCK_ENTRIES", 7 * width + 1)
+    cuts = list(grid_module.blocks(surface.size, width))
+    assert len(cuts) > 1 and 0 < cuts[-1].stop - cuts[-1].start < 7
+    scale = max(1.0, np.abs(whole_res).max())
+    np.testing.assert_allclose(extension_direct(g).values, whole_ext, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(restriction_direct(f, surface).values, whole_res,
+                               rtol=0, atol=1e-13 * scale)
 
 
 def test_adjoint_requires_space_side(f5):
