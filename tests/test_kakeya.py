@@ -132,11 +132,16 @@ def besicovitch_oracle(field, n, flat):
     return out
 
 
-def test_verify_besicovitch_against_oracle(f5, f7):
+def test_verify_besicovitch_against_oracle(f5, f7, f9):
     rng = np.random.default_rng(11)
+    f25 = make_field(5, 2)
+    # over F_{p^k} the height t is a field element, so x0 + vt is not v added t times
     cases = [
         (f7, 2, besicovitch_2d(f7).flat[1:]),
         (f5, 3, np.flatnonzero(rng.random(5**3) < 0.5)),
+        (f9, 2, besicovitch_2d(f9).flat[1:]),
+        (f25, 2, besicovitch_2d(f25).flat[1:]),
+        (f9, 3, np.flatnonzero(rng.random(9**3) < 0.5)),
     ]
     for field, n, flat in cases:
         expected = besicovitch_oracle(field, n, flat)
@@ -145,6 +150,42 @@ def test_verify_besicovitch_against_oracle(f5, f7):
         assert missing == [vf for vf, x in enumerate(expected) if x < 0]
         assert ok == (not missing)
         assert missing and len(missing) < len(expected)  # both outcomes occur
+
+
+def height_slices(field, n, heights):
+    """Flats of every point of F^n whose height (last coordinate) is in heights."""
+    m = field.order ** (n - 1)
+    return np.array([x + t * m for t in heights for x in range(m)], dtype=np.int64)
+
+
+EDGE_HEIGHTS = {
+    "empty": lambda q: [],
+    "all": lambda q: range(q),
+    "height_0_only": lambda q: [0],
+    "no_height_0": lambda q: range(1, q),
+    "no_middle_height": lambda q: [t for t in range(q) if t != q // 2],
+}
+
+
+@pytest.mark.parametrize("short_last_block", [False, True])
+@pytest.mark.parametrize("shape", sorted(EDGE_HEIGHTS))
+def test_verify_besicovitch_edge_sets(monkeypatch, f5, f9, shape, short_last_block):
+    for field, n in ((f5, 3), (f9, 2)):
+        q, m = field.order, field.order ** (n - 1)
+        heights = list(EDGE_HEIGHTS[shape](q))
+        flat = height_slices(field, n, heights)
+        if short_last_block:  # 7 directions per block: 25 = 7 + 7 + 7 + 4 and 9 = 7 + 2
+            width = m if 0 in heights else 1  # the block width is the number of base points
+            monkeypatch.setattr(grid, "BLOCK_ENTRIES", 7 * width)
+            sizes = [b.stop - b.start for b in grid.blocks(m, width)]
+            assert sizes[0] == 7 and 0 < sizes[-1] < 7
+        expected = besicovitch_oracle(field, n, flat)
+        ok, missing, assignment = verify_besicovitch(field, n, flat)
+        assert assignment.tolist() == expected
+        assert missing == [vf for vf, x in enumerate(expected) if x < 0]
+        assert ok == (not missing)
+        # every line meets every height, and 0 is the smallest base point
+        assert expected == ([0] * m if shape == "all" else [-1] * m)
 
 
 def test_besicovitch_budget_boundary(f5):
@@ -207,7 +248,8 @@ def test_uneven_direction_chunks(monkeypatch, f5, f7):
     f = Grid.random(f7, 3, rng)
     flat = np.flatnonzero(rng.random(5**3) < 0.5)
     ok, missing, assignment = verify_besicovitch(f5, 3, flat)
-    # 49 directions in chunks of 5, then 25 directions in chunks of 7
+    # 49 directions in chunks of 5; then, as the flat has 15 base points at height 0,
+    # 25 directions in blocks of 7 * 25 // 15 = 11: 11 + 11 + 3
     monkeypatch.setattr(grid, "BLOCK_ENTRIES", 5 * 49)
     assert np.array_equal(kakeya_maximal(f), kakeya_maximal_direct(f))
     monkeypatch.setattr(grid, "BLOCK_ENTRIES", 7 * 25)
