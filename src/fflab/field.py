@@ -7,17 +7,21 @@ and for c < p the index c is the image of the integer c in the prime subfield.
 
 The modulus is the lexicographically smallest monic irreducible of degree k,
 coefficients compared constant-term first (degree 1 gets the polynomial x, so
-prime fields are plain residues mod p).  Multiplication in extension fields
-runs through log/antilog tables against the fixed generator: the smallest
-index of multiplicative order p^k - 1.  Addition in extension fields is one
-gather from a flat int16 q x q addition table, built on the first array sum
-and kept on the field, up to ADD_TABLE_MAX_ORDER = 2^11 elements (8 MiB at the
-cap); above it, arrays gather their base-p digit rows, add them mod p and pack
-them with the powers of p.  Scalar add and neg work on the digit rows and stay
-the reference for both.
+prime fields are plain residues mod p); for k > 1 the scan starts at c_0 = 1,
+since x divides every candidate with c_0 = 0.  Multiplication in extension
+fields runs through log/antilog tables against the fixed generator: the
+smallest index of multiplicative order p^k - 1, scanned from index p, since
+the indices below p are F_p, whose units have orders dividing p - 1.
+Addition in extension fields is one gather from a flat int16 q x q addition
+table, built on the first array sum and kept on the field, up to
+ADD_TABLE_MAX_ORDER = 2^11 elements (8 MiB at the cap); above it, arrays
+gather their base-p digit rows, add them mod p and pack them with the powers
+of p.  Scalar add and neg work on the digit rows and stay the reference for
+both.
 
 The additive character is e(a) = exp(2*pi*i * lift(trace(a)) / p) with the
-absolute trace down to F_p; it is non-principal and fixed once per field.
+absolute trace down to F_p, a gather from the p values exp(2*pi*i * c / p);
+it is non-principal and fixed once per field.
 """
 
 from __future__ import annotations
@@ -127,7 +131,7 @@ class Field:
             self._build_log_tables()
         self._frob = self._frobenius_table()
         self.trace_lift = self._trace_table()
-        self.character = np.exp(2j * np.pi * self.trace_lift / p)
+        self.character = np.exp(2j * np.pi * np.arange(p) / p)[self.trace_lift]
         self.character.setflags(write=False)
         self.squares = self._square_table()
         self.squares.setflags(write=False)
@@ -139,8 +143,8 @@ class Field:
         p, k = self.p, self.k
         if k == 1:
             return (0,)  # the polynomial x
-        for idx in range(p**k):
-            # enumerate candidates in lex order on (c_0, ..., c_{k-1})
+        # candidates in lex order on (c_0, ..., c_{k-1}); x divides those with c_0 = 0
+        for idx in range(p ** (k - 1), p**k):
             coeffs = tuple((idx // p ** (k - 1 - i)) % p for i in range(k))
             monic = list(coeffs) + [1]
             if self._is_irreducible(monic):
@@ -158,8 +162,12 @@ class Field:
         return True
 
     def _digit_table(self) -> np.ndarray:
-        idx = np.arange(self.order, dtype=np.int64)
-        return np.stack([(idx // self.p**i) % self.p for i in range(self.k)], axis=1)
+        p, k = self.p, self.k
+        digits = np.empty((self.order, k), dtype=np.int64)
+        view = digits.reshape((p,) * k + (k,))
+        for i in range(k):  # digit i runs along axis k - 1 - i of the view
+            view[..., i] = np.arange(p, dtype=np.int64).reshape((p,) + (1,) * i)
+        return digits
 
     def _element_order(self, a: int) -> int:
         n = self.order - 1
@@ -182,7 +190,8 @@ class Field:
         return int(np.dot(np.array(acc, dtype=np.int64), self._powers))
 
     def _find_generator(self) -> int:
-        for a in range(2, self.order):
+        # for k > 1 the indices below p are the prime subfield, of order dividing p - 1
+        for a in range(self.p if self.k > 1 else 2, self.order):
             if self._element_order(a) == self.order - 1:
                 return a
         raise AssertionError("no generator found")  # unreachable for a field
@@ -191,10 +200,11 @@ class Field:
         """Antilog table by doubling, then the log table and the zero sentinel.
 
         Multiplication by the generator g is the k x k matrix ``step`` over
-        F_p (row i holds x^i g), acting on coefficient rows from the right.
-        Given the rows of g^0 .. g^(m-1), the rows of g^m .. g^(2m-1) are
-        the same block times g^m, and squaring ``step`` turns g^m into g^2m:
-        about log2(q) matrix products instead of q scalar products.
+        F_p (row i holds x^i g), acting on coefficient columns through its
+        transpose.  Given the columns of g^0 .. g^(m-1), those of g^m ..
+        g^(2m-1) are the same block times g^m, written in place into one
+        (k, q - 1) array, and squaring ``step`` turns g^m into g^2m: about
+        log2(q) matrix products instead of q scalar products.
 
         ``_log[0]`` is the sentinel 2(q - 1): any sum of two logs that
         involves it lands in the zero tail of ``_exp_ext``, so a product is
@@ -206,11 +216,15 @@ class Field:
         step = np.array(
             [_poly_mul_mod(tuple(row), gen, self.modulus, p) for row in unit], dtype=np.int64
         )
-        rows = unit[:1]  # the coefficient row of g^0 = 1
-        while len(rows) < n:
-            rows = np.concatenate([rows, rows[: n - len(rows)] @ step % p])
+        cols = np.zeros((k, n), dtype=np.int64)  # column j: the coefficients of g^j
+        cols[0, 0] = 1
+        m = 1
+        while m < n:
+            c = min(m, n - m)
+            np.remainder(step.T @ cols[:, :c], p, out=cols[:, m : m + c])
             step = step @ step % p
-        exp = rows @ self._powers
+            m += c
+        exp = self._powers @ cols
         log = np.empty(self.order, dtype=np.int64)
         log[exp] = np.arange(n, dtype=np.int64)
         log[0] = 2 * n

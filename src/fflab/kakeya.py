@@ -121,8 +121,12 @@ def verify_besicovitch(field: Field, n: int, flat: np.ndarray, budget: int = DEF
     of density about 1/2 the pairs halve with each height.  Pairs stay in
     (v, x0) order, so a direction's first survivor is its smallest base
     point.  budget caps |F|^{2n-1}, the work when nothing is pruned (all of
-    F^n), and is checked before the membership array is built.
+    F^n), and is checked before the membership array is built.  A line
+    needs a height and at least one base coordinate, so n < 2 is refused
+    before the gate.
     """
+    if n < 2:
+        raise UnsupportedDimensionError("need n >= 2")
     q = field.order
     require_budget(q ** (2 * n - 1), budget, "line-point gathers |F|^{2n-1}")
     m = q ** (n - 1)

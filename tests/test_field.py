@@ -16,6 +16,7 @@ from fflab.errors import (
 )
 from fflab.field import (
     Field,
+    _poly_divisible,
     _poly_mul_mod,
     is_prime,
     make_field,
@@ -172,9 +173,10 @@ def test_trace_lift_is_frobenius_sum(p, k):
 def test_field_509_2_construction_peak():
     # The peak is in _square_table: every array the field keeps, plus t and the
     # two log gathers of mul_arrays(t, t), three transient q-entry int64 arrays.
-    # 256 KiB covers the interpreter objects made on the way (about 60 KiB on
-    # CPython 3.11 with numpy 2.4, where the peak reads 31,409,289 B here and
-    # 31,409,342 B before the addition table existed).
+    # 256 KiB covers the interpreter objects made on the way (about 3 KiB on
+    # CPython 3.11 with numpy 2.4, where the peak reads 31,352,297 B here;
+    # about 60 KiB, 31,411,025 B, when the generator and modulus scans started
+    # at the first candidate, and 31,409,342 B before the addition table existed).
     tracemalloc.start()
     try:
         field = Field(509, 2)
@@ -237,6 +239,74 @@ def test_log_tables_take_at_most_k_polynomial_products(p, k, monkeypatch):
     field._build_log_tables()
     assert len(calls) <= k
     assert np.array_equal(field._exp, exp) and np.array_equal(field._log, log)
+
+
+def _reference_modulus(p: int, k: int) -> tuple:
+    """The first monic irreducible of degree k, scanned from index 0 (c_0 = 0 included)."""
+    for idx in range(p**k):
+        coeffs = tuple(idx // p ** (k - 1 - i) % p for i in range(k))
+        divisors = (
+            [c // p**i % p for i in range(deg)] + [1]
+            for deg in range(1, k // 2 + 1)
+            for c in range(p**deg)
+        )
+        if not any(_poly_divisible(list(coeffs) + [1], den, p) for den in divisors):
+            return coeffs
+    raise AssertionError("no irreducible polynomial")
+
+
+def _reference_generator(p: int, k: int, modulus: tuple) -> int:
+    """The first index from 2 whose powers reach every unit, by schoolbook products."""
+    n = p**k - 1
+    one = (1,) + (0,) * (k - 1)
+
+    def power(a: tuple, e: int) -> tuple:
+        acc = one
+        for bit in bin(e)[2:]:
+            acc = _poly_mul_mod(acc, acc, modulus, p)
+            if bit == "1":
+                acc = _poly_mul_mod(acc, a, modulus, p)
+        return acc
+
+    for idx in range(2, p**k):
+        a = tuple(idx // p**i % p for i in range(k))
+        if all(power(a, n // f) != one for f in prime_factors(n)):
+            return idx
+    raise AssertionError("no generator")
+
+
+@pytest.mark.parametrize(
+    "p,k", [(3, 1), (7, 1), (3, 2), (3, 5), (3, 7), (5, 3), (7, 2), (13, 3), (61, 2), (509, 2)]
+)
+def test_search_starts_match_scans_from_the_first_candidate(p, k):
+    # The field starts its modulus scan at c_0 = 1 and, for k > 1, its generator
+    # scan at index p; both scans here start at the very first candidate.
+    field = Field(p, k)
+    assert field.modulus == _reference_modulus(p, k)
+    assert field.generator == _reference_generator(p, k, field.modulus)
+    # the character gathers p roots of unity: the same bits as the q-entry expression
+    want = np.exp(2j * np.pi * field.trace_lift / p)
+    assert np.array_equal(field.character.view(np.int64), want.view(np.int64))
+    if k > 1:
+        idx = np.arange(field.order)
+        assert np.array_equal(field._digits, np.stack([idx // p**i % p for i in range(k)], 1))
+
+
+@pytest.mark.parametrize("p,k,name,limit", [(509, 2, "_poly_mul_mod", 1000),
+                                             (3, 12, "_poly_divisible", 5000)])
+def test_construction_work_counts(p, k, name, limit, monkeypatch):
+    # Scans from the first candidate took 13,034 _poly_mul_mod calls at F_{509^2}
+    # and 179,443 _poly_divisible calls at F_{3^12}.
+    real = getattr(field_module, name)
+    calls = []
+
+    def counting(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(field_module, name, counting)
+    Field(p, k)
+    assert 0 < len(calls) < limit
 
 
 def test_frobenius_is_field_automorphism(f9):

@@ -188,6 +188,26 @@ def test_verify_besicovitch_edge_sets(monkeypatch, f5, f9, shape, short_last_blo
         assert expected == ([0] * m if shape == "all" else [-1] * m)
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_verify_besicovitch_refuses_n_below_2(f5, n):
+    # refused before the budget gate, which a budget of 0 would fail for every n
+    with pytest.raises(UnsupportedDimensionError, match="need n >= 2"):
+        verify_besicovitch(f5, n, np.arange(5), budget=0)
+
+
+def test_verify_besicovitch_n2_values_on_f5(f5):
+    # (ok, missing, assignment) as recorded before the n check was added
+    flat = besicovitch_2d(f5).flat
+    assert flat.tolist() == [0, 1, 4, 5, 8, 9, 10, 11, 12, 15, 16, 17, 20, 23, 24]
+    for sub, want in [
+        (flat, (True, [], [0, 4, 1, 1, 4])),
+        (flat[1:], (False, [0], [-1, 4, 1, 1, 4])),
+        (flat[::2], (False, [0, 1, 2, 3], [-1, -1, -1, -1, 4])),
+    ]:
+        ok, missing, assignment = verify_besicovitch(f5, 2, sub)
+        assert (ok, missing, assignment.tolist()) == want
+
+
 def test_besicovitch_budget_boundary(f5):
     gathers = 5**5  # |F|^{2n-1} at n = 3: one per point of every line
     flat = np.flatnonzero(np.random.default_rng(4).random(5**3) < 0.5)
