@@ -9,9 +9,11 @@ Transforms:
     forward   f^(xi) = sum_x f(x) e(-x.xi)        Space -> Frequency
     inverse   g_(x) = |F|^{-n} sum_xi g(xi) e(x.xi)  Frequency -> Space
 
-computed axis by axis as dense 1-D contractions (no FFT; summation order is
-fixed, so results do not depend on how many Python threads run them; a
-multithreaded BLAS can still move the last bits).  Double precision throughout;
+computed axis by axis, each axis one matrix product with a dense 1-D kernel
+that rotates the contracted axis to the slow end of the array (no FFT;
+summation order is fixed, so results do not depend on how many Python threads
+run them; a multithreaded BLAS can still move the last bits).  After all n
+axes a grid is back in its own layout.  Double precision throughout;
 the default check tolerance is 1e-9 relative with a 1e-12 absolute floor.
 
 Prime fields, and extension fields with at most DENSE_MAX_ORDER elements,
@@ -217,22 +219,27 @@ def _transform_matrices(field: Field) -> TransformKernel:
 
 
 def transform_axes(
-    values: np.ndarray, mat: np.ndarray, q: int, n: int, n_axes: int | None = None
+    values: np.ndarray, mat: np.ndarray, q: int, count: int, reverse: bool = False
 ) -> np.ndarray:
-    """Apply the q x q kernel ``mat`` along axes 0 .. n_axes-1 (default all n) of length q.
+    """Contract ``count`` axes of length q with the q x q kernel ``mat``, one GEMM each.
 
-    With the flat index sum_i x_i q^i, axis i is the middle axis of the
-    C-order view (-1, q, q^i), so each contraction is a reshape and a
-    (batched) matmul: no axis is moved and no input is copied.  A leading
-    block of several grids, stacked C-order, rides along in the -1.
+    ``values`` is read as a C-order array of axes of length q.  A forward step
+    contracts the fastest axis and leaves it slowest (``mat @ arr.reshape(-1, q).T``),
+    so axis i of the flat index sum_i x_i q^i goes first.  A reverse step
+    contracts the slowest axis and leaves it fastest.  Whatever else the array
+    holds, such as a block of stacked rows, rides along in the other GEMM
+    dimension: forward takes (R, x_{c-1}, ..., x_0) to (x_{c-1}, ..., x_0, R)
+    with each x contracted, and reverse takes (x_0, ..., x_{c-1}, R) to
+    (R, x_0, ..., x_{c-1}).  So all n axes of one grid come back in its own
+    layout, and a reverse pass undoes the rotation of a forward pass.
+    Returns the flat result.
     """
     arr = values
-    for axis in range(n if n_axes is None else n_axes):
-        inner = q**axis
-        if inner == 1:
-            arr = arr.reshape(-1, q) @ mat.T
+    for _ in range(count):
+        if reverse:
+            arr = arr.reshape(q, -1).T @ mat.T
         else:
-            arr = np.matmul(mat, arr.reshape(-1, q, inner))
+            arr = mat @ arr.reshape(-1, q).T
     return arr.reshape(-1)
 
 

@@ -225,11 +225,6 @@ def _point_mass(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot products of two (B, N) real arrays, each through one BLAS dot."""
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
-
-
 def _root(x: np.ndarray, e: float) -> np.ndarray:
     """x^e entry by entry through scalar pow: numpy's vectorized pow can round
     differently in the last bit, and these per-row scalars feed the
@@ -247,6 +242,9 @@ def _power_ascent(surface, p, q, g0, max_iters, tol):
     |z|^a phase(z), computed as (|z|^2)^{(a-1)/2} z so zeros map to 0.  The
     grid-side dual omits its positive factor ||Eg||_q^{1-q}, because the
     surface-side renormalization to unit L^p(dsigma) norm is scale-invariant.
+    The grid side stays in the rotated (head, row, last) layout that
+    ``_extend_rows`` returns and ``_adjoint_rows`` takes, so each row's
+    ratio sums over axes 0 and 2.
 
     Returns per row the final g, the last settled ratio (0 if none), the
     iteration count and whether the row converged.  Only private helpers run
@@ -287,27 +285,28 @@ def _power_ascent(surface, p, q, g0, max_iters, tol):
     prev = value.copy()
     it = 0
     for it in range(1, max_iters + 1):
-        u = _extend_rows(surface, g)
+        u = _extend_rows(surface, g)  # (head, row, last)
         if qf == math.inf:
-            ratio = np.abs(u).max(axis=1)
+            ratio = np.abs(u).max(axis=(0, 2))
         else:
             a2 = _abs2(u)
             t = _power0(a2, grid_exp)
-            ratio = _root(_row_dot(t, a2), 1.0 / qf)
+            ratio = _root(np.einsum("hbl,hbl->b", t, a2), 1.0 / qf)
         settled = np.abs(ratio - prev) <= tol * np.maximum(1.0, ratio)
         if settled.any():
             done = rows[settled]
             final[done], value[done] = g[settled], prev[settled]
             iters[done], converged[done] = it, True
             going = ~settled
-            rows, g, u, ratio, prev = rows[going], g[going], u[going], ratio[going], prev[going]
+            rows, g, u, ratio, prev = rows[going], g[going], u[:, going], ratio[going], prev[going]
             if not len(rows):
                 break
             if qf != math.inf:
-                t = t[going]
+                t = t[:, going]
         prev = ratio
         if qf == math.inf:
-            dual = _point_mass(u)
+            dual = _point_mass(u.transpose(1, 0, 2).reshape(len(rows), -1))
+            dual = dual.reshape(len(rows), len(u), -1).transpose(1, 0, 2)
         elif qf == 1:
             dual = _phase(u)  # sign(u), and 1 where u = 0
         else:

@@ -227,6 +227,9 @@ class _TransformPlan:
     digit contractions over the first n - 1 axes need no gather of their own.
     Column s of ``lift`` is e(x_{n-1} tau_s) / |S| and of ``sample``
     e(-x_{n-1} tau_s) for the s-th sorted point, x_{n-1} running down the rows.
+    Between the head contractions a block of B grids sits in the rotated
+    layout (|F|^{n-1} head, B rows, |F| last coordinate), C order: the head
+    axes rotated to the slow end, each by one GEMM over the whole block.
     """
 
     order: np.ndarray
@@ -265,12 +268,13 @@ def _transform_plan(surface: SurfaceMeasure) -> _TransformPlan:
 
 
 def _extend_rows(surface: SurfaceMeasure, values: np.ndarray) -> np.ndarray:
-    """``extension`` of each row of a (B, |S|) array: a (B, |F|^n) array.
+    """``extension`` of each row of a (B, |S|) array, as a (|F|^{n-1}, B, |F|) array.
 
     The sparse last axis goes first: each point adds g(s) e(x_{n-1} tau_s) / |S|
     to its head's column (q |S| work instead of q^{n+1}), points sharing a head
-    are merged, and the first n - 1 axes run as dense contractions.  Rows are
-    independent; the block axis rides in front of every step.
+    are merged, and the first n - 1 axes run as forward contractions, each one
+    GEMM over the whole block.  They leave the rotated layout (head, row,
+    x_{n-1}), which ``_adjoint_rows`` takes as it is.
     """
     q = surface.field.order
     n = surface.n
@@ -283,25 +287,27 @@ def _extend_rows(surface: SurfaceMeasure, values: np.ndarray) -> np.ndarray:
         dense = np.zeros((len(values), q, q ** (n - 1)), dtype=np.complex128)
         dense[:, :, plan.columns] = cols
         cols = dense
-    d = kernel.digits
-    out = transform_axes(cols, kernel.plus, kernel.size, n * d, (n - 1) * d)
-    return out.reshape(len(values), -1)
+    out = transform_axes(cols, kernel.plus, kernel.size, (n - 1) * kernel.digits)
+    return out.reshape(q ** (n - 1), len(values), q)
 
 
 def _adjoint_rows(surface: SurfaceMeasure, values: np.ndarray) -> np.ndarray:
-    """``extension_adjoint`` of each row of a (B, |F|^n) array: a (B, |S|) array.
+    """``extension_adjoint`` of each row of a (|F|^{n-1}, B, |F|) array: a (B, |S|) array.
 
-    The first n - 1 axes run as dense contractions; each point then sums over
-    x_{n-1} against e(-x_{n-1} tau_s) in its head's column.
+    The input is the rotated layout (head, row, x_{n-1}) of ``_extend_rows``.
+    The first n - 1 axes run as reverse contractions, one GEMM each, which
+    rotate it back to (row, x_{n-1}, head); each point then sums over x_{n-1}
+    against e(-x_{n-1} tau_s) in its head's column.
     """
     q = surface.field.order
     n = surface.n
+    rows = values.shape[1]
     plan = _transform_plan(surface)
     kernel = _transform_matrices(surface.field)
-    d = kernel.digits
-    part = transform_axes(values, kernel.minus, kernel.size, n * d, (n - 1) * d)
-    part = part.reshape(len(values), q, q ** (n - 1))
-    out = np.empty((len(values), surface.size), dtype=np.complex128)
+    axes = (n - 1) * kernel.digits
+    part = transform_axes(values, kernel.minus, kernel.size, axes, reverse=True)
+    part = part.reshape(rows, q, q ** (n - 1))
+    out = np.empty((rows, surface.size), dtype=np.complex128)
     out[:, plan.order] = np.einsum("ts,bts->bs", plan.sample, part[:, :, plan.heads])
     return out
 
@@ -309,7 +315,7 @@ def _adjoint_rows(surface: SurfaceMeasure, values: np.ndarray) -> np.ndarray:
 def extension(sf: SurfaceFunction) -> Grid:
     """(g dsigma)_ as a space-side grid, via the surface's transform plan."""
     out = _extend_rows(sf.surface, sf.values[None, :])
-    return Grid(sf.surface.field, sf.surface.n, out[0], Side.SPACE)
+    return Grid(sf.surface.field, sf.surface.n, out[:, 0].T.reshape(-1), Side.SPACE)
 
 
 def extension_adjoint(f: Grid, surface: SurfaceMeasure) -> SurfaceFunction:
@@ -321,7 +327,9 @@ def extension_adjoint(f: Grid, surface: SurfaceMeasure) -> SurfaceFunction:
         raise WrongSideError("the extension adjoint expects a space-side grid")
     if f.n != surface.n or f.field != surface.field:
         raise ValueError("grid and surface do not match")
-    return SurfaceFunction(surface, _adjoint_rows(surface, f.values[None, :])[0])
+    q = surface.field.order
+    rotated = f.values.reshape(q, -1).T[:, None, :]
+    return SurfaceFunction(surface, _adjoint_rows(surface, rotated)[0])
 
 
 def _point_waves(surface: SurfaceMeasure, rows: slice, character: np.ndarray):
@@ -345,7 +353,8 @@ def _point_waves(surface: SurfaceMeasure, rows: slice, character: np.ndarray):
 def extension_direct(sf: SurfaceFunction) -> Grid:
     """Same operator by direct summation over surface points (no transform).
 
-    Each block of points (from ``grid.blocks``) adds its waves as one product
+    Each block of points (from ``grid.blocks``, floored at |F|^n entries since
+    every block also writes the whole output) adds its waves as one product
     last^T (g head) onto the (x_{n-1}, head) view of the output: |S| |F|^n
     multiply-adds, as the plain sum.  Kept as an independent code path, so that
     lower-bound certificates are re-evaluated without trusting the fast
@@ -354,7 +363,7 @@ def extension_direct(sf: SurfaceFunction) -> Grid:
     surf = sf.surface
     q, n = surf.field.order, surf.n
     out = np.zeros((q, q ** (n - 1)), dtype=np.complex128)
-    for rows in blocks(surf.size, q ** (n - 1)):
+    for rows in blocks(surf.size, q ** (n - 1), floor=q**n):
         head, last = _point_waves(surf, rows, surf.field.character)
         out += last.T @ (sf.values[rows, None] * head)
     return Grid(surf.field, n, out.reshape(-1) / surf.size, Side.SPACE)
@@ -374,13 +383,14 @@ def restriction_direct(f: Grid, surface: SurfaceMeasure) -> SurfaceFunction:
 
     Each block of points sums f against its conjugate waves: the head part as
     one product with the (head, x_{n-1}) view of f, then the last coordinate
-    row by row.  Like ``extension_direct``, it calls no transform.
+    row by row.  Blocks are sized as in ``extension_direct``, since every block
+    reads the whole of f.  Like ``extension_direct``, it calls no transform.
     """
     q, n = surface.field.order, surface.n
     table = f.values.reshape(q, q ** (n - 1)).T
     character = np.conj(surface.field.character)
     vals = np.empty(surface.size, dtype=np.complex128)
-    for rows in blocks(surface.size, q ** (n - 1)):
+    for rows in blocks(surface.size, q ** (n - 1), floor=q**n):
         head, last = _point_waves(surface, rows, character)
         vals[rows] = ((head @ table) * last).sum(axis=1)
     return SurfaceFunction(surface, vals)

@@ -183,6 +183,61 @@ def test_factored_transforms_match_the_dense_kernel(monkeypatch, p, k):
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
+def contract_oracle(values, mat, q, count, reverse):
+    """``transform_axes`` by one np.einsum per axis, then one transpose.
+
+    Forward reads the input as (R, x_{count-1}, ..., x_0) and returns
+    (x_{count-1}, ..., x_0, R); reverse reads (x_0, ..., x_{count-1}, R) and
+    returns (R, x_0, ..., x_{count-1}); every x is contracted with ``mat``.
+    """
+    rest = values.size // q**count
+    shape = (rest,) + (q,) * count if not reverse else (q,) * count + (rest,)
+    arr = values.reshape(shape)
+    axes = range(1, count + 1) if not reverse else range(count)
+    for axis in axes:
+        arr = np.moveaxis(np.einsum("xa,...a->...x", mat, np.moveaxis(arr, axis, -1)), -1, axis)
+    order = (*range(1, count + 1), 0) if not reverse else (count, *range(count))
+    return arr.transpose(order).reshape(-1)
+
+
+# dense kernels (F_7, F_31) and factored ones (F_{13^2}, F_{3^5}), each at a
+# dimension n, so counts run 1 .. n * digits
+CONTRACTION_FIELDS = [((7, 1), 3), ((31, 1), 2), ((13, 2), 2), ((3, 5), 2)]
+
+
+@pytest.mark.parametrize("pk,n", CONTRACTION_FIELDS)
+@pytest.mark.parametrize("rows", [1, 3, 7])
+def test_transform_axes_against_einsum_oracle(pk, n, rows):
+    kernel = grid_module._transform_matrices(make_field(*pk))
+    size, axes = kernel.size, n * kernel.digits
+    rng = np.random.default_rng(size * 100 + rows)
+    vals = rng.standard_normal(rows * size**axes) + 1j * rng.standard_normal(rows * size**axes)
+    # the kernels are symmetric, so a random matrix also checks which index is summed
+    general = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+    cases = ((False, kernel.minus), (True, kernel.plus), (False, general), (True, general))
+    for count in range(1, axes + 1):
+        for reverse, mat in cases:
+            got = grid_module.transform_axes(vals, mat, size, count, reverse=reverse)
+            want = contract_oracle(vals, mat, size, count, reverse)
+            assert got.shape == vals.shape
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("pk,n", CONTRACTION_FIELDS)
+def test_transform_axes_reverse_undoes_forward(pk, n):
+    # minus @ plus = size * I, so forward with plus then reverse with minus
+    # scales by size^count and restores the original layout
+    kernel = grid_module._transform_matrices(make_field(*pk))
+    size, axes = kernel.size, n * kernel.digits
+    rng = np.random.default_rng(size)
+    vals = rng.standard_normal(3 * size**axes) + 1j * rng.standard_normal(3 * size**axes)
+    for count in range(1, axes + 1):
+        there = grid_module.transform_axes(vals, kernel.plus, size, count)
+        back = grid_module.transform_axes(there, kernel.minus, size, count, reverse=True)
+        np.testing.assert_allclose(back, vals * float(size) ** count, rtol=0,
+                                   atol=1e-11 * float(size) ** count)
+
+
 def test_roundtrip_identity(f7):
     rng = np.random.default_rng(1)
     f = Grid.random(f7, 3, rng)

@@ -231,7 +231,7 @@ def test_direct_sums_against_scalar_oracle(monkeypatch, name):
     lambda: double_paraboloid(make_field(5), 2),
 ])
 def test_direct_sums_with_a_short_last_block(monkeypatch, make):
-    # blocks of 7 points leave a short last block on each of these (48, 81
+    # blocks of 10 points leave a short last block on each of these (48, 81
     # and 25 points); the block split must not change the sums
     surface = make()
     width = surface.field.order ** (surface.n - 1)
@@ -242,13 +242,64 @@ def test_direct_sums_with_a_short_last_block(monkeypatch, make):
     f = Grid.random(surface.field, surface.n, rng)
     whole_ext = extension_direct(g).values
     whole_res = restriction_direct(f, surface).values
-    monkeypatch.setattr(grid_module, "BLOCK_ENTRIES", 7 * width + 1)
-    cuts = list(grid_module.blocks(surface.size, width))
-    assert len(cuts) > 1 and 0 < cuts[-1].stop - cuts[-1].start < 7
+    monkeypatch.setattr(grid_module, "BLOCK_ENTRIES", 10 * width + 1)
+    cuts = list(grid_module.blocks(surface.size, width, floor=width * surface.field.order))
+    assert len(cuts) > 1 and 0 < cuts[-1].stop - cuts[-1].start < 10
     scale = max(1.0, np.abs(whole_res).max())
     np.testing.assert_allclose(extension_direct(g).values, whole_ext, rtol=0, atol=1e-13)
     np.testing.assert_allclose(restriction_direct(f, surface).values, whole_res,
                                rtol=0, atol=1e-13 * scale)
+
+
+def test_direct_blocks_hold_the_whole_grid(monkeypatch):
+    # every block writes or reads all |F|^n entries, so a block holds at least
+    # |F|^n / |F|^{n-1} = |F| points however small BLOCK_ENTRIES is: the 25
+    # points of the 4-D double paraboloid over F_5 make 5 blocks of 5
+    surface = double_paraboloid(make_field(5), 2)
+    rng = np.random.default_rng(12)
+    g = SurfaceFunction(
+        surface, rng.standard_normal(surface.size) + 1j * rng.standard_normal(surface.size)
+    )
+    f = Grid.random(surface.field, surface.n, rng)
+    monkeypatch.setattr(grid_module, "BLOCK_ENTRIES", 2**30)
+    one_ext = extension_direct(g).values
+    one_res = restriction_direct(f, surface).values
+    sizes = []
+
+    def recorded(*args, **kwargs):
+        cuts = list(grid_module.blocks(*args, **kwargs))
+        sizes.append([s.stop - s.start for s in cuts])
+        return cuts
+
+    monkeypatch.setattr(grid_module, "BLOCK_ENTRIES", 1)
+    monkeypatch.setattr(surfaces, "blocks", recorded)
+    ext = extension_direct(g).values
+    res = restriction_direct(f, surface).values
+    assert sizes == [[5] * 5, [5] * 5]
+    np.testing.assert_allclose(ext, one_ext, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(res, one_res, rtol=0, atol=1e-13 * np.abs(one_res).max())
+
+
+@pytest.mark.parametrize("pk", [(13, 2), (3, 5)])
+def test_stacked_rows_are_adjoint_in_the_rotated_layout(pk):
+    # factored kernels: F_{13^2} and F_{3^5}, paraboloid n = 2, three stacked rows
+    surface = paraboloid(make_field(*pk), 2)
+    q, rows = surface.field.order, 3
+    rng = np.random.default_rng(q)
+    g = rng.standard_normal((rows, surface.size)) + 1j * rng.standard_normal((rows, surface.size))
+    h = rng.standard_normal((q, rows, q)) + 1j * rng.standard_normal((q, rows, q))
+    u = surfaces._extend_rows(surface, g)
+    assert u.shape == (q, rows, q)
+    back = surfaces._adjoint_rows(surface, h)
+    lhs = np.einsum("hbl,hbl->b", u, np.conj(h))
+    rhs = np.mean(g * np.conj(back), axis=1)
+    np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=0)
+    for b in range(rows):
+        grid = extension(SurfaceFunction(surface, g[b])).values.reshape(q, q)  # (last, head)
+        np.testing.assert_allclose(u[:, b], grid.T, rtol=0, atol=1e-12)
+        space = Grid(surface.field, 2, h[:, b].T.reshape(-1), Side.SPACE)
+        np.testing.assert_allclose(back[b], extension_adjoint(space, surface).values,
+                                   rtol=0, atol=1e-9)
 
 
 def test_adjoint_requires_space_side(f5):
