@@ -34,7 +34,7 @@ from .certificates import (
     exponent_str,
     parse_exponent,
 )
-from .errors import DEFAULT_BUDGET, FFLabError
+from .errors import DEFAULT_BUDGET, FFLabError, UnsupportedDimensionError, require_budget
 from .field import Field, is_prime, make_field
 from .grid import Grid, Side, fourier_forward, fourier_inverse, lp_norm, parseval_defect
 from .reports import CheckResult, ExperimentReport, cache_gc, results_dir, store_report
@@ -128,7 +128,7 @@ def _report(
         seed=args.seed, config=run_config,
     )
     rendered = report.render(args.fmt)
-    store_report(report)
+    store_report(report, encoded=rendered if args.fmt == "json" else None)
     if note and args.fmt == "text":
         rendered += "\n" + note
     return (EXIT_OK if report.all_passed else EXIT_VIOLATION), rendered
@@ -339,13 +339,19 @@ def cmd_kakeya_cordoba(args) -> tuple[int, str]:
     t0 = time.perf_counter()
     field = make_field(*parse_field_token(args.field))
     n = args.dim
+    if n < 2:
+        raise UnsupportedDimensionError("need n >= 2")
+    if args.trials < 1:
+        raise ValueError("need at least one trial")
+    require_budget(args.trials * field.order**n, args.budget, "line points trials |F|^n")
     m = field.order ** (n - 1)
     rng = np.random.default_rng(args.seed)
-    worst = math.inf
-    for _ in range(args.trials):
-        g = rng.random(m)
-        x0map = rng.integers(0, m, m)
-        worst = min(worst, kk.cordoba_check(field, n, g, x0map))
+    g = np.empty((args.trials, m), dtype=np.float64)
+    x0map = np.empty((args.trials, m), dtype=np.int64)
+    for i in range(args.trials):  # one trial at a time, to keep the seed's stream
+        g[i] = rng.random(m)
+        x0map[i] = rng.integers(0, m, m)
+    worst = float(kk.cordoba_check(field, n, g, x0map).min())
     checks = [CheckResult("deficit_nonnegative", worst >= -1e-9, worst)]
     return _report(
         args, t0, checks,

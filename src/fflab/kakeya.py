@@ -55,15 +55,26 @@ from .grid import (
 
 
 def line_flats(field: Field, x0, v) -> np.ndarray:
-    """(L, |F|) flat indices over F^n of the points (x0 + vt, t), in t order."""
+    """(..., |F|) flat indices over F^n of the points (x0 + vt, t), in t order.
+
+    x0 and v are (..., n-1) arrays whose leading axes broadcast, so a stack
+    of base points can share one set of directions.  v t is formed once, on
+    v's own shape, and each flat is built by Horner's rule, slowest
+    coordinate first, with one field addition per coordinate and none on t.
+    """
     x0 = np.asarray(x0, dtype=np.int64)
     v = np.asarray(v, dtype=np.int64)
-    if x0.shape != v.shape:
+    if x0.shape[-1:] != v.shape[-1:]:
         raise ValueError("base point and direction dimensions differ")
-    zero = np.zeros((*x0.shape[:-1], 1), dtype=np.int64)
-    a = np.concatenate([x0, zero], axis=-1)[..., None, :]
-    b = np.concatenate([v, zero + 1], axis=-1)[..., None, :]
-    return flat_points(field, affine_line(field, a, b))
+    q, d = field.order, v.shape[-1]
+    ts = np.arange(q, dtype=np.int64)
+    vt = field.mul_arrays(np.moveaxis(v, -1, 0)[..., None], ts)  # [coordinate, ..., t]
+    flat = ts
+    for j in range(d - 1, -1, -1):  # t is the slowest coordinate, coordinate 0 the fastest
+        flat = flat * q + field.add_arrays(x0[..., j, None], vt[j])
+    if d == 0:  # F^1 has one line, all of it
+        flat = np.tile(ts, (*np.broadcast_shapes(x0.shape[:-1], v.shape[:-1]), 1))
+    return flat
 
 
 def _require_distinct(x0, v) -> None:
@@ -382,29 +393,59 @@ def verify_lower(cert: NormCertificate) -> bool:
 # -- line averages -------------------------------------------------------------------
 
 
+def _line_sums(field: Field, n: int, g: np.ndarray, x0map: np.ndarray) -> np.ndarray:
+    """(T, |F|^n) unscaled line sums sum_v g[i, v] chi_{l(x0, v)}, x0 the
+    point of flat x0map[i, v] over F^{n-1}, for the T rows of the
+    (T, |F|^{n-1}) stacks g and x0map, in one line_flats call and one
+    bincount.  Row i's points go to bins offset by i |F|^n, in (row, v, t)
+    order, so every bin adds in the same order as for its row alone; zero
+    weights add +0.0 and change no sum.
+    """
+    size = field.order**n
+    coords = field.grid_coords(n - 1)
+    flat = line_flats(field, coords[x0map], coords)  # [row, v, t]
+    flat += (np.arange(len(g), dtype=np.int64) * size)[:, None, None]
+    weights = np.repeat(g.ravel(), field.order)
+    return np.bincount(flat.ravel(), weights, minlength=len(g) * size).reshape(len(g), size)
+
+
 def line_sum_grid(field: Field, n: int, g: np.ndarray, x0map: np.ndarray) -> Grid:
     """Tg = |F|^{-(n-1)} sum_v g(v) chi_{l(x0(v), v)} as a space-side grid."""
-    q = field.order
-    m = q ** (n - 1)
     g = np.asarray(g, dtype=np.float64)
-    coords = field.grid_coords(n - 1)
-    vfs = np.flatnonzero(g != 0)
-    flat = line_flats(field, coords[np.asarray(x0map, dtype=np.int64)[vfs]], coords[vfs])
-    vals = np.bincount(flat.ravel(), weights=np.repeat(g[vfs], q), minlength=q**n)
-    vals = vals.astype(np.complex128)
+    x0map = np.asarray(x0map, dtype=np.int64)
+    m = field.order ** (n - 1)
+    vals = _line_sums(field, n, g[None], x0map[None])[0].astype(np.complex128)
     vals /= float(m)  # complex division scales by 1/m: a float division would round otherwise
     return Grid(field, n, vals, Side.SPACE)
 
 
-def cordoba_check(field: Field, n: int, g: np.ndarray, x0map: np.ndarray) -> float:
-    """sqrt(2) ||g||_{(2n-2)'(dv)} - ||Tg||_{L^2(dx)}; nonnegative for g >= 0."""
+def cordoba_check(field: Field, n: int, g: np.ndarray, x0map: np.ndarray):
+    """sqrt(2) ||g||_{(2n-2)'(dv)} - ||Tg||_{L^2(dx)}; nonnegative for g >= 0.
+
+    g and x0map are (trials, |F|^{n-1}) stacks of direction weights and
+    base-point flats, and the result holds one deficit per trial; a 1-D g
+    and x0map are one trial and give a float.  Trials run in blocks of
+    grid.blocks(trials, |F|^n), each one _line_sums call, and every deficit
+    is bit-identical to evaluating its trial alone: the roots are taken on
+    Python floats, as lp_norm and mean_lp_norm take them.
+    """
+    if n < 2:
+        raise UnsupportedDimensionError("need n >= 2")
     g = np.asarray(g, dtype=np.float64)
+    x0map = np.asarray(x0map, dtype=np.int64)
     if np.any(g < 0):
         raise ValueError("direction weights must be nonnegative")
-    dual = holder_dual(Fraction(2 * n - 2))
-    lhs = math.sqrt(2.0) * mean_lp_norm(g, dual)
-    rhs = lp_norm(line_sum_grid(field, n, g, x0map), 2)
-    return lhs - rhs
+    dual = as_float(holder_dual(Fraction(2 * n - 2)))
+    scale = 1.0 / float(field.order ** (n - 1))
+    stack_g, stack_x0 = np.atleast_2d(g), np.atleast_2d(x0map)
+    out = np.empty(len(stack_g), dtype=np.float64)
+    for rows in blocks(len(stack_g), field.order**n):
+        # times 1/m, which is what line_sum_grid's complex division computes
+        tg = _line_sums(field, n, stack_g[rows], stack_x0[rows]) * scale
+        lhs = np.mean(stack_g[rows] ** dual, axis=1).tolist()
+        rhs = np.sum(tg**2.0, axis=1).tolist()
+        out[rows] = [math.sqrt(2.0) * a ** (1.0 / dual) - b ** 0.5 for a, b in zip(lhs, rhs)]
+    return float(out[0]) if g.ndim == 1 else out
 
 
 # -- incidences ----------------------------------------------------------------------

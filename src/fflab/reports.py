@@ -191,11 +191,15 @@ def _major(version: str) -> int:
     return int(version.split(".")[0])
 
 
-def store_report(report: ExperimentReport, directory: Path | None = None) -> Path:
+def store_report(
+    report: ExperimentReport, directory: Path | None = None, encoded: str | None = None
+) -> Path:
+    """Write the report under its configuration key; encoded, when given, is
+    its to_json() text already rendered, so it is not encoded twice."""
     d = directory or results_dir()
     d.mkdir(parents=True, exist_ok=True)
     path = d / f"{config_key(report.config)}.json"
-    path.write_text(report.to_json())
+    path.write_text(report.to_json() if encoded is None else encoded)
     return path
 
 

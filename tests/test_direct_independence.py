@@ -1,10 +1,12 @@
-"""The direct-summation rechecks name nothing of the transform path.
+"""The direct rechecks name nothing of the fast paths they recheck.
 
 ``extension_direct`` and ``restriction_direct`` re-evaluate lower-bound
 certificates, so they must not reach the transform kernel, the surface plan,
 the axis contractions or the plan-based row operators that produced them.
-The walk follows every package function they name, in any module, and fails
-on any name of the transform path.
+``kakeya_maximal_direct`` re-evaluates the Kakeya lowers, so it must not
+reach the blocked line-table sweep of ``kakeya_maximal``.  The walk follows
+every package function a root names, in any module, and fails on any name
+of the path that root rechecks.
 """
 
 import ast
@@ -17,6 +19,8 @@ FORBIDDEN = {
     "_transform_matrices", "transform_axes", "_transform", "_transform_plan",
     "_extend_rows", "_adjoint_rows", "extension", "extension_adjoint",
 }
+KAKEYA_ROOTS = ("kakeya.kakeya_maximal_direct",)
+KAKEYA_FORBIDDEN = {"translate_flats", "blocks", "kakeya_maximal"}
 
 
 def package_sources() -> dict[str, str]:
@@ -27,8 +31,10 @@ def _forbidden(name: str) -> bool:
     return name in FORBIDDEN or name.startswith("fourier_")
 
 
-def direct_path(sources: dict[str, str]) -> tuple[list[str], list[str]]:
-    """(functions reached from ROOTS, 'function: name' for each forbidden name).
+def direct_path(
+    sources: dict[str, str], roots=ROOTS, forbidden=_forbidden
+) -> tuple[list[str], list[str]]:
+    """(functions reached from roots, 'function: name' for each forbidden name).
 
     A name resolves to a top-level function of its own module or to one
     imported from another package module; a later definition replaces an
@@ -45,7 +51,7 @@ def direct_path(sources: dict[str, str]) -> tuple[list[str], list[str]]:
             elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
                 for alias in node.names:
                     names[alias.asname or alias.name] = f"{node.module}.{alias.name}"
-    reached, hits, todo = [], [], list(ROOTS)
+    reached, hits, todo = [], [], list(roots)
     while todo:
         qual = todo.pop()
         if qual in reached or qual not in defs:
@@ -57,7 +63,7 @@ def direct_path(sources: dict[str, str]) -> tuple[list[str], list[str]]:
                 node.attr if isinstance(node, ast.Attribute) else None)
             if name is None:
                 continue
-            if _forbidden(name):
+            if forbidden(name):
                 hits.append(f"{qual}: {name}")
             elif name in scope[module]:
                 todo.append(scope[module][name])
@@ -86,4 +92,25 @@ def test_a_planted_reference_fails():
         "grid.blocks: _transform_matrices",
         "surfaces._point_waves: _transform_plan",
         "surfaces._point_waves: fourier_forward",
+    ]
+
+
+def test_kakeya_recheck_names_no_line_table():
+    reached, hits = direct_path(package_sources(), KAKEYA_ROOTS, KAKEYA_FORBIDDEN.__contains__)
+    assert hits == []
+    assert {*KAKEYA_ROOTS, "kakeya._common_space"} <= set(reached)
+
+
+def test_a_planted_kakeya_reference_fails():
+    sources = package_sources()
+    sources["kakeya"] += (
+        "\n\ndef _common_space(fs):\n"
+        "    for rows in blocks(len(fs), 1):\n"
+        "        translate_flats(fs[0].field, rows)\n"
+        "    return kakeya_maximal(*fs)\n"
+    )
+    assert direct_path(sources, KAKEYA_ROOTS, KAKEYA_FORBIDDEN.__contains__)[1] == [
+        "kakeya._common_space: blocks",
+        "kakeya._common_space: kakeya_maximal",
+        "kakeya._common_space: translate_flats",
     ]

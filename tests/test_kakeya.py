@@ -21,7 +21,7 @@ from fflab.errors import (
     UnsupportedDimensionError,
 )
 from fflab.field import Field, make_field
-from fflab.grid import Grid, Side, flat_points, mean_lp_norm
+from fflab.grid import Grid, Side, flat_points, lp_norm, mean_lp_norm
 from fflab.kakeya import (
     besicovitch_2d,
     cordoba_check,
@@ -80,6 +80,22 @@ def test_line_flats_against_scalar_oracle(p, k, n):
     v = rng.integers(field.order, size=(12, n - 1))
     assert line_flats(field, x0, v).tolist() == line_flats_oracle(field, x0, v)
     assert line_flats(field, x0[:0], v[:0]).shape == (0, field.order)
+
+
+@pytest.mark.parametrize("p, k, n", [(7, 1, 2), (5, 1, 3), (3, 2, 3), (3, 1, 4)])
+def test_line_flats_broadcasts_base_points_against_shared_directions(p, k, n):
+    field = make_field(p, k)
+    rng = np.random.default_rng(p + n)
+    x0 = rng.integers(field.order, size=(4, 9, n - 1))  # [trial, line, coordinate]
+    v = rng.integers(field.order, size=(9, n - 1))
+    flats = line_flats(field, x0, v)
+    assert flats.shape == (4, 9, field.order)
+    for i in range(4):
+        assert flats[i].tolist() == line_flats_oracle(field, x0[i], v)
+    # one base point against every direction
+    assert line_flats(field, x0[0, :1], v).tolist() == line_flats_oracle(field, x0[0, [0] * 9], v)
+    with pytest.raises(ValueError):
+        line_flats(field, x0, v[:, :0])  # trailing dimensions differ
 
 
 # -- direction-complete sets -----------------------------------------------------------
@@ -519,6 +535,44 @@ def test_cordoba_constant_weight_deficit(f7):
     wit = besicovitch_2d(f7)
     deficit = cordoba_check(f7, 2, np.ones(7), wit.assignment)
     assert deficit == pytest.approx(math.sqrt(2) - math.sqrt(13 / 7), abs=1e-12)
+
+
+@pytest.mark.parametrize("p, k, n", [(7, 1, 2), (5, 1, 3), (3, 2, 3), (3, 1, 4)])
+def test_stacked_cordoba_matches_one_trial_at_a_time(monkeypatch, p, k, n):
+    # 40 trials: a root taken on a numpy array instead of a Python float
+    # differs in the last bit on a few percent of them
+    field = make_field(p, k)
+    m, trials = field.order ** (n - 1), 40
+    rng = np.random.default_rng(100 * p + n)
+    g = rng.random((trials, m))
+    g[rng.random((trials, m)) < 0.3] = 0.0
+    g[2] = 0.0  # a trial with no weight at all
+    x0map = rng.integers(0, m, (trials, m))
+    dual = Fraction(2 * n - 2) / (2 * n - 3)
+    expected = [  # the one-trial formula through the grid norms
+        math.sqrt(2.0) * mean_lp_norm(g[i], dual)
+        - lp_norm(line_sum_grid(field, n, g[i], x0map[i]), 2)
+        for i in range(trials)
+    ]
+    cuts = []
+
+    def recording_blocks(count, width, *args):
+        out = list(grid.blocks(count, width, *args))
+        cuts.append([(s.start, s.stop) for s in out])
+        return out
+
+    monkeypatch.setattr(grid, "BLOCK_ENTRIES", 3 * field.order**n + 1)  # three trials per block
+    monkeypatch.setattr(kakeya, "blocks", recording_blocks)
+    stacked = cordoba_check(field, n, g, x0map)
+    assert cuts == [[(s, min(s + 3, trials)) for s in range(0, trials, 3)]]
+    assert stacked.tolist() == expected  # bit for bit
+    assert [cordoba_check(field, n, g[i], x0map[i]) for i in range(trials)] == expected
+    assert isinstance(cordoba_check(field, n, g[0], x0map[0]), float)
+
+
+def test_cordoba_refuses_lines_in_one_dimension(f5):
+    with pytest.raises(UnsupportedDimensionError):
+        cordoba_check(f5, 1, np.ones(1), np.zeros(1, dtype=np.int64))
 
 
 def test_cordoba_random_weights(f5, f7):

@@ -330,6 +330,51 @@ def test_cli_membership_and_line_search_gates_exit_2(capsys, argv, gate):
     assert code == 2 and out == "" and gate in err and "budget" in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    ("--trials 0", "at least one trial"),
+    ("--trials -3", "at least one trial"),
+    ("--dim 1", "n >= 2"),
+])
+def test_cli_cordoba_refuses_empty_runs_and_lines_in_one_dimension(capsys, argv, message):
+    code, out, err = run_cli(capsys, "kakeya", "cordoba", "--field", "5", *argv.split())
+    assert code == 2 and out == "" and message in err
+    assert not results_dir().exists()
+
+
+def test_cli_cordoba_budget_boundary(capsys, monkeypatch):
+    argv = ["kakeya", "cordoba", "--field", "5", "--dim", "3", "--trials", "4"]
+    with monkeypatch.context() as patch:
+        def refuse(*args, **kwargs):
+            raise AssertionError("arithmetic or a draw ran before the refusal")
+
+        for name in ("mul_arrays", "add_arrays"):
+            patch.setattr(make_field(5), name, refuse)
+        patch.setattr(cli.np.random, "default_rng", refuse)
+        code, out, err = run_cli(capsys, *argv, "--budget", "499")
+    assert code == 2 and out == ""
+    assert "line points trials |F|^n = 500 exceeds the budget 499" in err
+    code, _, err = run_cli(capsys, *argv, "--budget", "500")
+    assert code == 0 and err == ""
+
+
+@pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+def test_cli_encodes_each_report_once(capsys, monkeypatch, fmt):
+    calls = []
+    to_json = ExperimentReport.to_json
+
+    def counting(self):
+        calls.append(fmt)
+        return to_json(self)
+
+    monkeypatch.setattr(ExperimentReport, "to_json", counting)
+    code, out, _ = run_cli(capsys, "kakeya", "cordoba", "--field", "5", "--format", fmt)
+    assert code == 0 and len(calls) == 1
+    (stored,) = results_dir().glob("*.json")
+    assert stored.read_text() == to_json(ExperimentReport.from_json(stored.read_text()))
+    if fmt == "json":
+        assert stored.read_text() + "\n" == out
+
+
 def test_cli_parseval_runs_on_factored_fields(capsys):
     # |F| = 4489 is above the old dense-kernel cap; its kernel is 67 x 67
     code, out, _ = run_cli(
