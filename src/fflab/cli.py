@@ -468,9 +468,11 @@ def _pick_field(fields, want) -> tuple[int, int] | None:
 def _figure1_rows(fields, seed, restarts, iters, budget):
     """One row per headline surface: the sharp or best-known exponent pairs
     with measured certificates, and the conjectured pair's witness ratio.
-    Also returns whether every lower certificate passed its recheck."""
+    Also returns whether every lower certificate passed its recheck and every
+    lower sits below its upper (certificate_consistency over all of them)."""
     rows = []
     rechecked = True
+    certs = []
     specs = [
         {
             "surface": "moment_curve", "n": 3,
@@ -526,6 +528,7 @@ def _figure1_rows(fields, seed, restarts, iters, budget):
                 surface, p, q, restarts=restarts, max_iters=iters, seed=seed,
             )
             rechecked &= rl.verify_lower(lower)
+            certs += [lower] if upper is None else [lower, upper]
             entries.append(
                 {
                     "label": label,
@@ -543,7 +546,7 @@ def _figure1_rows(fields, seed, restarts, iters, budget):
                 "entries": entries,
             }
         )
-    return rows, rechecked
+    return rows, rechecked and not certificate_consistency(certs)
 
 
 def _render_figure1(rows, fmt: str) -> str:

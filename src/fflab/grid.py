@@ -85,10 +85,28 @@ def flat_points(field: Field, points: np.ndarray) -> np.ndarray:
     return points @ pw
 
 
-def affine_line(field: Field, a, b) -> np.ndarray:
-    """(|F|, n) coordinate rows of the points a + t b, in the order t = 0, 1, ..."""
-    ts = np.arange(field.order, dtype=np.int64)[:, None]
-    return field.add_arrays(a, field.mul_arrays(ts, b))
+def affine_flats(field: Field, a, b) -> np.ndarray:
+    """(..., |F|) flat indices over F^d of the points a + t b, in the order t = 0, 1, ...
+
+    a and b are (..., d) rows, d >= 1, whose leading axes broadcast, so a stack
+    of base points can share one set of directions.  b t is formed once, on
+    b's own shape, and each flat is built by Horner's rule from the last
+    (slowest) coordinate, one field addition per coordinate; no (..., |F|, d)
+    point array is formed.
+    """
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    if a.shape[-1:] != b.shape[-1:]:
+        raise ValueError("base point and direction dimensions differ")
+    q, d = field.order, b.shape[-1]
+    if d == 0:
+        raise ValueError("a line needs at least one coordinate")
+    bt = field.mul_arrays(np.moveaxis(b, -1, 0)[..., None], np.arange(q, dtype=np.int64))
+    flat = field.add_arrays(a[..., d - 1, None], bt[d - 1])  # [..., t]
+    for j in range(d - 2, -1, -1):
+        flat *= q
+        flat += field.add_arrays(a[..., j, None], bt[j])
+    return flat
 
 
 def blocks(count: int, width: int, entries: int | None = None, floor: int = 0):

@@ -3,16 +3,21 @@ machinery that feeds the exponent calculus.
 
 Lines are parameterized over directions v in F^{n-1} as l(x0, v) =
 {(x0 + vt, t) : t in F}; horizontal lines (constant last coordinate) sit
-outside this family and are only reachable through an explicit opt-in.  The
-direction space carries the normalized measure dv assigning mass
-|F|^{-(n-1)} per direction, while point space keeps counting measure.  The
-Kakeya constant K(p -> q) is the best constant in
+outside this family.  The direction space carries the normalized measure dv
+assigning mass |F|^{-(n-1)} per direction, while point space keeps counting
+measure.  The Kakeya constant K(p -> q) is the best constant in
 ||f*||_{L^q(dv)} <= C ||f||_{L^p(dx)} for the maximal function
 f*(v) = max_{x0} sum_{x in l(x0,v)} |f(x)|.
 
 A family of L lines is a pair of (L, n-1) int64 arrays: base points x0 and
-directions v, one row per line.  Every consumer reads the family's points
-through line_flats, one batched gather with no loop over lines.
+directions v, one row per line.  line_flats reads all of the family's points
+in one batched step with no loop over lines: l(x0, v) is the line x0 + vt of
+the base space F^{n-1}, built by grid.affine_flats, lifted by its height t.
+Lines of F^n given as (L, n) rows a + tb (incidence_count) go through
+affine_flats directly, so one Horner routine builds every line.  The
+Besicovitch check and the maximal function keep their own height-by-height
+walks: the first follows only the lines still inside the set, the second
+reads translate tables, and its recheck shares neither.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from .field import Field
 from .grid import (
     Grid,
     Side,
-    affine_line,
+    affine_flats,
     blocks,
     flat_points,
     grid_from_bytes,
@@ -57,23 +62,12 @@ from .grid import (
 def line_flats(field: Field, x0, v) -> np.ndarray:
     """(..., |F|) flat indices over F^n of the points (x0 + vt, t), in t order.
 
-    x0 and v are (..., n-1) arrays whose leading axes broadcast, so a stack
-    of base points can share one set of directions.  v t is formed once, on
-    v's own shape, and each flat is built by Horner's rule, slowest
-    coordinate first, with one field addition per coordinate and none on t.
+    x0 and v are (..., n-1) arrays, n >= 2, whose leading axes broadcast.
+    l(x0, v) is the line x0 + vt of F^{n-1} (grid.affine_flats) lifted by its
+    height: t is the slowest coordinate, so each flat gains t |F|^{n-1}.
     """
-    x0 = np.asarray(x0, dtype=np.int64)
-    v = np.asarray(v, dtype=np.int64)
-    if x0.shape[-1:] != v.shape[-1:]:
-        raise ValueError("base point and direction dimensions differ")
-    q, d = field.order, v.shape[-1]
-    ts = np.arange(q, dtype=np.int64)
-    vt = field.mul_arrays(np.moveaxis(v, -1, 0)[..., None], ts)  # [coordinate, ..., t]
-    flat = ts
-    for j in range(d - 1, -1, -1):  # t is the slowest coordinate, coordinate 0 the fastest
-        flat = flat * q + field.add_arrays(x0[..., j, None], vt[j])
-    if d == 0:  # F^1 has one line, all of it
-        flat = np.tile(ts, (*np.broadcast_shapes(x0.shape[:-1], v.shape[:-1]), 1))
+    flat = affine_flats(field, x0, v)
+    flat += np.arange(field.order, dtype=np.int64) * field.order ** np.shape(v)[-1]
     return flat
 
 
@@ -184,37 +178,29 @@ def _common_space(fs: Sequence[Grid]) -> tuple[Field, int]:
     return field, n
 
 
-def kakeya_maximal(
-    *fs: Grid, include_horizontal: bool = False, budget: int = DEFAULT_BUDGET
-) -> np.ndarray:
+def kakeya_maximal(*fs: Grid, budget: int = DEFAULT_BUDGET) -> np.ndarray:
     """f*(v) = max_{x0} sum_{t} |f(x0 + vt, t)| over all directions, for a
     stack of grids on one F^n in one line sweep.
 
-    Returns one row per grid, one value per direction flat.
-    include_horizontal (2-D only) appends the best constant-height row sum as
-    a final extra entry.  budget caps the |F|^{2n-1} gathers of one grid;
-    each block's c + x index table is built once and read for every grid.
+    Returns one row per grid, one value per direction flat.  budget caps the
+    |F|^{2n-1} gathers of one grid; each block's c + x index table is built
+    once and read for every grid.
     """
     field, n = _common_space(fs)
     q = field.order
     require_budget(q ** (2 * n - 1), budget, "line-point gathers |F|^{2n-1}")
-    if include_horizontal and n != 2:
-        raise UnsupportedDimensionError("horizontal rows are a 2-D exploration only")
     m = q ** (n - 1)
     absf = np.empty((q, m, len(fs)), dtype=np.float64)  # [height, base point, grid]
     for i, f in enumerate(fs):
         absf[:, :, i] = np.abs(f.values).reshape(q, m)
     v = field.grid_coords(n - 1)
-    out = np.empty((len(fs), m + (1 if include_horizontal else 0)), dtype=np.float64)
+    out = np.empty((len(fs), m), dtype=np.float64)
     for vfs in blocks(m, m * len(fs)):
         acc = np.zeros((vfs.stop - vfs.start, m, len(fs)), dtype=np.float64)
         for t in range(q):  # row v, column x0: the flat of x0 + vt over F^{n-1}
             vt = field.mul_arrays(v[vfs], np.int64(t))
             acc += absf[t].take(translate_flats(field, vt), axis=0)
         out[:, vfs] = acc.max(axis=1).T
-    if include_horizontal:
-        for i, f in enumerate(fs):
-            out[i, m] = np.abs(f.values).reshape(m, q, order="F").sum(axis=0).max()
     return out
 
 
@@ -282,8 +268,11 @@ def kakeya_norm_certificates(
     random_sets tries seeded random indicators and keeps the first best.
     Every test function is drawn first and all are evaluated in one
     kakeya_maximal sweep.  budget caps that sweep's gathers per grid and is
-    checked before any grid is built.
+    checked before any grid is built; n < 2 is refused before the gate, since
+    a line needs a height and at least one base coordinate.
     """
+    if n < 2:
+        raise UnsupportedDimensionError("need n >= 2")
     p = parse_exponent(p)
     q = parse_exponent(q)
     require_budget(field.order ** (2 * n - 1), budget, "line-point gathers |F|^{2n-1}")
@@ -480,7 +469,7 @@ def incidence_count(
     member[flat_points(field, pts)] = True
     count, keys = 0, np.empty((nl, 2), dtype=np.int64)
     for rows in blocks(nl, q):
-        flats = flat_points(field, affine_line(field, a[rows, None, :], b[rows, None, :]))
+        flats = affine_flats(field, a[rows], b[rows])
         count += int(np.count_nonzero(member[flats]))
         keys[rows] = np.partition(flats, 1, axis=1)[:, :2]
     if len(np.unique(keys, axis=0)) != nl:

@@ -191,21 +191,21 @@ def _major(version: str) -> int:
     return int(version.split(".")[0])
 
 
-def store_report(
-    report: ExperimentReport, directory: Path | None = None, encoded: str | None = None
-) -> Path:
-    """Write the report under its configuration key; encoded, when given, is
-    its to_json() text already rendered, so it is not encoded twice."""
-    d = directory or results_dir()
+def store_report(report: ExperimentReport, encoded: str | None = None) -> Path:
+    """Write the report under its configuration key in results_dir(); encoded,
+    when given, is its to_json() text already rendered, so it is not encoded
+    twice."""
+    d = results_dir()
     d.mkdir(parents=True, exist_ok=True)
     path = d / f"{config_key(report.config)}.json"
     path.write_text(report.to_json() if encoded is None else encoded)
     return path
 
 
-def cache_gc(directory: Path | None = None) -> tuple[int, int]:
-    """Drop unreadable or major-version-incompatible entries; (kept, removed)."""
-    d = directory or results_dir()
+def cache_gc() -> tuple[int, int]:
+    """Drop unreadable or major-version-incompatible entries of results_dir();
+    (kept, removed)."""
+    d = results_dir()
     kept = removed = 0
     if not d.exists():
         return (0, 0)

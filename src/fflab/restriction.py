@@ -45,11 +45,11 @@ from .errors import (
     require_budget,
 )
 from .field import Field, make_field
-from .kakeya import IncidenceReport, incidence_count
+from .kakeya import IncidenceReport, incidence_count, line_flats
 from .grid import (
     Grid,
     Side,
-    affine_line,
+    affine_flats,
     blocks,
     convolve,
     flat_points,
@@ -130,6 +130,8 @@ def rebuild_surface(cert: NormCertificate) -> SurfaceMeasure:
     fld = make_field(cert.char, cert.degree)
     if kind == SurfaceKind.CONE.value:
         return build_surface(kind, fld, cert.n, include_origin=cert.meta.get("include_origin", False))
+    if kind == SurfaceKind.DOUBLE_PARABOLOID.value:  # cert.n is the ambient 2 x base n
+        return build_surface(kind, fld, cert.n // 2)
     return build_surface(kind, fld, cert.n)
 
 
@@ -457,7 +459,7 @@ def find_affine_line(surface: SurfaceMeasure, budget: int = DEFAULT_BUDGET):
             b = b[member[flat_points(fld, fld.add_arrays(a, b))]]  # a + b on the surface
             tested += q * len(b)
             require_budget(tested, budget, what)
-            inside = member[flat_points(fld, affine_line(fld, a, b[:, None, :]))].all(axis=1)
+            inside = member[affine_flats(fld, a, b)].all(axis=1)
             if inside.any():
                 return a.copy(), b[inside.argmax()]
     raise SubspaceNotFoundError("no affine line inside the surface")
@@ -503,7 +505,7 @@ def rstar_lower_witness(
         extra = {}
     elif name == "subspace":
         a, b = find_affine_line(surface, budget)
-        g = SurfaceFunction(surface, np.isin(surface.flat, flat_points(fld, affine_line(fld, a, b))))
+        g = SurfaceFunction(surface, np.isin(surface.flat, affine_flats(fld, a, b)))
         extra = {"line_base": [int(x) for x in a], "line_dir": [int(x) for x in b]}
     else:
         raise UnknownWitnessError(f"no witness named {name!r}")
@@ -709,7 +711,8 @@ def bridge_identity_checks(field: Field, n: int, seed: int = 0, trials: int = 5)
             nf = int(neg_flat[eta_flat])
             xline = field.character[field.dot_arrays(ys, surf.points[eta_flat])]
             x0, v = coords[x0map[nf]], field.neg_arrays(coords[eta_flat])
-            yline = indicator_grid(field, n, affine_line(field, (*x0, 0), (*v, 1))).values
+            yline = np.zeros(q**n, dtype=np.complex128)
+            yline[line_flats(field, x0, v)] = 1.0  # the line (x0 + vt, t)
             rhs += math.sqrt(h[nf]) * np.multiply.outer(yline, xline).reshape(-1)
         rhs *= float(q) ** (1 - n)
         dev["line_sum"] = max(dev["line_sum"], _rel_dev(lhs, rhs))

@@ -13,7 +13,7 @@ from fflab.field import Field, make_field
 from fflab.grid import (
     Grid,
     Side,
-    affine_line,
+    affine_flats,
     convolve,
     flat_points,
     fourier_forward,
@@ -67,20 +67,33 @@ def affine_line_stack(field, a, b) -> np.ndarray:
 
 
 @pytest.mark.parametrize("p,k", [(7, 1), (3, 2)])
-def test_affine_line_matches_coordinate_stack(p, k):
+def test_affine_flats_match_coordinate_stack(p, k):
     field = make_field(p, k)
     rng = np.random.default_rng(5)
     for n in (1, 2, 3):
         for b_last in (0, 1):
             a = rng.integers(0, field.order, n)
             b = np.append(rng.integers(0, field.order, n - 1), b_last)
-            got = affine_line(field, a, b)
-            assert got.dtype == np.int64 and got.shape == (field.order, n)
-            assert np.array_equal(got, affine_line_stack(field, a, b))
-            assert np.array_equal(got[0], a)  # rows in t order, t = 0 first
+            got = affine_flats(field, a, b)
+            assert got.dtype == np.int64 and got.shape == (field.order,)
+            assert np.array_equal(got, flat_points(field, affine_line_stack(field, a, b)))
+            assert got[0] == flat_points(field, a)  # t order, t = 0 first
     # plain tuples of ints work too
-    assert np.array_equal(affine_line(field, (2, 0), (1, 1)),
-                          affine_line_stack(field, (2, 0), (1, 1)))
+    assert np.array_equal(affine_flats(field, (2, 0), (1, 1)),
+                          flat_points(field, affine_line_stack(field, (2, 0), (1, 1))))
+    # (T, L, d) base points broadcast against (L, d) directions
+    a = rng.integers(0, field.order, (4, 5, 3))
+    b = rng.integers(0, field.order, (5, 3))
+    got = affine_flats(field, a, b)
+    assert got.shape == (4, 5, field.order)
+    for i in range(4):
+        for j in range(5):
+            want = flat_points(field, affine_line_stack(field, a[i, j], b[j]))
+            assert np.array_equal(got[i, j], want)
+    with pytest.raises(ValueError):
+        affine_flats(field, a, b[:, :2])  # trailing dimensions differ
+    with pytest.raises(ValueError):
+        affine_flats(field, a[..., :0], b[:, :0])  # no coordinate: no line
 
 
 @pytest.mark.parametrize(

@@ -5,12 +5,19 @@ used when the module mentions it anywhere else as a bare name (an attribute
 chain counts through its root, as ``np`` in ``np.zeros``) or lists it in
 ``__all__``.  ``from __future__`` imports bind no name.  Imports inside
 functions are left alone: they are deferred on purpose.
+
+The benchmark tracer (``perfbench/spans.py``) rebinds fflab functions by name,
+so every name in its ``WRAPPED`` table must still resolve on the package.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
+from fflab import grid, kakeya, reports, surfaces
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fflab"
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 # Imports kept although their module does not use them, with the reason.
 ALLOWED_UNUSED = {
@@ -83,3 +90,46 @@ def test_an_added_unused_import_fails():
     assert [q for q in unused_imports(sources) if q not in ALLOWED_UNUSED] == [
         "grid._unused_alias", "restriction.BudgetExceededError",
     ]
+
+
+# -- the benchmark tracer's names ---------------------------------------------------------
+
+
+def wrapped_names() -> dict[str, tuple[str, str]]:
+    """span name -> (module, attribute path) of every entry of the tracer's
+    WRAPPED table, read from its source without importing it."""
+    for stmt in ast.parse(SPANS.read_text()).body:
+        if isinstance(stmt, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "WRAPPED" for t in stmt.targets
+        ):
+            return {
+                key.value: (spec.elts[0].value, spec.elts[1].value)
+                for key, spec in zip(stmt.value.keys, stmt.value.values)
+            }
+    raise AssertionError("perfbench/spans.py defines no WRAPPED table")
+
+
+def unresolved_wrapped() -> list[str]:
+    """Span names whose (module, attribute path) no longer resolves on fflab."""
+    missing = []
+    for name, (module, attr) in wrapped_names().items():
+        obj = importlib.import_module(f"fflab.{module}")
+        for part in attr.split("."):
+            obj = getattr(obj, part, None)
+        if not callable(obj):
+            missing.append(name)
+    return missing
+
+
+def test_every_traced_name_resolves():
+    names = wrapped_names()
+    assert len(names) > 30 and "kakeya.line_sum_grid" in names
+    assert unresolved_wrapped() == []
+    # the tracer rebinds fourier_inverse wherever it is bound, surfaces included
+    assert surfaces.fourier_inverse is grid.fourier_inverse
+
+
+def test_a_removed_traced_name_fails(monkeypatch):
+    monkeypatch.delattr(kakeya, "line_sum_grid")
+    monkeypatch.delattr(reports.ExperimentReport, "render")
+    assert unresolved_wrapped() == ["kakeya.line_sum_grid", "reports.ExperimentReport.render"]

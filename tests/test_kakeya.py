@@ -304,8 +304,7 @@ def test_stacked_maximal_rows_match_one_grid(monkeypatch, p, k, n):
     rng = np.random.default_rng(10 * p + k + 100 * n)
     fs = [Grid.random(field, n, rng), indicator_grid(field, n, [(0,) * n]),
           Grid.constant(field, n, 1.0), Grid.random(field, n, rng)]
-    horizontal = n == 2
-    one = [kakeya_maximal(f, include_horizontal=horizontal)[0] for f in fs]
+    one = [kakeya_maximal(f)[0] for f in fs]
     m = field.order ** (n - 1)
     tables = []
 
@@ -315,15 +314,15 @@ def test_stacked_maximal_rows_match_one_grid(monkeypatch, p, k, n):
 
     monkeypatch.setattr(kakeya, "translate_flats", counted)
     monkeypatch.setattr(grid, "BLOCK_ENTRIES", 4 * m * len(fs) + 3)  # 4 rows: m is odd
-    stacked = kakeya_maximal(*fs, include_horizontal=horizontal)
+    stacked = kakeya_maximal(*fs)
     direct = kakeya_maximal_direct(*fs)
-    assert stacked.shape == (len(fs), m + horizontal)
+    assert stacked.shape == (len(fs), m)
     # blocks shrink with the stack, so a block's gather stays near BLOCK_ENTRIES
     assert len(tables) == math.ceil(m / 4) * field.order and max(tables) == min(4, m)
     for i, f in enumerate(fs):
         assert np.array_equal(stacked[i], one[i])
         assert np.array_equal(direct[i], kakeya_maximal_direct(f)[0])
-        assert np.array_equal(direct[i], one[i][:m])
+        assert np.array_equal(direct[i], one[i])
 
 
 def test_stacked_maximal_refuses_mixed_grids(f5, f7):
@@ -372,15 +371,6 @@ def test_recheck_independent_of_line_tables(monkeypatch, f7):
     assert verify_lowers(certs) == [True] * len(certs)
 
 
-def test_maximal_horizontal_row(f5):
-    f = Grid.constant(f5, 2, 1.0)
-    (star,) = kakeya_maximal(f, include_horizontal=True)
-    assert star.shape == (6,)
-    assert np.all(star == 5.0)
-    with pytest.raises(UnsupportedDimensionError):
-        kakeya_maximal(Grid.constant(f5, 3, 1.0), include_horizontal=True)
-
-
 def test_maximal_budget_gate():
     f = Grid.constant(make_field(37), 4, 1.0)
     with pytest.raises(BudgetExceededError):
@@ -396,6 +386,13 @@ def test_maximal_budget_boundary(f5):
     assert len(kakeya_norm_certificates(f5, 3, 2, 4, budget=gathers)) == 3
     with pytest.raises(BudgetExceededError):
         kakeya_norm_certificates(f5, 3, 2, 4, budget=gathers - 1)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_norm_certificates_refuse_n_below_2(f5, n):
+    # refused before the budget gate, which a budget of 0 would fail for every n
+    with pytest.raises(UnsupportedDimensionError, match="need n >= 2"):
+        kakeya_norm_certificates(f5, n, 2, 2, budget=0)
 
 
 # -- certificates ----------------------------------------------------------------------

@@ -418,6 +418,14 @@ def test_cli_kakeya_maximal_defaults(capsys):
     assert "[pass]" in out
 
 
+@pytest.mark.parametrize("argv", ["--p 2 --q 2", "--p 2 --q 2 --witnesses line"])
+def test_cli_kakeya_maximal_refuses_lines_in_one_dimension(capsys, argv):
+    argv = ("kakeya", "maximal", "--field", "5", "--dim", "1", *argv.split())
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and "need n >= 2" in err
+    assert not results_dir().exists()
+
+
 def test_cli_kakeya_besicovitch(capsys):
     code, out, _ = run_cli(capsys, "kakeya", "besicovitch", "--field", "11")
     assert code == 0
@@ -504,6 +512,37 @@ def test_cli_figure1_budget(capsys):
     assert kept == {"parabola", "cone"}
     code, out, _ = run_cli(capsys, *argv[:-2], "--budget", "1")
     assert code == 0 and all(line.rstrip().endswith("-") for line in out.splitlines()[1:])
+
+
+def test_cli_figure1_exits_1_when_a_lower_exceeds_its_upper(capsys, monkeypatch):
+    original = rl.rstar_upper_even
+
+    def halved(*args, **kwargs):
+        cert = original(*args, **kwargs)
+        return dataclasses.replace(cert, value=cert.value / 2)
+
+    figure1 = ("table", "figure1", "--fields", "5,7", "--restarts", "2", "--iters", "40")
+    code, honest, _ = run_cli(capsys, *figure1)
+    assert code == 0
+    monkeypatch.setattr(rl, "rstar_upper_even", halved)
+    code, out, _ = run_cli(capsys, *figure1)
+    assert code == 1
+    # the layout is unchanged: only the upper column moves
+    assert out != honest
+    for line, ref in zip(out.splitlines(), honest.splitlines(), strict=True):
+        assert len(line) == len(ref)
+        assert line.split()[:-1] == ref.split()[:-1]
+
+
+@pytest.mark.parametrize("p", ["3", "5"])
+def test_cli_estimate_rechecks_the_double_paraboloid(capsys, p):
+    code, out, err = run_cli(
+        capsys, "restriction", "estimate", "--field", p, "--dim", "2",
+        "--surface", "double_paraboloid", "--p", "2", "--q", "4", "--format", "json",
+    )
+    assert code == 0 and err == ""
+    checks = {c["name"]: c["pass"] for c in json.loads(out)["checks"]}
+    assert checks == {"lower_recheck": True, "certificate_consistency": True}
 
 
 def test_cli_estimate_runs_one_direct_sum(capsys, monkeypatch):

@@ -440,7 +440,9 @@ def test_find_affine_line_against_scan(p, k, n, kind, monkeypatch):
     # the subspace witness is the indicator of that line on the surface
     cert = rstar_lower_witness(surface, 2, 4, "subspace")
     vals = np.frombuffer(cert.witness, dtype="<c16")
-    on_line = {tuple(row) for row in grid.affine_line(surface.field, a, b).tolist()}
+    fld = surface.field
+    on_line = {tuple(fld.add(x, fld.mul(t, y)) for x, y in zip(a.tolist(), b.tolist()))
+               for t in range(fld.order)}
     assert vals.tolist() == [complex(tuple(pt) in on_line) for pt in surface.points.tolist()]
     monkeypatch.setattr(grid, "BLOCK_ENTRIES", 5 * surface.field.order + 2)
     assert [x.tolist() for x in find_affine_line(surface)] == list(want)  # blocks of 5
@@ -493,7 +495,7 @@ def test_find_affine_line_budget_boundaries(monkeypatch):
     def no_gather(*args, **kwargs):
         raise AssertionError("a line was gathered before the refusal")
 
-    monkeypatch.setattr(rl, "affine_line", no_gather)
+    monkeypatch.setattr(rl, "affine_flats", no_gather)
     # the base point 0 keeps its 4 directions b on S: 39 + 3 x 4 line points
     with pytest.raises(BudgetExceededError, match=r"kept\) = 51 exceeds the budget 50"):
         find_affine_line(surface, budget=50)
@@ -530,6 +532,18 @@ def test_recheck_uses_independent_path(f5):
     upper = rstar_upper_even(surface, 2)
     with pytest.raises(UnknownWitnessError):
         recheck_lower(upper)
+
+
+@pytest.mark.parametrize("name,n", [
+    ("paraboloid", 2), ("paraboloid", 3), ("cone", 3), ("moment", 3),
+    ("double_paraboloid", 2), ("double_paraboloid", 3),
+])
+def test_rebuild_surface_returns_the_producers_points(name, n):
+    # every surface the command line builds, rebuilt from one of its certificates
+    surface = cli.build_surface_arg(name, make_field(5), n)
+    again = rebuild_surface(rstar_exact_closed(surface, 2, math.inf))
+    assert again.kind == surface.kind and again.n == surface.n
+    assert np.array_equal(again.points, surface.points)
 
 
 def test_rebuild_surface_roundtrip(f7):
