@@ -17,7 +17,6 @@ import csv
 import functools
 import io
 import json
-import math
 import sys
 import time
 from fractions import Fraction
@@ -34,7 +33,9 @@ from .certificates import (
     exponent_str,
     parse_exponent,
 )
-from .errors import DEFAULT_BUDGET, FFLabError, UnsupportedDimensionError, require_budget
+from .errors import (
+    DEFAULT_BUDGET, FFLabError, NoClosedFormError, UnsupportedDimensionError, require_budget,
+)
 from .field import Field, is_prime, make_field
 from .grid import Grid, Side, fourier_forward, fourier_inverse, lp_norm, parseval_defect
 from .reports import CheckResult, ExperimentReport, cache_gc, results_dir, store_report
@@ -147,21 +148,14 @@ def cmd_restriction_estimate(args) -> tuple[int, str]:
     certs = []
     checks = []
     method = args.method
-    if method in ("closed", "auto"):
-        try:
-            certs.append(rl.rstar_exact_closed(surface, p, q))
-        except FFLabError:
-            if method == "closed":
-                raise
-    if method == "even" or (method == "auto" and not certs):
-        if q != math.inf and Fraction(q) % 2 == 0 and Fraction(q) >= 4:
-            k = int(Fraction(q) // 2)
-            if p == Fraction(2) and k in (2, 3):
-                certs.append(rl.rstar_upper_even(surface, k, budget=args.budget))
-            elif method == "even":
-                raise FFLabError(f"even counting needs p = 2 and q in {{4, 6}}, got ({p}, {q})")
-        elif method == "even":
-            raise FFLabError(f"even counting needs an even integer q >= 4, got {q}")
+    even = functools.partial(rl.rstar_upper_even, budget=args.budget)
+    for name, produce in (("closed", rl.rstar_exact_closed), ("even", even)):
+        if method == name or (method == "auto" and not certs):
+            try:
+                certs.append(produce(surface, p, q))
+            except NoClosedFormError:
+                if method == name:
+                    raise
     if method == "power" or (method == "auto" and not any(c.kind == "exact" for c in certs)):
         cert = rl.rstar_lower_power(
             surface, p, q,
@@ -517,13 +511,10 @@ def _figure1_rows(fields, seed, restarts, iters, budget):
         surface = build_surface_arg(base_kind, field, spec["n"])
         entries = []
         for label, p, q in spec["pairs"]:
-            upper = None
-            if p == 2 and q in (Fraction(4), Fraction(6)):
-                k = int(q // 2)
-                try:
-                    upper = rl.rstar_upper_even(surface, k, budget=budget)
-                except FFLabError:
-                    upper = None
+            try:
+                upper = rl.rstar_upper_even(surface, p, q, budget)
+            except FFLabError:
+                upper = None
             lower = rl.rstar_lower_power(
                 surface, p, q, restarts=restarts, max_iters=iters, seed=seed,
             )

@@ -98,12 +98,8 @@ class ConstraintViolatedError(FFLabError):
     pass
 
 
-# budgets and stored results
+# budgets
 class BudgetExceededError(FFLabError):
-    pass
-
-
-class VersionMismatchError(FFLabError):
     pass
 
 

@@ -14,7 +14,7 @@ that rotates the contracted axis to the slow end of the array (no FFT;
 summation order is fixed, so results do not depend on how many Python threads
 run them; a multithreaded BLAS can still move the last bits).  After all n
 axes a grid is back in its own layout.  Double precision throughout;
-the default check tolerance is 1e-9 relative with a 1e-12 absolute floor.
+rechecks compare values with the tolerance of certificates.recheck_agrees.
 
 Prime fields, and extension fields with at most DENSE_MAX_ORDER elements,
 contract each coordinate with one |F| x |F| kernel.  Larger F_{p^k} factor
@@ -43,8 +43,6 @@ from .certificates import as_float
 from .errors import BudgetExceededError, SideMismatchError, WrongSideError
 from .field import Field, make_field
 
-REL_TOL = 1e-9
-ABS_FLOOR = 1e-12
 # Largest extension field that keeps the dense |F| x |F| kernel: the factored
 # kernel is slower below about 125 elements and faster from F_{13^2} up.
 DENSE_MAX_ORDER = 128

@@ -167,7 +167,7 @@ def verify_besicovitch(field: Field, n: int, flat: np.ndarray, budget: int = DEF
 
 
 def _common_space(fs: Sequence[Grid]) -> tuple[Field, int]:
-    """The field and dimension every grid of a stack shares."""
+    """The field and dimension n >= 2 every grid of a stack shares."""
     if not fs:
         raise ValueError("the maximal function needs at least one grid")
     field, n = fs[0].field, fs[0].n
@@ -175,6 +175,8 @@ def _common_space(fs: Sequence[Grid]) -> tuple[Field, int]:
         raise ValueError("stacked grids must share one field and one dimension")
     if any(f.side != Side.SPACE for f in fs):
         raise ValueError("maximal function acts on space-side grids")
+    if n < 2:
+        raise UnsupportedDimensionError("need n >= 2")
     return field, n
 
 
@@ -730,17 +732,17 @@ def heisenberg_example(field: Field, budget: int = DEFAULT_BUDGET) -> QuadExtens
 # -- slope projections ----------------------------------------------------------------
 
 
-def _slope_to_field(field: Field, slope) -> int | None:
-    """Map a rational slope into F; None encodes infinity."""
+def _read_slope(field: Field, slope) -> tuple[str, int | None]:
+    """(label, element of F) of a rational slope; infinity reads as ("inf", None)."""
     if slope in (math.inf, "inf", "infinity", "oo"):
-        return None
+        return "inf", None
     r = Fraction(slope)
     if r == -1:
         raise ImproperSlopeError("the difference projection itself is not allowed")
     den = r.denominator
     if den % field.p == 0 or not (0 < den < field.p):
         raise ImproperSlopeError(f"slope {r} has no representative with denominator below {field.p}")
-    return field.rational(r.numerator, den)
+    return str(r), field.rational(r.numerator, den)
 
 
 @dataclass(frozen=True)
@@ -783,8 +785,7 @@ def slope_projections(
     dropped = []
     seen_elems: dict[int | None, str] = {}
     for s in slopes:
-        label = "inf" if s in (math.inf, "inf", "infinity", "oo") else str(Fraction(s))
-        elem = _slope_to_field(field, s)
+        label, elem = _read_slope(field, s)
         if elem in seen_elems:
             warnings.warn(
                 f"slope {label} collides with {seen_elems[elem]} in F; dropped", stacklevel=2
@@ -868,8 +869,7 @@ def slices_construction(witness: BesicovitchWitness, t0: int, t_inf: int, slopes
 
     checks = []
     for s in slopes:
-        label = "inf" if s in (math.inf, "inf", "infinity", "oo") else str(Fraction(s))
-        elem = _slope_to_field(field, s)
+        label, elem = _read_slope(field, s)
         if elem is None:
             t_r = t_inf
             img = pairs[:, 1]

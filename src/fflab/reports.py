@@ -22,7 +22,6 @@ from pathlib import Path
 
 from . import __version__
 from .certificates import NormCertificate, exponent_str, parse_exponent
-from .errors import VersionMismatchError
 
 RESULTS_ENV = "FFLAB_RESULTS_DIR"
 DEFAULT_RESULTS_DIR = ".fflab-cache"
@@ -212,10 +211,12 @@ def cache_gc() -> tuple[int, int]:
     for path in sorted(d.glob("*.json")):
         try:
             report = ExperimentReport.from_json(path.read_text())
-            if _major(report.version) != _major(__version__):
-                raise VersionMismatchError(report.version)
+            keep = _major(report.version) == _major(__version__)
+        except Exception:  # unreadable or malformed
+            keep = False
+        if keep:
             kept += 1
-        except Exception:
+        else:
             path.unlink()
             removed += 1
     return (kept, removed)

@@ -5,8 +5,10 @@ equivalently the L^p(dsigma) -> L^q(counting) norm of the extension operator.
 Three certificate grades are produced: Exact from closed forms (q = oo, and
 q = 2 with p >= 2 where the extension is a scaled isometry), Upper from the
 even-exponent counting identity, and Lower from explicit witnesses or a
-nonlinear power iteration.  Every Lower certificate embeds its witness and is
-re-evaluated through the direct-summation path before being trusted.
+nonlinear power iteration.  Each Exact or Upper producer refuses the pairs it
+does not cover with NoClosedFormError, so the commands only try producers.
+Every Lower certificate embeds its witness and is re-evaluated through the
+direct-summation path, by the same ratio helper with another operator.
 
 The module also houses the surrounding checks: necessary exponent regions,
 the self-dot incidence count, the pseudoconformal substitution identity, the
@@ -135,6 +137,25 @@ def rebuild_surface(cert: NormCertificate) -> SurfaceMeasure:
     return build_surface(kind, fld, cert.n)
 
 
+def _surface_ratio(g: SurfaceFunction, p, q, extend) -> float:
+    """||E g||_q / ||g||_{L^p(dsigma)}, with E the extension operator ``extend``."""
+    return lp_norm(extend(g), q) / surface_lp_norm(g, p)
+
+
+def _space_ratio(f: Grid, surface: SurfaceMeasure, p, q, restrict) -> float:
+    """||E* f||_{L^{p'}(dsigma)} / ||f||_{q'}, with E* the adjoint ``restrict``."""
+    return surface_lp_norm(restrict(f, surface), holder_dual(p)) / lp_norm(f, holder_dual(q))
+
+
+def _surface_lower(g: SurfaceFunction, p, q, extend, method: str, meta: dict) -> NormCertificate:
+    """The Lower certificate witnessed by the surface function g."""
+    return _base_cert(
+        g.surface, "lower", method, p, q, _surface_ratio(g, p, q, extend),
+        witness=g.values.tobytes(),
+        meta={"witness_form": "surface_function", **meta},
+    )
+
+
 # -- closed forms --------------------------------------------------------------------
 
 
@@ -164,7 +185,7 @@ def rstar_exact_closed(surface: SurfaceMeasure, p, q) -> NormCertificate:
 
 
 def rstar_upper_even(
-    surface: SurfaceMeasure, k: int, budget: int = DEFAULT_BUDGET
+    surface: SurfaceMeasure, p, q, budget: int = DEFAULT_BUDGET
 ) -> NormCertificate:
     """Certified upper bound R*(2 -> 2k) <= A^{1/2k} |F|^{n/2k} |S|^{-1/2}.
 
@@ -172,21 +193,22 @@ def rstar_upper_even(
     a given sum.  Expanding ||Eg||_{2k}^{2k} by orthogonality and applying
     Cauchy-Schwarz per sum value makes the constant exactly 1.  The cone at
     k = 2 is symmetric, so the zero-sum diagonal is bounded separately and A
-    is taken over nonzero sums, at the price of A + 1.
+    is taken over nonzero sums, at the price of A + 1.  Any pair but (2, 4)
+    and (2, 6) is refused with NoClosedFormError before any counting.
     """
-    if k not in (2, 3):
-        raise ValueError("even-exponent counting supports k in {2, 3}")
+    p = parse_exponent(p)
+    q = parse_exponent(q)
+    if p != 2 or q not in (4, 6):
+        pair = f"({exponent_str(p)}, {exponent_str(q)})"
+        raise NoClosedFormError(f"even counting covers only (2, 4) and (2, 6), not {pair}")
+    k = int(q) // 2
     fld = surface.field
     split_diagonal = surface.kind == SurfaceKind.CONE and k == 2
-    if split_diagonal:
-        a_count = surface_sum_max(surface, k, exclude_zero=True, budget=budget)
-        effective = a_count + 1
-    else:
-        a_count = surface_sum_max(surface, k, budget=budget)
-        effective = a_count
+    a_count = surface_sum_max(surface, k, exclude_zero=split_diagonal, budget=budget)
+    effective = a_count + int(split_diagonal)
     value = (effective * fld.order**surface.n) ** (1.0 / (2 * k)) / math.sqrt(surface.size)
     return _base_cert(
-        surface, "upper", "even_counting", 2, 2 * k, value,
+        surface, "upper", "even_counting", p, q, value,
         meta={
             "tuple_count_max": a_count,
             "k": k,
@@ -402,13 +424,9 @@ def rstar_lower_power(
     for i in range(1, restarts):
         if vals[i] > vals[idx] + 1e-15:
             idx = i
-    witness = SurfaceFunction(surface, gs[idx])
-    certified = lp_norm(extension(witness), q) / surface_lp_norm(witness, p)
-    return _base_cert(
-        surface, "lower", "power_iteration", p, q, certified,
-        witness=gs[idx].tobytes(),
-        meta={
-            "witness_form": "surface_function",
+    return _surface_lower(
+        SurfaceFunction(surface, gs[idx]), p, q, extension, "power_iteration",
+        {
             "seed": seed,
             "restarts": restarts,
             "max_iters": max_iters,
@@ -483,10 +501,8 @@ def rstar_lower_witness(
             raise WrongSurfaceKindError("the dual set witness lives on the cone")
         x_set = cone_counterexample_set(fld)
         f = indicator_grid(fld, 3, x_set, Side.SPACE)
-        sampled = extension_adjoint(f, surface)
-        value = surface_lp_norm(sampled, holder_dual(p)) / lp_norm(f, holder_dual(q))
         return _base_cert(
-            surface, "lower", "witness", p, q, value,
+            surface, "lower", "witness", p, q, _space_ratio(f, surface, p, q, extension_adjoint),
             witness=grid_to_bytes(f),
             meta={
                 "witness_form": "space_indicator",
@@ -509,12 +525,7 @@ def rstar_lower_witness(
         extra = {"line_base": [int(x) for x in a], "line_dir": [int(x) for x in b]}
     else:
         raise UnknownWitnessError(f"no witness named {name!r}")
-    value = lp_norm(extension(g), q) / surface_lp_norm(g, p)
-    return _base_cert(
-        surface, "lower", "witness", p, q, value,
-        witness=g.values.tobytes(),
-        meta={"witness_form": "surface_function", "witness_name": name, **extra},
-    )
+    return _surface_lower(g, p, q, extension, "witness", {"witness_name": name, **extra})
 
 
 def recheck_lower(cert: NormCertificate) -> float:
@@ -528,13 +539,11 @@ def recheck_lower(cert: NormCertificate) -> float:
     surface = rebuild_surface(cert)
     form = cert.meta.get("witness_form", "surface_function")
     if form == "surface_function":
-        vals = np.frombuffer(cert.witness, dtype="<c16")
-        g = SurfaceFunction(surface, vals.copy())
-        return lp_norm(extension_direct(g), cert.q) / surface_lp_norm(g, cert.p)
+        g = SurfaceFunction(surface, np.frombuffer(cert.witness, dtype="<c16").copy())
+        return _surface_ratio(g, cert.p, cert.q, extension_direct)
     if form == "space_indicator":
         f = grid_from_bytes(cert.witness)
-        sampled = restriction_direct(f, surface)
-        return surface_lp_norm(sampled, holder_dual(cert.p)) / lp_norm(f, holder_dual(cert.q))
+        return _space_ratio(f, surface, cert.p, cert.q, restriction_direct)
     raise UnknownWitnessError(f"unknown witness form {form!r}")
 
 

@@ -115,15 +115,15 @@ def test_criterion_05_even_counting_certificates():
 
     assert surface_sum_max(parab, 2) == 2
     assert surface_sum_max(moment, 3) == 6
-    up_parab = rstar_upper_even(parab, 2)
-    up_moment = rstar_upper_even(moment, 3)
+    up_parab = rstar_upper_even(parab, 2, 4)
+    up_moment = rstar_upper_even(moment, 2, 6)
     assert abs(up_parab.value - 2 ** 0.25) <= 1e-12
     assert abs(up_moment.value - 6 ** (1 / 6)) <= 1e-12
 
     lo_parab = rstar_lower_power(parab, 2, 4, seed=0)
     lo_moment = rstar_lower_power(moment, 2, 6, seed=0)
     lo_big = rstar_lower_power(big, 2, 4, seed=0)
-    up_big = rstar_upper_even(big, 2)
+    up_big = rstar_upper_even(big, 2, 4)
     assert lo_parab.value <= up_parab.value + 1e-9
     assert lo_moment.value <= up_moment.value + 1e-9
     assert lo_big.value <= up_big.value + 1e-9

@@ -336,6 +336,12 @@ def test_stacked_maximal_refuses_mixed_grids(f5, f7):
             kakeya_maximal_direct(Grid.constant(f5, 2, 1.0), other)
 
 
+@pytest.mark.parametrize("maximal", [kakeya_maximal, kakeya_maximal_direct])
+def test_maximal_refuses_lines_in_f1(f5, maximal):
+    with pytest.raises(UnsupportedDimensionError, match="need n >= 2"):
+        maximal(Grid.constant(f5, 1, 1.0))
+
+
 def test_norm_certificates_sweep_lines_once(monkeypatch, f7):
     calls = []
 

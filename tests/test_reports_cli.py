@@ -144,6 +144,20 @@ def test_cli_auto_combines_upper_and_lower(capsys):
     assert "[pass] certificate_consistency" in out
 
 
+@pytest.mark.parametrize("p,q", [("3", "4"), ("2", "8")])
+def test_cli_even_counting_refuses_uncovered_pairs(capsys, p, q):
+    argv = (
+        "restriction", "estimate", "--field", "5", "--dim", "2", "--surface", "parabola",
+        "--p", p, "--q", q, "--restarts", "2", "--iters", "40", "--format", "json",
+    )
+    code, out, err = run_cli(capsys, *argv, "--method", "even")
+    assert (code, out) == (2, "") and "even counting covers only" in err
+    assert not results_dir().exists()
+    code, out, _ = run_cli(capsys, *argv)  # auto: only the power lower
+    assert code == 0
+    assert [c["method"] for c in json.loads(out)["certificates"]] == ["power_iteration"]
+
+
 def test_cli_determinism(capsys):
     argv = (
         "restriction", "estimate", "--field", "5", "--dim", "2",

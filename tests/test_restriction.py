@@ -95,18 +95,32 @@ def test_lambda_ratio_is_one_at_two(f5, f7):
 
 
 def test_even_counting_uppers(f5, f7):
-    assert rstar_upper_even(paraboloid(f5, 2), 2).value == pytest.approx(2 ** 0.25)
-    assert rstar_upper_even(paraboloid(f7, 3), 2).value == pytest.approx((8 / 7) ** 0.25)
-    assert rstar_upper_even(moment_curve(f7, 3), 3).value == pytest.approx(6 ** (1 / 6))
-    c = rstar_upper_even(cone(f7), 2)
+    assert rstar_upper_even(paraboloid(f5, 2), 2, 4).value == pytest.approx(2 ** 0.25)
+    assert rstar_upper_even(paraboloid(f7, 3), 2, 4).value == pytest.approx((8 / 7) ** 0.25)
+    assert rstar_upper_even(moment_curve(f7, 3), 2, 6).value == pytest.approx(6 ** (1 / 6))
+    c = rstar_upper_even(cone(f7), 2, 4)
     assert c.value == pytest.approx((9 * 343) ** 0.25 / math.sqrt(48))
     assert c.meta["diagonal_split"] is True
     assert c.meta["tuple_count_max"] == 8
 
 
+@pytest.mark.parametrize("p,q", [
+    (2, 8), (3, 4), (Fraction(8, 5), 4), (2, Fraction(18, 5)), (2, 3), (2, math.inf),
+])
+def test_even_counting_refuses_uncovered_pairs_before_counting(monkeypatch, f5, p, q):
+    def counted(*args, **kwargs):
+        raise AssertionError("counted tuples at an uncovered pair")
+
+    monkeypatch.setattr(surfaces, "surface_sum_table", counted)
+    with pytest.raises(NoClosedFormError, match="covers only"):
+        rstar_upper_even(paraboloid(f5, 2), p, q, budget=1)
+    with pytest.raises(AssertionError):  # a covered pair reaches the count
+        rstar_upper_even(paraboloid(f5, 2), 2, 4)
+
+
 def test_lower_stays_below_upper(f5):
     surface = paraboloid(f5, 2)
-    upper = rstar_upper_even(surface, 2)
+    upper = rstar_upper_even(surface, 2, 4)
     lower = rstar_lower_power(surface, 2, 4, restarts=4, max_iters=100, seed=0)
     assert lower.value <= upper.value + 1e-9
     assert lower.value > 1.0
@@ -529,7 +543,7 @@ def test_recheck_uses_independent_path(f5):
     surface = paraboloid(f5, 2)
     cert = rstar_lower_witness(surface, 2, 4, "constant")
     assert recheck_lower(cert) == pytest.approx(cert.value, rel=1e-12)
-    upper = rstar_upper_even(surface, 2)
+    upper = rstar_upper_even(surface, 2, 4)
     with pytest.raises(UnknownWitnessError):
         recheck_lower(upper)
 
@@ -555,7 +569,7 @@ def test_rebuild_surface_roundtrip(f7):
 
 def test_consistency_flags_fabricated_pair(f5):
     surface = paraboloid(f5, 2)
-    upper = rstar_upper_even(surface, 2)
+    upper = rstar_upper_even(surface, 2, 4)
     fake = NormCertificate(
         quantity="rstar", kind="lower", method="witness",
         char=5, degree=1, n=2, surface=upper.surface,
