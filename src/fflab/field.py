@@ -12,12 +12,12 @@ since x divides every candidate with c_0 = 0.  Multiplication in extension
 fields runs through log/antilog tables against the fixed generator: the
 smallest index of multiplicative order p^k - 1, scanned from index p, since
 the indices below p are F_p, whose units have orders dividing p - 1.
-Addition in extension fields is one gather from a flat int16 q x q addition
-table, built on the first array sum and kept on the field, up to
-ADD_TABLE_MAX_ORDER = 2^11 elements (8 MiB at the cap); above it, arrays
-gather their base-p digit rows, add them mod p and pack them with the powers
-of p.  Scalar add and neg work on the digit rows and stay the reference for
-both.
+Array addition is one gather from a flat int16 q x q addition table, built
+on the first array sum and kept on the field, up to ADD_TABLE_MAX_ORDER = 2^11
+elements (8 MiB at the cap), prime fields included.  Above the cap a prime
+field adds (a + b) mod p, and an extension field gathers its base-p digit
+rows, adds them mod p and packs them with the powers of p.  Scalar add and
+neg, (a + b) mod p or the digit rows, stay the reference for every path.
 
 The additive character is e(a) = exp(2*pi*i * lift(trace(a)) / p) with the
 absolute trace down to F_p, a gather from the p values exp(2*pi*i * c / p);
@@ -258,10 +258,11 @@ class Field:
 
     @functools.cached_property
     def _add_table(self) -> np.ndarray:
-        """Flat int16 table with a + b at a * q + b, for k > 1 and q <= ADD_TABLE_MAX_ORDER.
+        """Flat int16 table with a + b at a * q + b, for q <= ADD_TABLE_MAX_ORDER.
 
         Digit i of a + b is (a_i + b_i) mod p, so the table is an outer sum of
-        the p x p table of digit sums, taken once per digit axis from the top.
+        the p x p table of digit sums, taken once per digit axis from the top;
+        a prime field's table is the digit-sum table itself.
         """
         p = self.p
         digit_sum = (np.arange(p, dtype=np.int16)[:, None] + np.arange(p, dtype=np.int16)) % p
@@ -323,10 +324,10 @@ class Field:
     def add_arrays(self, a, b) -> np.ndarray:
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
-        if self.k == 1:
-            return (a + b) % self.p
         if self.order <= ADD_TABLE_MAX_ORDER:
             return self._add_table[a * self.order + b].astype(np.int64)
+        if self.k == 1:
+            return (a + b) % self.p
         return ((self._digits[a] + self._digits[b]) % self.p) @ self._powers
 
     def neg_arrays(self, a) -> np.ndarray:

@@ -209,26 +209,28 @@ def kakeya_maximal(*fs: Grid, budget: int = DEFAULT_BUDGET) -> np.ndarray:
 def kakeya_maximal_direct(*fs: Grid) -> np.ndarray:
     """Same maximal function by a per-direction walk in field arithmetic.
 
-    For each direction v it forms the (heights, base points) array of flat
-    indices of (x0 + vt, t) straight from the coordinate table with
-    field.mul_arrays and field.add_arrays, reads every grid of the stack
-    through it, then sums each column over t and takes the largest.
-    Deliberately shares none of kakeya_maximal's indexing: no line tables,
-    no blocks; certificates are re-evaluated through this path.
+    Every shift v t is formed once, one field.mul_arrays into a (direction,
+    height, coordinate) array.  For each direction v the walk then forms the
+    (height, base point) array of flat indices of (x0 + vt, t) from the
+    coordinate table with field.add_arrays, reads the point-major stack
+    [point flat, grid] through it, one row of all grids per line point, sums
+    each column over t and takes the largest over x0.  Deliberately shares
+    none of kakeya_maximal's indexing: no line tables, no blocks;
+    certificates are re-evaluated through this path.
     """
     field, n = _common_space(fs)
     q = field.order
     m = q ** (n - 1)
-    absf = np.stack([np.abs(f.values) for f in fs])  # [grid, point flat]
+    absf = np.stack([np.abs(f.values) for f in fs], axis=1)  # [point flat, grid]
     coords = field.grid_coords(n - 1)
     ts = np.arange(q, dtype=np.int64)[:, None]
+    shifts = field.mul_arrays(coords[:, None, :], ts)  # [direction, height, coordinate]
     out = np.zeros((len(fs), m), dtype=np.float64)
     for vf in range(m):
         flat = ts * m  # [height, base point]
         for j in range(n - 1):
-            shift = field.mul_arrays(ts, coords[vf, j])
-            flat = flat + field.add_arrays(coords[None, :, j], shift) * q**j
-        out[:, vf] = absf[:, flat].sum(axis=1).max(axis=1)
+            flat = flat + field.add_arrays(coords[None, :, j], shifts[vf, :, j, None]) * q**j
+        out[:, vf] = absf.take(flat, axis=0).sum(axis=0).max(axis=0)
     return out
 
 

@@ -76,11 +76,13 @@ def test_array_ops_match_scalar(f9):
     assert all(int(x) == f9.neg(int(u)) for x, u in zip(f9.neg_arrays(a), a))
 
 
-TABLE_SIDE = [(3, 2), (7, 3), (3, 5), (13, 2), (43, 2)]  # up to 1,849 elements
-DIGIT_SIDE = [(47, 2), (3, 7), (61, 2), (509, 2)]  # from 2,187 elements
+# the largest prime under the cap adds by table; above it a prime adds
+# (a + b) mod p and an extension field its digit rows
+TABLE_SIDE = [(3, 2), (7, 3), (3, 5), (13, 2), (43, 2), (2039, 1)]  # up to 2,039 elements
+ABOVE_CAP = [(2053, 1), (47, 2), (3, 7), (61, 2), (509, 2)]  # from 2,053 elements
 
 
-@pytest.mark.parametrize("p,k", TABLE_SIDE + DIGIT_SIDE)
+@pytest.mark.parametrize("p,k", TABLE_SIDE + ABOVE_CAP)
 def test_array_addition_matches_scalar_oracle(p, k):
     field = Field(p, k)
     assert "_add_table" not in vars(field)  # construction never builds the table
@@ -131,13 +133,15 @@ def test_dot_arrays_matches_scalar_dot(p, k, d):
     assert int(field.dot_arrays(a[3], b[3])) == field.dot(a[3].tolist(), b[3].tolist())
 
 
-@pytest.mark.parametrize("p,k", [(3, 2), (5, 2)])
+@pytest.mark.parametrize("p,k", [(3, 1), (13, 1), (31, 1), (3, 2), (5, 2), (5, 3)])
 def test_add_table_exhaustive(p, k):
     field = Field(p, k)
     q = field.order
     want = [[field.add(a, b) for b in range(q)] for a in range(q)]
     elems = np.arange(q)
-    assert field.add_arrays(elems[:, None], elems[None, :]).tolist() == want
+    sums = field.add_arrays(elems[:, None], elems)  # (q, 1) against (q,)
+    assert sums.dtype == np.int64 and sums.tolist() == want
+    assert "_add_table" in vars(field)  # below the cap every field adds by table
     table = field._add_table
     assert table.dtype == np.int16 and table.shape == (q * q,)
     assert table.reshape(q, q).tolist() == want

@@ -325,6 +325,58 @@ def test_stacked_maximal_rows_match_one_grid(monkeypatch, p, k, n):
         assert np.array_equal(direct[i], one[i])
 
 
+def _grid_major_walk(*fs):
+    """The direction walk on a [grid, point flat] stack, with the shifts v t
+    formed per direction: the oracle kakeya_maximal_direct matches bit for bit."""
+    field, n = fs[0].field, fs[0].n
+    q = field.order
+    m = q ** (n - 1)
+    absf = np.stack([np.abs(f.values) for f in fs])  # [grid, point flat]
+    coords = field.grid_coords(n - 1)
+    ts = np.arange(q, dtype=np.int64)[:, None]
+    out = np.zeros((len(fs), m), dtype=np.float64)
+    for vf in range(m):
+        flat = ts * m  # [height, base point]
+        for j in range(n - 1):
+            shift = field.mul_arrays(ts, coords[vf, j])
+            flat = flat + field.add_arrays(coords[None, :, j], shift) * q**j
+        out[:, vf] = absf[:, flat].sum(axis=1).max(axis=1)
+    return out
+
+
+@pytest.mark.parametrize(
+    "p, k, n", [(5, 1, 2), (5, 1, 3), (7, 1, 2), (7, 1, 3), (3, 1, 4), (3, 2, 2), (5, 2, 2)]
+)
+def test_direct_walk_values_are_pinned(p, k, n):
+    field = make_field(p, k)
+    rng = np.random.default_rng(1000 * p + 10 * k + n)
+    one = [Grid.random(field, n, rng)]
+    five = [Grid.random(field, n, rng), Grid.constant(field, n, 0.0),
+            indicator_grid(field, n, [(0,) * n]), Grid.random(field, n, rng),
+            Grid.constant(field, n, 1.0)]
+    for fs in (one, five):
+        got = kakeya_maximal_direct(*fs)
+        assert got.shape == (len(fs), field.order ** (n - 1))
+        assert np.array_equal(got, _grid_major_walk(*fs))
+    assert not kakeya_maximal_direct(five[1]).any()
+
+
+def test_direct_walk_peak_stays_per_direction():
+    # one direction's gather at a time: an all-direction gather of the four
+    # kakeya maximal witnesses at F_13, n = 3 would take about 11.6 MiB
+    field = make_field(13)
+    certs = kakeya_norm_certificates(
+        field, 3, 2, 4, witnesses=("point", "line", "full_space", "random_sets"))
+    fs = [grid.grid_from_bytes(c.witness) for c in certs]
+    tracemalloc.start()
+    try:
+        kakeya_maximal_direct(*fs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * field.order**3 * len(fs) * 8
+
+
 def test_stacked_maximal_refuses_mixed_grids(f5, f7):
     with pytest.raises(ValueError):
         kakeya_maximal()
