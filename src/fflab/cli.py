@@ -392,9 +392,10 @@ def cmd_kakeya_heisenberg(args) -> tuple[int, str]:
     field = make_field(*parse_field_token(args.field))
     rep = kk.heisenberg_example(field, budget=args.budget)
     # Im is F_p-linear from F_{p^2} onto p values, so p z3 fit each (z1, z2): |P| = p^5
+    exact = field.p**5
     checks = [
         CheckResult("all_lines_contained", rep.containment_ok, None),
-        CheckResult("point_count", rep.point_count == field.p**5, float(rep.point_count)),
+        CheckResult("point_count", rep.point_count == exact, float(abs(rep.point_count - exact))),
         CheckResult("duplicate_direction_exists", rep.duplicate_direction is not None, None),
     ]
     derived = {

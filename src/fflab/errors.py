@@ -52,10 +52,6 @@ class WrongSurfaceKindError(FFLabError):
     pass
 
 
-class DegenerateKernelError(FFLabError):
-    pass
-
-
 # norm estimation
 class NoClosedFormError(FFLabError):
     pass
@@ -74,10 +70,6 @@ class MinusOneIsSquareError(FFLabError):
 
 
 class SupportViolationError(FFLabError):
-    pass
-
-
-class NotAMajorantError(FFLabError):
     pass
 
 

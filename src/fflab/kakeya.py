@@ -56,6 +56,8 @@ from .grid import (
     translate_flats,
 )
 
+RANDOM_SET_TRIES = 8  # seeded indicators drawn by the random_sets witness
+
 # -- lines ---------------------------------------------------------------------------
 
 
@@ -261,7 +263,6 @@ def kakeya_norm_certificates(
     q,
     witnesses: Iterable[str] = ("point", "line", "full_space"),
     seed: int = 0,
-    count: int = 8,
     budget: int = DEFAULT_BUDGET,
 ) -> list[NormCertificate]:
     """Lower certificates for K(p -> q) from named test functions.
@@ -312,7 +313,7 @@ def kakeya_norm_certificates(
         elif name == "random_sets":
             rng = np.random.default_rng(seed)
             fs = []
-            for _ in range(count):
+            for _ in range(RANDOM_SET_TRIES):
                 vals = (rng.random(total) < 0.5).astype(np.complex128)
                 if not vals.any():
                     vals[0] = 1.0
@@ -327,7 +328,7 @@ def kakeya_norm_certificates(
         ratios = [mean_lp_norm(next(stars), q) / lp_norm(f, p) for f in fs]
         best = ratios.index(max(ratios))  # the first of equal ratios
         if meta["witness_name"] == "random_sets":
-            meta.update({"seed": seed, "tried": count, "best_index": best})
+            meta.update({"seed": seed, "tried": RANDOM_SET_TRIES, "best_index": best})
         out.append(
             _kakeya_cert(
                 field, n, "lower", "witness", p, q, ratios[best],

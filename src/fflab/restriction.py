@@ -11,9 +11,8 @@ Every Lower certificate embeds its witness and is re-evaluated through the
 direct-summation path, by the same ratio helper with another operator.
 
 The module also houses the surrounding checks: necessary exponent regions,
-the self-dot incidence count, the pseudoconformal substitution identity, the
-lift identities connecting restriction to line families, and the
-even-exponent majorant property.
+the self-dot incidence count, the pseudoconformal substitution identity and
+the lift identities connecting restriction to line families.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ from .errors import (
     DEFAULT_BUDGET,
     MinusOneIsSquareError,
     NoClosedFormError,
-    NotAMajorantError,
     SubspaceNotFoundError,
     SupportViolationError,
     UnknownWitnessError,
@@ -551,19 +549,6 @@ def verify_lower(cert: NormCertificate) -> bool:
     return recheck_agrees(cert, recheck_lower(cert))
 
 
-def lambda_q_ratio(cert: NormCertificate) -> float:
-    """Measured R*(2 -> q) |S|^{1/2} |F|^{-n/q}: boundedness of this ratio is
-    what near-orthogonality of the surface characters would mean.  Reported,
-    never asserted.
-    """
-    surface = rebuild_surface(cert)
-    return (
-        cert.value
-        * math.sqrt(surface.size)
-        * float(surface.field.order) ** (-surface.n / as_float(cert.q))
-    )
-
-
 # -- exponent regions ----------------------------------------------------------------
 
 
@@ -741,19 +726,3 @@ def bridge_identity_checks(field: Field, n: int, seed: int = 0, trials: int = 5)
         rhs = float(q) ** (1 - n) * np.multiply.outer(hv, xphase).reshape(-1)
         dev["cap"] = max(dev["cap"], _rel_dev(lhs, rhs))
     return dev
-
-
-# -- majorant property -----------------------------------------------------------------
-
-
-def majorant_ratio(f: Grid, g: Grid, p) -> float:
-    """||f||_p / ||g||_p given that g's transform dominates: g^ real and
-    g^ >= |f^| pointwise.  For even integer p the ratio cannot exceed 1.
-    """
-    fh = fourier_forward(f).values
-    gh = fourier_forward(g).values
-    if np.abs(gh.imag).max() > 1e-9:
-        raise NotAMajorantError("dominating transform must be real")
-    if np.any(gh.real < np.abs(fh) - 1e-9):
-        raise NotAMajorantError("transform domination fails")
-    return lp_norm(f, p) / lp_norm(g, p)

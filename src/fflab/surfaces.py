@@ -9,9 +9,9 @@ The extension operator of a surface function g is
 a space-side grid; restriction reads a frequency-side grid at the surface
 points.  Surfaces provided: the paraboloid (xi, xi.xi) over xi in F^{n-1};
 the quadric cone {(xi, u, v) : uv = xi^2} minus the origin in F^3; the moment
-curve (t, t^2, ..., t^n) for char > n; the tangent-plane double paraboloid
-(eta, eta.eta, theta, eta.theta) in ambient dimension 2n; and custom common
-zero sets of polynomial callables.
+curve (t, t^2, ..., t^n) for char > n; and the tangent-plane double
+paraboloid (eta, eta.eta, theta, eta.theta) in ambient dimension 2n.  Any
+other point list is a SurfaceMeasure of kind CUSTOM.
 """
 
 from __future__ import annotations
@@ -19,14 +19,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import (
     DEFAULT_BUDGET,
     CharacteristicTooSmallError,
-    DegenerateKernelError,
     UnsupportedDimensionError,
     WrongSideError,
     require_budget,
@@ -180,21 +178,7 @@ def double_paraboloid_index(field: Field, n: int, eta_flat: int, theta_flat: int
     return eta_flat + field.order ** (n - 1) * theta_flat
 
 
-def custom_variety(
-    field: Field,
-    n: int,
-    polynomials: Sequence[Callable[[Field, np.ndarray], np.ndarray]],
-) -> SurfaceMeasure:
-    """Common zero set of polynomial callables p(field, coords) -> values."""
-    coords = field.grid_coords(n)
-    keep = np.ones(coords.shape[0], dtype=bool)
-    for poly in polynomials:
-        vals = np.asarray(poly(field, coords), dtype=np.int64)
-        keep &= vals == 0
-    return SurfaceMeasure(field, n, coords[keep], SurfaceKind.CUSTOM, "custom")
-
-
-def build_surface(kind, field: Field, n: int, polynomials=None, include_origin=False):
+def build_surface(kind, field: Field, n: int, include_origin=False):
     kind = SurfaceKind(kind)
     if kind == SurfaceKind.PARABOLOID:
         return paraboloid(field, n)
@@ -206,9 +190,7 @@ def build_surface(kind, field: Field, n: int, polynomials=None, include_origin=F
         return moment_curve(field, n)
     if kind == SurfaceKind.DOUBLE_PARABOLOID:
         return double_paraboloid(field, n)
-    if polynomials is None:
-        raise ValueError("custom surfaces need polynomial callables")
-    return custom_variety(field, n, polynomials)
+    raise ValueError("a custom surface has no builder by name; give its points to SurfaceMeasure")
 
 
 # -- extension / restriction ------------------------------------------------------
@@ -447,15 +429,6 @@ def bochner_riesz_kernel(surface: SurfaceMeasure) -> Grid:
     vals = k.values.copy()
     vals[0] -= 1.0
     return Grid(surface.field, surface.n, vals, Side.SPACE)
-
-
-def fourier_dimension(surface: SurfaceMeasure) -> float:
-    """Empirical decay exponent: max_x |K(x)| = |F|^{-d/2} solved for d."""
-    kern = bochner_riesz_kernel(surface)
-    m = float(np.abs(kern.values).max())
-    if m < 1e-15:
-        raise DegenerateKernelError("kernel vanishes; no decay exponent")
-    return -2.0 * math.log(m) / math.log(surface.field.order)
 
 
 def paraboloid_kernel_formula_check(field: Field, n: int) -> float:

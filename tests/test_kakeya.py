@@ -415,7 +415,7 @@ def test_norm_certificates_sweep_lines_once(monkeypatch, f7):
 
 def test_recheck_independent_of_line_tables(monkeypatch, f7):
     certs = kakeya_norm_certificates(
-        f7, 3, 2, 4, witnesses=("point", "line", "full_space", "random_sets"), count=2
+        f7, 3, 2, 4, witnesses=("point", "line", "full_space", "random_sets")
     )
 
     def refuse(*args, **kwargs):
@@ -472,16 +472,16 @@ def test_witness_certificates_frozen(f7):
 
 
 def test_random_set_certificates(f5):
-    (cert,) = kakeya_norm_certificates(f5, 2, 2, 2, witnesses=("random_sets",), seed=3, count=4)
-    assert cert.meta["tried"] == 4
+    (cert,) = kakeya_norm_certificates(f5, 2, 2, 2, witnesses=("random_sets",), seed=3)
+    assert cert.meta["tried"] == 8
     assert verify_lower(cert)
-    again = kakeya_norm_certificates(f5, 2, 2, 2, witnesses=("random_sets",), seed=3, count=4)
+    again = kakeya_norm_certificates(f5, 2, 2, 2, witnesses=("random_sets",), seed=3)
     assert repr(again[0].value) == repr(cert.value)
 
 
 def test_verify_lowers_one_verdict_per_certificate(f7):
     certs = kakeya_norm_certificates(
-        f7, 2, 2, 2, witnesses=("point", "line", "full_space", "random_sets"), count=3
+        f7, 2, 2, 2, witnesses=("point", "line", "full_space", "random_sets")
     )
     assert verify_lowers(certs) == [True] * 4 and verify_lowers([]) == []
     assert [recheck_lower(c) for c in certs] == pytest.approx([c.value for c in certs], rel=1e-12)

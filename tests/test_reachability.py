@@ -1,11 +1,11 @@
 """Every public top-level def, class and method in ``src/fflab`` is reached
 from a command.
 
-Reachability is by name.  The roots are the names that ``cli.main`` and the
-scripts under ``scripts/`` mention.  A top-level statement of the package is
-reached when a reached statement mentions the name it defines, as a bare name
-or as an attribute; module-level assignments count as statements, so a
-dispatch table such as ``cli.SUITES`` carries its entries.  A method is
+Reachability is by name.  The roots are ``main`` itself, the one entry point,
+and the names that ``cli.main`` mentions.  A top-level statement of the
+package is reached when a reached statement mentions the name it defines, as a
+bare name or as an attribute; module-level assignments count as statements, so
+a dispatch table such as ``cli.SUITES`` carries its entries.  A method is
 reached when its class is reached and reached code mentions the method's name
 as an attribute or a bare name; dunder methods come with their class, and a
 class statement's own mentions leave out its method bodies.  Imports mention
@@ -16,9 +16,7 @@ dead code but never flags code that a command uses.
 import ast
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
-PACKAGE = ROOT / "src" / "fflab"
-SCRIPTS = ROOT / "scripts"
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fflab"
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 DEFINITIONS = (*FUNCTIONS, ast.ClassDef)
 
@@ -71,13 +69,10 @@ def package_sources() -> dict[str, str]:
 
 
 def root_names(sources: dict[str, str]) -> set[str]:
-    """Names mentioned by ``cli.main`` and by every script."""
+    """``main`` itself and the names ``cli.main`` mentions."""
     tree = ast.parse(sources["cli"])
     (main,) = [s for s in tree.body if isinstance(s, ast.FunctionDef) and s.name == "main"]
-    names = _mentions(main)
-    for script in sorted(SCRIPTS.glob("*.py")):
-        names |= _mentions(ast.parse(script.read_text()))
-    return names
+    return _mentions(main) | {"main"}
 
 
 def unreached(sources: dict[str, str], roots: set[str], allowed) -> list[str]:

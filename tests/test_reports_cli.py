@@ -158,6 +158,16 @@ def test_cli_even_counting_refuses_uncovered_pairs(capsys, p, q):
     assert [c["method"] for c in json.loads(out)["certificates"]] == ["power_iteration"]
 
 
+def test_cli_custom_surface_is_refused(capsys):
+    # a custom surface is a point list, which no command line gives
+    code, out, err = run_cli(
+        capsys, "restriction", "estimate", "--field", "5", "--dim", "2", "--surface", "custom",
+        "--p", "2", "--q", "4",
+    )
+    assert (code, out) == (2, "") and "no builder" in err
+    assert not results_dir().exists()
+
+
 def test_cli_determinism(capsys):
     argv = (
         "restriction", "estimate", "--field", "5", "--dim", "2",
@@ -472,6 +482,9 @@ def test_cli_heisenberg_point_count_exact(capsys, p):
     code, out, _ = run_cli(capsys, "kakeya", "heisenberg", "--field", f"{p}^2")
     assert code == 0 and f"|P| = {p**5} " in out
     assert "[pass] point_count " in out
+    code, out, _ = run_cli(capsys, "kakeya", "heisenberg", "--field", f"{p}^2", "--format", "json")
+    (check,) = [c for c in json.loads(out)["checks"] if c["name"] == "point_count"]
+    assert code == 0 and check["pass"] and check["deviation"] == "0.0"
 
 
 @pytest.mark.parametrize("fld", ["11", "3^3"])

@@ -13,7 +13,6 @@ from fflab import surfaces
 from fflab.errors import (
     BudgetExceededError,
     CharacteristicTooSmallError,
-    DegenerateKernelError,
     UnsupportedDimensionError,
     WrongSideError,
 )
@@ -22,17 +21,16 @@ from fflab.grid import Grid, Side, fourier_forward, index_point, lp_norm, point_
 from fflab.surfaces import (
     SurfaceFunction,
     SurfaceKind,
+    SurfaceMeasure,
     bochner_riesz_kernel,
     build_surface,
     cone,
     cone_counterexample_set,
-    custom_variety,
     double_paraboloid,
     double_paraboloid_index,
     extension,
     extension_adjoint,
     extension_direct,
-    fourier_dimension,
     gauss_sum,
     gauss_sum_closed_form,
     indicator_grid,
@@ -92,6 +90,15 @@ def test_double_paraboloid_index(f5):
             assert int(row[0]) == eta and int(row[2]) == theta
 
 
+def custom_variety(field, n, polynomials):
+    """Common zero set of polynomial callables p(field, coords) -> values."""
+    coords = field.grid_coords(n)
+    keep = np.ones(coords.shape[0], dtype=bool)
+    for poly in polynomials:
+        keep &= np.asarray(poly(field, coords), dtype=np.int64) == 0
+    return SurfaceMeasure(field, n, coords[keep], SurfaceKind.CUSTOM, "custom")
+
+
 def test_custom_variety(f5):
     s = custom_variety(
         f5, 2, [lambda f, c: f.sub_arrays(c[:, 1], f.mul_arrays(c[:, 0], c[:, 0]))]
@@ -104,6 +111,8 @@ def test_build_surface_dispatch(f7):
     assert build_surface("paraboloid", f7, 2).size == 7
     assert build_surface("cone", f7, 3).size == 48
     assert build_surface("moment_curve", f7, 3).size == 7
+    with pytest.raises(ValueError, match="no builder"):
+        build_surface("custom", f7, 2)
 
 
 # -- extension and restriction ---------------------------------------------------------
@@ -433,17 +442,17 @@ def test_bochner_riesz_vanishes_at_origin(f7):
     assert abs(k.values[0]) < 1e-12
 
 
-def test_fourier_dimension_values(f7):
-    assert fourier_dimension(paraboloid(f7, 3)) == pytest.approx(2.0, abs=1e-9)
-    # cone kernel peaks at 1/6 off the origin, giving 2 log 6 / log 7
-    assert fourier_dimension(cone(f7)) == pytest.approx(2 * math.log(6) / math.log(7), abs=1e-9)
-    kern = bochner_riesz_kernel(cone(f7))
-    assert np.abs(kern.values).max() == pytest.approx(1 / 6, abs=1e-12)
+def test_bochner_riesz_kernel_peak_values(f7):
+    # max |K| off the origin, the decay constant A of a Tomas-Stein bound
+    for p, k, n in [(5, 1, 2), (7, 1, 3), (3, 1, 4), (3, 2, 3), (5, 2, 2), (13, 1, 3)]:
+        field = make_field(p, k)
+        peak = np.abs(bochner_riesz_kernel(paraboloid(field, n)).values).max()
+        assert peak == pytest.approx(field.order ** (-(n - 1) / 2), rel=1e-12)
+    assert np.abs(bochner_riesz_kernel(cone(f7)).values).max() == pytest.approx(1 / 6, abs=1e-12)
     line = custom_variety(f7, 2, [lambda f, c: c[:, 1]])
-    assert fourier_dimension(line) == pytest.approx(0.0, abs=1e-9)
+    assert np.abs(bochner_riesz_kernel(line).values).max() == pytest.approx(1.0, abs=1e-12)
     everything = custom_variety(f7, 1, [])  # kernel vanishes identically
-    with pytest.raises(DegenerateKernelError):
-        fourier_dimension(everything)
+    assert np.abs(bochner_riesz_kernel(everything).values).max() < 1e-12
 
 
 # -- tuple sums -----------------------------------------------------------------------
