@@ -12,12 +12,17 @@ since x divides every candidate with c_0 = 0.  Multiplication in extension
 fields runs through log/antilog tables against the fixed generator: the
 smallest index of multiplicative order p^k - 1, scanned from index p, since
 the indices below p are F_p, whose units have orders dividing p - 1.
-Array addition is one gather from a flat int16 q x q addition table, built
-on the first array sum and kept on the field, up to ADD_TABLE_MAX_ORDER = 2^11
-elements (8 MiB at the cap), prime fields included.  Above the cap a prime
-field adds (a + b) mod p, and an extension field gathers its base-p digit
-rows, adds them mod p and packs them with the powers of p.  Scalar add and
-neg, (a + b) mod p or the digit rows, stay the reference for every path.
+
+Construction builds only that multiplication core: the modulus, the generator
+and, for k > 1, the log and antilog tables.  Every other per-element table is
+built in one pass on its first read and kept on the field: the base-p digit
+table, the trace, the character, the squares, the Frobenius map and the
+addition table.  Array addition is one gather from a flat int16 q x q addition
+table up to ADD_TABLE_MAX_ORDER = 2^11 elements (8 MiB at the cap), prime
+fields included.  Above the cap a prime field adds (a + b) mod p, and an
+extension field gathers its base-p digit rows, adds them mod p and packs them
+with the powers of p.  Scalar add and neg, (a + b) mod p or the base-p digits
+taken by integer division, stay the reference for every path.
 
 The additive character is e(a) = exp(2*pi*i * lift(trace(a)) / p) with the
 absolute trace down to F_p, a gather from the p values exp(2*pi*i * c / p);
@@ -103,9 +108,10 @@ def _poly_divisible(num: list, den: list, p: int) -> bool:
 
 
 class Field:
-    """F_{p^k} with its per-element tables built at construction.
+    """F_{p^k} with its multiplication core built at construction.
 
-    The one exception is the q x q addition table, built on first use.
+    The modulus, the generator and the log/antilog tables are eager; every
+    other per-element table is a cached property, built in one pass on first use.
     """
 
     def __init__(self, p: int, k: int = 1):
@@ -122,19 +128,9 @@ class Field:
         self.order = p**k
         self._powers = np.array([p**i for i in range(k)], dtype=np.int64)
         self.modulus = self._smallest_irreducible()
-        if k > 1:
-            self._digits = self._digit_table()
-        else:
-            self._digits = None
         self.generator = self._find_generator()
         if k > 1:
             self._build_log_tables()
-        self._frob = self._frobenius_table()
-        self.trace_lift = self._trace_table()
-        self.character = np.exp(2j * np.pi * np.arange(p) / p)[self.trace_lift]
-        self.character.setflags(write=False)
-        self.squares = self._square_table()
-        self.squares.setflags(write=False)
         self._coords_cache: dict[int, np.ndarray] = {}
 
     # -- construction helpers -------------------------------------------------
@@ -161,13 +157,14 @@ class Field:
                     return False
         return True
 
-    def _digit_table(self) -> np.ndarray:
-        p, k = self.p, self.k
-        digits = np.empty((self.order, k), dtype=np.int64)
-        view = digits.reshape((p,) * k + (k,))
-        for i in range(k):  # digit i runs along axis k - 1 - i of the view
-            view[..., i] = np.arange(p, dtype=np.int64).reshape((p,) + (1,) * i)
-        return digits
+    def _coeffs(self, a: int) -> tuple:
+        """The base-p digits of a, constant coefficient first."""
+        a, p = int(a), self.p
+        return tuple(a // p**i % p for i in range(self.k))
+
+    def _pack(self, coeffs) -> int:
+        """The index of a coefficient sequence, constant coefficient first."""
+        return sum(int(c) * self.p**i for i, c in enumerate(coeffs))
 
     def _element_order(self, a: int) -> int:
         n = self.order - 1
@@ -180,14 +177,14 @@ class Field:
         """a**e for e >= 0 via polynomial arithmetic (construction-time only)."""
         if self.k == 1:
             return pow(a, e, self.p)
-        base = tuple(int(d) for d in self._digits[a])
+        base = self._coeffs(a)
         acc = (1,) + (0,) * (self.k - 1)
         while e:
             if e & 1:
                 acc = _poly_mul_mod(acc, base, self.modulus, self.p)
             base = _poly_mul_mod(base, base, self.modulus, self.p)
             e >>= 1
-        return int(np.dot(np.array(acc, dtype=np.int64), self._powers))
+        return self._pack(acc)
 
     def _find_generator(self) -> int:
         # for k > 1 the indices below p are the prime subfield, of order dividing p - 1
@@ -204,19 +201,22 @@ class Field:
         transpose.  Given the columns of g^0 .. g^(m-1), those of g^m ..
         g^(2m-1) are the same block times g^m, written in place into one
         (k, q - 1) array, and squaring ``step`` turns g^m into g^2m: about
-        log2(q) matrix products instead of q scalar products.
+        log2(q) matrix products instead of q scalar products.  The columns
+        are int16 (p < 2^11 when k > 1) and ``step`` int32, which holds every
+        column sum of k (p - 1)^2 < 2^22.  Horner's rule packs the columns
+        into the first quarter of ``_exp_ext``, and ``_exp`` is a view of it.
 
         ``_log[0]`` is the sentinel 2(q - 1): any sum of two logs that
         involves it lands in the zero tail of ``_exp_ext``, so a product is
         one gather ``_exp_ext[_log[a] + _log[b]]`` with no mask and no modulo.
         """
         p, k, n = self.p, self.k, self.order - 1
-        gen = tuple(int(d) for d in self._digits[self.generator])
-        unit = np.eye(k, dtype=np.int64)
+        gen = self._coeffs(self.generator)
         step = np.array(
-            [_poly_mul_mod(tuple(row), gen, self.modulus, p) for row in unit], dtype=np.int64
+            [_poly_mul_mod(tuple(row), gen, self.modulus, p) for row in np.eye(k, dtype=int)],
+            dtype=np.int32,
         )
-        cols = np.zeros((k, n), dtype=np.int64)  # column j: the coefficients of g^j
+        cols = np.zeros((k, n), dtype=np.int16)  # column j: the coefficients of g^j
         cols[0, 0] = 1
         m = 1
         while m < n:
@@ -224,37 +224,96 @@ class Field:
             np.remainder(step.T @ cols[:, :c], p, out=cols[:, m : m + c])
             step = step @ step % p
             m += c
-        exp = self._powers @ cols
+        exp_ext = np.zeros(4 * n + 1, dtype=np.int64)
+        exp = exp_ext[:n]
+        exp[:] = cols[k - 1]
+        for i in range(k - 2, -1, -1):
+            exp *= p
+            exp += cols[i]
+        del cols
+        exp_ext[n : 2 * n] = exp
         log = np.empty(self.order, dtype=np.int64)
         log[exp] = np.arange(n, dtype=np.int64)
         log[0] = 2 * n
         self._exp = exp
         self._log = log
-        self._exp_ext = np.concatenate([exp, exp, np.zeros(2 * n + 1, dtype=np.int64)])
+        self._exp_ext = exp_ext
 
-    def _frobenius_table(self) -> np.ndarray:
+    # -- tables built on first use ----------------------------------------------
+
+    @functools.cached_property
+    def _digits(self) -> np.ndarray | None:
+        """(q, k) base-p digits of every element; None over a prime field.
+
+        Digit i runs along axis k - 1 - i of a (p, ..., p, k) view, so each
+        column is ``arange(p)`` broadcast, with no division.
+        """
+        p, k = self.p, self.k
+        if k == 1:
+            return None
+        digits = np.empty((self.order, k), dtype=np.int64)
+        view = digits.reshape((p,) * k + (k,))
+        for i in range(k):
+            view[..., i] = np.arange(p, dtype=np.int64).reshape((p,) + (1,) * i)
+        return digits
+
+    @functools.cached_property
+    def _frob(self) -> np.ndarray:
+        """a^p for every a: the log times p, mod q - 1, back through the antilog."""
         q = self.order
         if self.k == 1:
             return np.arange(q, dtype=np.int64)
         t = np.zeros(q, dtype=np.int64)
         t[self._exp] = self._exp[(np.arange(q - 1) * self.p) % (q - 1)]
-        t[0] = 0
         return t
 
-    def _trace_table(self) -> np.ndarray:
-        """tr(a) for every a, by F_p-linearity from the traces of x^0 .. x^(k-1)."""
-        if self.k == 1:
-            return np.arange(self.order, dtype=np.int64)
-        basis_traces = np.empty(self.k, dtype=np.int64)
-        for i, power in enumerate(self._powers.tolist()):  # x^i is the index p^i
-            acc = cur = power
-            for _ in range(self.k - 1):
-                cur = int(self._frob[cur])
-                acc = self.add(acc, cur)
-            if acc >= self.p:
+    @functools.cached_property
+    def trace_lift(self) -> np.ndarray:
+        """tr(a) for every a, by F_p-linearity from the traces of x^0 .. x^(k-1).
+
+        tr(x^i) sums the conjugates (x^i)^(p^j), each read from the log of
+        x^i, which is the index p^i.  The table is the outer sum of
+        tr(x^i) * arange(p) over the digit axes, the top digit outermost,
+        reduced mod p once.
+        """
+        p, k, n = self.p, self.k, self.order - 1
+        if k == 1:
+            return np.arange(p, dtype=np.int64)
+        table = np.zeros(1, dtype=np.int64)
+        for i in range(k - 1, -1, -1):
+            log = int(self._log[p**i])
+            tr = 0
+            for j in range(k):
+                tr = self.add(tr, int(self._exp[log * p**j % n]))
+            if tr >= p:
                 raise AssertionError("trace left the prime subfield")
-            basis_traces[i] = acc
-        return self._digits @ basis_traces % self.p
+            table = (table[:, None] + tr * np.arange(p, dtype=np.int64)).ravel()
+        table %= p
+        return table
+
+    @functools.cached_property
+    def character(self) -> np.ndarray:
+        """e(a) for every a: a gather of the p roots of unity by the trace table."""
+        table = np.exp(2j * np.pi * np.arange(self.p) / self.p)[self.trace_lift]
+        table.setflags(write=False)
+        return table
+
+    @functools.cached_property
+    def squares(self) -> np.ndarray:
+        """squares[a] is True exactly when a = t*t for some t.
+
+        Over an extension field the nonzero squares are the even powers of the
+        generator, and the zero sentinel log 2(q - 1) is even, so 0 is one too.
+        A prime field scatters t*t mod p.
+        """
+        if self.k == 1:
+            t = np.arange(self.p, dtype=np.int64)
+            table = np.zeros(self.p, dtype=bool)
+            table[t * t % self.p] = True
+        else:
+            table = self._log % 2 == 0
+        table.setflags(write=False)
+        return table
 
     @functools.cached_property
     def _add_table(self) -> np.ndarray:
@@ -272,24 +331,18 @@ class Field:
             table = (table[:, None, :, None] * p + digit_sum[None, :, None, :]).reshape(m, m)
         return table.ravel()
 
-    def _square_table(self) -> np.ndarray:
-        """squares[a] is True exactly when a = t*t for some t."""
-        t = np.arange(self.order, dtype=np.int64)
-        table = np.zeros(self.order, dtype=bool)
-        table[self.mul_arrays(t, t)] = True
-        return table
-
     # -- scalar arithmetic ----------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
         if self.k == 1:
             return (a + b) % self.p
-        return int(((self._digits[a] + self._digits[b]) % self.p) @ self._powers)
+        p = self.p
+        return self._pack((x + y) % p for x, y in zip(self._coeffs(a), self._coeffs(b)))
 
     def neg(self, a: int) -> int:
         if self.k == 1:
             return (-a) % self.p
-        return int(((self.p - self._digits[a]) % self.p) @ self._powers)
+        return self._pack(-x % self.p for x in self._coeffs(a))
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fflab import cli
 from fflab import field as field_module
 from fflab.errors import (
     DegreeTooLargeError,
@@ -174,22 +175,111 @@ def test_trace_lift_is_frobenius_sum(p, k):
     assert field.trace_lift.tolist() == acc[:, 0].tolist()
 
 
-def test_field_509_2_construction_peak():
-    # The peak is in _square_table: every array the field keeps, plus t and the
-    # two log gathers of mul_arrays(t, t), three transient q-entry int64 arrays.
-    # 256 KiB covers the interpreter objects made on the way (about 3 KiB on
-    # CPython 3.11 with numpy 2.4, where the peak reads 31,352,297 B here;
-    # about 60 KiB, 31,411,025 B, when the generator and modulus scans started
-    # at the first candidate, and 31,409,342 B before the addition table existed).
+# every per-element table that construction leaves to its first reader
+DERIVED_TABLES = ("_digits", "trace_lift", "character", "squares", "_frob", "_add_table")
+
+
+@pytest.mark.parametrize("p,k", [(3, 1), (7, 1), (5, 2), (509, 2), (3, 7)])
+def test_construction_builds_no_derived_table(p, k):
+    field = Field(p, k)
+    assert [name for name in DERIVED_TABLES if name in vars(field)] == []
+
+
+def _scalar_pow(field, a: int, e: int) -> int:
+    acc = 1
+    for bit in bin(e)[2:]:
+        acc = field.mul(acc, acc)
+        if bit == "1":
+            acc = field.mul(acc, a)
+    return acc
+
+
+def _scalar_trace(field, a: int) -> int:
+    """a + a^p + ... + a^(p^(k-1)) by scalar products and sums."""
+    acc = conj = a
+    for _ in range(field.k - 1):
+        conj = _scalar_pow(field, conj, field.p)
+        acc = field.add(acc, conj)
+    return acc
+
+
+@pytest.mark.parametrize(
+    "p,k", [(3, 1), (7, 1), (3, 2), (5, 2), (5, 3), (7, 3), (3, 5), (509, 2)]
+)
+def test_on_demand_tables_match_eager_formulas(p, k):
+    field = Field(p, k)
+    q = field.order
+    elems = np.arange(q, dtype=np.int64)
+    # Frobenius: p times the log, through the antilog table
+    if k == 1:
+        frob = elems
+    else:
+        frob = np.zeros(q, dtype=np.int64)
+        frob[field._exp] = field._exp[(np.arange(q - 1) * p) % (q - 1)]
+    assert field._frob.dtype == np.int64 and np.array_equal(field._frob, frob)
+    # squares: a scatter of every product t * t
+    squares = np.zeros(q, dtype=bool)
+    squares[field.mul_arrays(elems, elems)] = True
+    assert np.array_equal(field.squares, squares) and not field.squares.flags.writeable
+    # trace: the scalar conjugate sum, or F_p-linearly from the basis x^i at 509^2
+    if q <= 400:
+        trace = np.array([_scalar_trace(field, a) for a in range(q)])
+    else:
+        basis_traces = np.array([_scalar_trace(field, p**i) for i in range(k)])
+        digits = np.stack([elems // p**i % p for i in range(k)], axis=1)
+        trace = digits @ basis_traces % p
+    assert field.trace_lift.dtype == np.int64
+    assert field.trace_lift.tolist() == trace.tolist()
+    want = np.exp(2j * np.pi * np.arange(p) / p)[trace]
+    assert np.array_equal(field.character.view(np.int64), want.view(np.int64))
+    assert not field.character.flags.writeable
+
+
+def test_cli_commands_build_only_the_tables_they_read(capsys):
+    make_field.cache_clear()
+    assert cli.main(["kakeya", "maximal", "--field", "5^2", "--dim", "2"]) == 0
+    built = vars(make_field(5, 2))
+    assert [name for name in ("character", "trace_lift", "_frob") if name in built] == []
+    make_field.cache_clear()
+    assert cli.main(["kakeya", "heisenberg", "--field", "3^2"]) == 0
+    assert "_frob" in vars(make_field(3, 2))
+    capsys.readouterr()
+
+
+# Construction keeps only _exp_ext, _log and the k powers of p, so its peak is
+# in _build_log_tables: either the int16 (k, q - 1) coefficient columns with the
+# last doubling block's int32 cast and product, at most three times the
+# columns' bytes, or, once the columns are freed, the kept tables and the
+# q-entry arange that fills _log.  256 KiB covers the interpreter objects made
+# on the way.  On CPython 3.11 with numpy 2.4 the peaks read 12,438,840 B at
+# F_{509^2} (31,352,297 B when construction also built the digit, Frobenius,
+# trace, character and square tables) and 37,928,144 B at F_{3^12}
+# (136,059,376 B then, 51 MB of it the (q, 12) int64 digit table).
+
+
+def _assert_construction_peak(p: int, k: int):
     tracemalloc.start()
     try:
-        field = Field(509, 2)
+        field = Field(p, k)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert "_add_table" not in vars(field)
-    kept = sum(v.nbytes for v in vars(field).values() if isinstance(v, np.ndarray))
-    assert peak <= kept + 3 * field.order * 8 + (256 << 10)
+    kept = {
+        name: v.nbytes
+        for name, v in vars(field).items()
+        if isinstance(v, np.ndarray) and v.base is None  # _exp is a view of _exp_ext
+    }
+    assert sorted(kept) == ["_exp_ext", "_log", "_powers"]
+    q = field.order
+    assert peak <= max(sum(kept.values()) + q * 8, 3 * k * (q - 1) * 2) + (256 << 10)
+
+
+def test_field_509_2_construction_peak():
+    _assert_construction_peak(509, 2)
+
+
+def test_field_3_12_construction_peak():
+    _assert_construction_peak(3, 12)
 
 
 def _poly_product(field, a: int, b: int) -> int:

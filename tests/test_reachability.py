@@ -32,6 +32,7 @@ ALLOWED_UNREACHED = {
     "grid.index_point": "reference decoder of the transform tests",
     "surfaces.surface_inner": "adjoint oracle of the surface tests",
     "field.Field.im_part": "scalar reference for im_arrays in the field and Heisenberg tests",
+    "field.Field.dot": "scalar reference for dot_arrays in the field, grid and surface tests",
     "kakeya.line_sum_grid": "one-row reference of the line-sum tests; the tracer wraps it by name",
 }
 
