@@ -167,9 +167,6 @@ class Grid:
     def with_values(self, values) -> "Grid":
         return Grid(self.field, self.n, np.asarray(values, dtype=np.complex128), self.side)
 
-    def __getitem__(self, point) -> complex:
-        return complex(self.values[point_index(self.field, point)])
-
 
 def _weight(g: Grid) -> float:
     return 1.0 if g.side == Side.SPACE else float(g.field.order) ** (-g.n)

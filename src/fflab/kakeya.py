@@ -18,6 +18,9 @@ affine_flats directly, so one Horner routine builds every line.  The
 Besicovitch check and the maximal function keep their own height-by-height
 walks: the first follows only the lines still inside the set, the second
 reads translate tables, and its recheck shares neither.
+
+The plane-spread (Wolff axiom) check counts the most family lines in one
+plane of F^3, one pencil row of planes at a time; it never names the plane.
 """
 
 from __future__ import annotations
@@ -524,7 +527,7 @@ def incidence_chain_counts(
     points: np.ndarray,
     x0,
     v,
-    budget: int = 10**8,
+    budget: int = DEFAULT_BUDGET,
 ) -> ChainCounts:
     """Count the full chain exactly.
 
@@ -594,17 +597,7 @@ def incidence_chain_counts(
 # -- planes and the direction-spread axiom ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class PlaneSpreadReport:
-    max_lines: int
-    plane: tuple[tuple[int, int, int], int] | None
-    ratio: float
-    mode: str
-
-
-def wolff_axiom_check(
-    field: Field, x0, v, mode: str = "pairs", budget: int = DEFAULT_BUDGET
-) -> PlaneSpreadReport:
+def wolff_axiom_check(field: Field, x0, v, budget: int = DEFAULT_BUDGET) -> int:
     """Largest number of family lines lying in a single 2-plane of F^3.
 
     The line (x0 + vt, t) lies in {a . x = c} iff a . (v, 1) = 0 and
@@ -612,54 +605,27 @@ def wolff_axiom_check(
     (a1, a2) of the pencil (1, s), s in F, and (0, 1), with a3 = -a[:2] . v.
     Each such a already has first nonzero entry 1, so it is a plane's key.
     Planes from different pencil rows never coincide, so the rows are counted
-    one at a time: the L planes of a row, keyed a3 |F| + c and stably
-    sorted, give each plane's line count as a run length.  budget caps the
-    L(|F| + 1) keys.  mode only breaks ties between maximal planes: pairs
-    reports the one whose two lowest line indices come first, exhaustive the
-    first one met scanning the equations a . x = c over all nonzero a in flat
-    order, then c.
+    one at a time: the L planes of a row, keyed a3 |F| + c and sorted, give
+    each plane's line count as a run length, in memory linear in L.  budget
+    caps the L(|F| + 1) keys.  An empty family gives 0.
     """
     x0 = np.asarray(x0, dtype=np.int64)
     v = np.asarray(v, dtype=np.int64)
     if x0.ndim != 2 or x0.shape[1] != 2:
         raise UnsupportedDimensionError("plane analysis lives in F^3")
-    if mode not in ("pairs", "exhaustive"):
-        raise ValueError("mode must be 'pairs' or 'exhaustive'")
     if not len(x0):
-        return PlaneSpreadReport(0, None, 0.0, mode)
+        return 0
     _require_distinct(x0, v)
     q = field.order
-    n_lines = len(x0)
-    require_budget(n_lines * (q + 1), budget, "line-plane keys L (|F| + 1)")
+    require_budget(len(x0) * (q + 1), budget, "line-plane keys L (|F| + 1)")
     vx = np.stack([v, x0])
-    best = (1, (), None)  # line count, tie score, (a1, a2, a3, c)
+    top = 0
     for a12 in [(1, s) for s in range(q)] + [(0, 1)]:
         dots = field.dot_arrays(vx, a12)  # a[:2] . v, a[:2] . x0
-        keys = field.neg_arrays(dots[0]) * q + dots[1]
-        order = np.argsort(keys, kind="stable")
-        starts = np.flatnonzero(np.diff(keys[order], prepend=-1))
-        counts = np.diff(starts, append=n_lines)
-        top = int(counts.max())
-        if top < max(best[0], 2):
-            continue
-        win = starts[counts == top]
-        key = keys[order[win]]
-        planes = np.column_stack([np.tile(a12, (len(win), 1)), key // q, key % q])
-        if mode == "pairs":  # the plane's two lowest line indices
-            score = np.stack([order[win], order[win + 1]])
-        else:  # its first equation (la, lc) in the scan: least flat(la), then lc
-            score = np.full((2, len(win)), q**3)
-            for lam in range(1, q):
-                raw = field.mul_arrays(planes, np.int64(lam))
-                cand = np.stack([flat_points(field, raw[:, :3]), raw[:, 3]])
-                score = np.where(cand[0] < score[0], cand, score)
-        i = np.lexsort(score[::-1])[0]
-        if top > best[0] or tuple(score[:, i]) < best[1]:
-            best = (top, tuple(score[:, i]), planes[i])
-    top, _, plane = best
-    if plane is not None:
-        plane = (tuple(int(x) for x in plane[:3]), int(plane[3]))
-    return PlaneSpreadReport(top, plane, top / q, mode)
+        keys = np.sort(field.neg_arrays(dots[0]) * q + dots[1])
+        starts = np.flatnonzero(np.diff(keys, prepend=-1))
+        top = max(top, int(np.diff(starts, append=len(keys)).max()))
+    return top
 
 
 # -- the quadratic-extension configuration ----------------------------------------------

@@ -6,7 +6,10 @@ Three certificate grades are produced: Exact from closed forms (q = oo, and
 q = 2 with p >= 2 where the extension is a scaled isometry), Upper from the
 even-exponent counting identity, and Lower from explicit witnesses or a
 nonlinear power iteration.  Each Exact or Upper producer refuses the pairs it
-does not cover with NoClosedFormError, so the commands only try producers.
+does not cover with NoClosedFormError.  `restriction estimate` tries
+rstar_exact_closed and rstar_upper_even, `table figure1` only rstar_upper_even,
+so widening a producer's pairs needs no command change, but a new producer
+must be named in each command that should try it.
 Every Lower certificate embeds its witness and is re-evaluated through the
 direct-summation path, by the same ratio helper with another operator.
 

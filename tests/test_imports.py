@@ -8,6 +8,9 @@ functions are left alone: they are deferred on purpose.
 
 The benchmark tracer (``perfbench/spans.py``) rebinds fflab functions by name,
 so every name in its ``WRAPPED`` table must still resolve on the package.
+
+Every function or method with a defaulted ``budget`` parameter defaults it to
+``errors.DEFAULT_BUDGET`` by that name, so the README's one default holds.
 """
 
 import ast
@@ -133,3 +136,38 @@ def test_a_removed_traced_name_fails(monkeypatch):
     monkeypatch.delattr(kakeya, "line_sum_grid")
     monkeypatch.delattr(reports.ExperimentReport, "render")
     assert unresolved_wrapped() == ["kakeya.line_sum_grid", "reports.ExperimentReport.render"]
+
+
+# -- one budget default -----------------------------------------------------------------
+
+
+def budget_defaults(sources: dict[str, str]) -> dict[str, str]:
+    """module.function -> source of its budget default, for every function or
+    method (nested ones too) whose ``budget`` parameter has a default."""
+    out = {}
+    for module, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            pairs = list(zip(args.args[::-1], args.defaults[::-1]))
+            pairs += [(a, d) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            out.update(
+                {f"{module}.{node.name}": ast.unparse(d) for a, d in pairs if a.arg == "budget"}
+            )
+    return out
+
+
+def test_every_budget_defaults_to_default_budget():
+    defaults = budget_defaults(package_sources())
+    assert len(defaults) > 10 and "kakeya.incidence_chain_counts" in defaults
+    assert {k: v for k, v in defaults.items() if v != "DEFAULT_BUDGET"} == {}
+
+
+def test_a_literal_budget_default_fails():
+    sources = package_sources()
+    sources["surfaces"] += "\n\ndef orphan(surface, *, budget: int = 10**9):\n    return budget\n"
+    defaults = budget_defaults(sources)
+    assert {k: v for k, v in defaults.items() if v != "DEFAULT_BUDGET"} == {
+        "surfaces.orphan": "10 ** 9"
+    }

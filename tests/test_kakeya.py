@@ -808,11 +808,11 @@ def random_family(field, seed, count):
     return rows[:, :2], rows[:, 2:]
 
 
-def plane_spread_oracle(field, x0, v, mode):
-    """(max_lines, plane) by per-pair and per-plane loops in scalar arithmetic.
+def plane_spread_oracle(field, x0, v, planes):
+    """The most family lines in one plane, by per-plane loops in scalar arithmetic.
 
-    Planes are visited in order (pairs i < j, or normals in flat order with
-    c = 0, 1, ...); the first plane reaching a new maximum is kept.
+    planes="pairs" visits the plane through each pair of lines that lie in a
+    common one; planes="exhaustive" visits every equation a . x = c, a != 0.
     """
     lines = [(tuple(int(c) for c in a), tuple(int(c) for c in b)) for a, b in zip(x0, v)]
 
@@ -827,8 +827,8 @@ def plane_spread_oracle(field, x0, v, mode):
     def diff(u, w):
         return tuple(field.sub(s, t) for s, t in zip(u, w))
 
-    planes = []
-    if mode == "pairs":
+    found = set()
+    if planes == "pairs":
         for i, l1 in enumerate(lines):
             for l2 in lines[i + 1 :]:
                 w = diff(l1[1], l2[1]) if l1[1] != l2[1] else diff(l1[0], l2[0])
@@ -836,19 +836,12 @@ def plane_spread_oracle(field, x0, v, mode):
                 a = (*ab, field.neg(field.dot(ab, l1[1])))
                 c = field.dot(ab, l1[0])
                 if inside(l1, a, c) and inside(l2, a, c):
-                    planes.append(key(a, c))
+                    found.add(key(a, c))
     else:
         for a in field.grid_coords(3)[1:]:
-            planes.extend(key(tuple(int(x) for x in a), c) for c in range(field.order))
-    best = (1, None)
-    seen = set()
-    for plane in planes:
-        if plane not in seen:
-            seen.add(plane)
-            count = sum(inside(line, *plane) for line in lines)
-            if count > best[0]:
-                best = (count, plane)
-    return best
+            found.update(key(tuple(int(x) for x in a), c) for c in range(field.order))
+    counts = [sum(inside(line, *plane) for line in lines) for plane in found]
+    return max(counts, default=min(len(lines), 1))
 
 
 def plane_spread_cases():
@@ -859,45 +852,36 @@ def plane_spread_cases():
         (f7, distinct_directions_family(f7)),
         (f5, random_family(f5, 3, 20)),  # 7 planes share the maximum, 3 lines
         (f7, random_family(f7, 2, 120)),  # 3 planes share the maximum, 8 lines
-        (f11, random_family(f11, 1, 60)),  # the two tie rules pick different planes
+        (f11, random_family(f11, 1, 60)),
     ]
 
 
-@pytest.mark.parametrize("mode", ["pairs", "exhaustive"])
-def test_plane_spread_against_oracle(mode):
+@pytest.mark.parametrize("planes", ["pairs", "exhaustive"])
+def test_plane_spread_against_oracle(planes):
     for field, (x0, v) in plane_spread_cases():
-        max_lines, plane = plane_spread_oracle(field, x0, v, mode)
-        expected = kakeya.PlaneSpreadReport(max_lines, plane, max_lines / field.order, mode)
-        assert wolff_axiom_check(field, x0, v, mode) == expected
+        assert wolff_axiom_check(field, x0, v) == plane_spread_oracle(field, x0, v, planes)
 
 
 def test_plane_spread_heisenberg_against_oracle(f9):
     rep = heisenberg_example(f9)
-    for mode in ("pairs", "exhaustive"):
-        max_lines, plane = plane_spread_oracle(f9, rep.x0, rep.v, mode)
-        expected = kakeya.PlaneSpreadReport(max_lines, plane, max_lines / 9, mode)
-        assert wolff_axiom_check(f9, rep.x0, rep.v, mode) == expected
+    for planes in ("pairs", "exhaustive"):
+        expected = plane_spread_oracle(f9, rep.x0, rep.v, planes)
+        assert wolff_axiom_check(f9, rep.x0, rep.v) == expected
 
 
 def test_wolff_pairs_mode(f5):
-    rep = wolff_axiom_check(f5, *coplanar_family(), mode="pairs")
-    assert rep.max_lines == 3
-    assert rep.ratio == pytest.approx(3 / 5)
-    assert rep.plane is not None
+    fam = coplanar_family()
+    assert wolff_axiom_check(f5, *fam) == plane_spread_oracle(f5, *fam, "pairs") == 3
 
 
 def test_wolff_exhaustive_agrees(f5):
     fam = coplanar_family()
-    assert (
-        wolff_axiom_check(f5, *fam, "exhaustive").max_lines
-        == wolff_axiom_check(f5, *fam, "pairs").max_lines
-    )
+    assert wolff_axiom_check(f5, *fam) == plane_spread_oracle(f5, *fam, "exhaustive")
+    assert wolff_axiom_check(f5, np.empty((0, 2)), np.empty((0, 2))) == 0
     with pytest.raises(BudgetExceededError):
-        wolff_axiom_check(f5, *fam, "exhaustive", budget=len(fam[0]) * 6 - 1)
+        wolff_axiom_check(f5, *fam, budget=len(fam[0]) * 6 - 1)
     with pytest.raises(UnsupportedDimensionError):
         wolff_axiom_check(f5, [[0]], [[1]])
-    with pytest.raises(ValueError):
-        wolff_axiom_check(f5, *coplanar_family(), mode="sideways")
 
 
 def test_wolff_pairs_budget_refuses_before_arithmetic(f7, monkeypatch):
@@ -906,7 +890,7 @@ def test_wolff_pairs_budget_refuses_before_arithmetic(f7, monkeypatch):
     assert wolff_axiom_check(f7, x0, v, budget=keys) == wolff_axiom_check(f7, x0, v)
     f49 = make_field(7, 2)
     rep = heisenberg_example(f49)
-    assert wolff_axiom_check(f49, rep.x0, rep.v, budget=134_400).max_lines == 8  # 2688 lines
+    assert wolff_axiom_check(f49, rep.x0, rep.v, budget=134_400) == 8  # 2688 lines
 
     def refuse(*args, **kwargs):
         raise AssertionError("field arithmetic ran before the budget check")

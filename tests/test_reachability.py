@@ -30,6 +30,7 @@ ALLOWED_UNREACHED = {
     "surfaces.restriction": "the benchmark tracer wraps it by name until phase spans land",
     "kakeya.incidence_to_kakeya_exponents": "the exponent calculus of acceptance criterion 13",
     "grid.index_point": "reference decoder of the transform tests",
+    "grid.point_index": "scalar oracle of flat_points in the grid, surface and acceptance tests",
     "surfaces.surface_inner": "adjoint oracle of the surface tests",
     "field.Field.im_part": "scalar reference for im_arrays in the field and Heisenberg tests",
     "field.Field.dot": "scalar reference for dot_arrays in the field, grid and surface tests",

@@ -5,7 +5,9 @@ import dataclasses
 import io
 import json
 import math
+import shlex
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -381,6 +383,40 @@ def test_cli_cordoba_budget_boundary(capsys, monkeypatch):
     assert code == 0 and err == ""
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_cli_wolff_refuses_an_empty_random_family(capsys, monkeypatch, count):
+    argv = ["kakeya", "wolff-check", "--field", "5", "--family", "random"]
+    with monkeypatch.context() as patch:
+        def refuse(*args, **kwargs):
+            raise AssertionError("a draw ran before the refusal")
+
+        patch.setattr(cli.np.random, "default_rng", refuse)
+        code, out, err = run_cli(capsys, *argv, "--count", count)
+    assert code == 2 and out == "" and "at least one random line" in err
+    assert not results_dir().exists()
+    code, out, err = run_cli(capsys, *argv, "--count", "1", "--format", "json")
+    assert code == 0 and err == ""
+    config = json.loads(out)["config"]
+    assert (config["lines"], config["max_lines_in_plane"], config["ratio"]) == (1, 1, repr(1 / 5))
+
+
+def test_cli_wolff_modes_report_the_same_count(capsys):
+    reports = []
+    for mode in ("pairs", "exhaustive"):
+        code, out, err = run_cli(
+            capsys, "kakeya", "wolff-check", "--field", "5", "--mode", mode, "--format", "json",
+        )
+        assert code == 0 and err == ""
+        report = json.loads(out)
+        assert report["config"].pop("mode") == mode
+        del report["runtime_ms"]
+        reports.append(report)
+    assert reports[0] == reports[1]
+    config = reports[0]["config"]
+    assert config["max_lines_in_plane"] == 5  # the 25 lines of distinct directions
+    assert config["ratio"] == reports[0]["checks"][0]["deviation"] == repr(5 / 5)
+
+
 @pytest.mark.parametrize("fmt", ["json", "text", "csv"])
 def test_cli_encodes_each_report_once(capsys, monkeypatch, fmt):
     calls = []
@@ -742,3 +778,22 @@ def test_cli_config_records_resolved_exponents(capsys):
     assert code == 0
     config = json.loads(out)["config"]
     assert (config["p"], config["q"]) == ("2", "4")
+
+
+# -- the README's command lines ---------------------------------------------------------
+
+
+def readme_command_lines() -> list[list[str]]:
+    """Arguments of every ``fflab ...`` line in the README's "Command line" block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("fflab ")]
+
+
+def test_readme_command_lines_parse():
+    lines = readme_command_lines()
+    assert len(lines) >= 10
+    for argv in lines:
+        args = cli.build_parser().parse_args(argv)
+        assert args.func.__name__.startswith("cmd_"), argv
