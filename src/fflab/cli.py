@@ -105,16 +105,19 @@ NOT_CONFIG = ("command", "subcommand", "func", "out", "fmt", "budget")
 
 def _report(
     args, t0, checks, config=None, *, field=None, n=0, surface=None, p=None, q=None,
-    certificates=(), experiment=None, note=None,
+    certificates=(), experiment=None, note=None, unread=(),
 ) -> tuple[int, str]:
     """Build, render and store one run's report; exit 1 if any check failed.
 
     The run's config is every parsed argument that can change its result,
     with exponent arguments recorded as the resolved ``p``/``q``, plus the
-    command's derived values in ``config``; ``note`` is appended to text
-    output only.
+    command's derived values in ``config``; ``unread`` names parsed
+    arguments this run ignores, which stay out of it.  ``note`` is appended
+    to text output only.
     """
-    run_config = {k: v for k, v in vars(args).items() if k not in NOT_CONFIG}
+    run_config = {
+        k: v for k, v in vars(args).items() if k not in NOT_CONFIG and k not in unread
+    }
     run_config["command"] = f"{args.command} {args.subcommand}"
     for name, value in (("p", p), ("q", q)):
         if name in run_config:
@@ -384,6 +387,8 @@ def cmd_kakeya_wolff(args) -> tuple[int, str]:
         {"lines": len(x0), "max_lines_in_plane": top, "ratio": ratio},
         field=field, n=3,
         note=f"lines: {len(x0)}  max in one plane: {top}  ratio to |F|: {ratio:.4f}",
+        # every mode gives the same count, and only the random family reads --count
+        unread=("mode",) if args.family == "random" else ("mode", "count"),
     )
 
 
@@ -697,7 +702,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     kwol.add_argument(
         "--mode", choices=("pairs", "exhaustive"), default="pairs",
-        help="kept for old command lines: every mode reports the same count",
+        help="kept for old command lines: ignored, every mode reports the same count",
     )
     kwol.add_argument("--count", type=int, default=50, help="random family size, at least 1")
     _add_common(kwol)

@@ -17,7 +17,9 @@ Lines of F^n given as (L, n) rows a + tb (incidence_count) go through
 affine_flats directly, so one Horner routine builds every line.  The
 Besicovitch check and the maximal function keep their own height-by-height
 walks: the first follows only the lines still inside the set, the second
-reads translate tables, and its recheck shares neither.
+reads translate tables.  Its recheck shares neither: it cuts the
+directions by the same grid.blocks cap, but builds each chunk's lines in
+field arithmetic.
 
 The plane-spread (Wolff axiom) check counts the most family lines in one
 plane of F^3, one pencil row of planes at a time; it never names the plane.
@@ -212,16 +214,19 @@ def kakeya_maximal(*fs: Grid, budget: int = DEFAULT_BUDGET) -> np.ndarray:
 
 
 def kakeya_maximal_direct(*fs: Grid) -> np.ndarray:
-    """Same maximal function by a per-direction walk in field arithmetic.
+    """Same maximal function by a direction walk in field arithmetic.
 
     Every shift v t is formed once, one field.mul_arrays into a (direction,
-    height, coordinate) array.  For each direction v the walk then forms the
-    (height, base point) array of flat indices of (x0 + vt, t) from the
-    coordinate table with field.add_arrays, reads the point-major stack
-    [point flat, grid] through it, one row of all grids per line point, sums
-    each column over t and takes the largest over x0.  Deliberately shares
-    none of kakeya_maximal's indexing: no line tables, no blocks;
-    certificates are re-evaluated through this path.
+    height, coordinate) array.  Directions go in chunks of
+    grid.blocks(|F|^{n-1}, |F|^n len(fs)), so a chunk's gather stays near
+    grid.BLOCK_ENTRIES, as a block of the sweep does.  For a chunk the walk
+    forms the (direction, height, base point) array of flat indices of
+    (x0 + vt, t) from the coordinate table with field.add_arrays, reads the
+    point-major stack [point flat, grid] through it, one row of all grids
+    per line point, sums over t in order t = 0, 1, ... and takes the largest
+    over x0.  Deliberately shares none of kakeya_maximal's indexing: no line
+    tables; certificates are re-evaluated through this path.  A direction no
+    chunk reaches stays NaN, which no recheck accepts.
     """
     field, n = _common_space(fs)
     q = field.order
@@ -230,12 +235,12 @@ def kakeya_maximal_direct(*fs: Grid) -> np.ndarray:
     coords = field.grid_coords(n - 1)
     ts = np.arange(q, dtype=np.int64)[:, None]
     shifts = field.mul_arrays(coords[:, None, :], ts)  # [direction, height, coordinate]
-    out = np.zeros((len(fs), m), dtype=np.float64)
-    for vf in range(m):
-        flat = ts * m  # [height, base point]
+    out = np.full((len(fs), m), np.nan)
+    for vs in blocks(m, q * m * len(fs)):
+        flat = ts * m  # [direction, height, base point]
         for j in range(n - 1):
-            flat = flat + field.add_arrays(coords[None, :, j], shifts[vf, :, j, None]) * q**j
-        out[:, vf] = absf.take(flat, axis=0).sum(axis=0).max(axis=0)
+            flat = flat + field.add_arrays(coords[:, j], shifts[vs, :, j, None]) * q**j
+        out[:, vs] = absf.take(flat, axis=0).sum(axis=1).max(axis=1).T
     return out
 
 

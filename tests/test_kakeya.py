@@ -345,36 +345,52 @@ def _grid_major_walk(*fs):
 
 
 @pytest.mark.parametrize(
-    "p, k, n", [(5, 1, 2), (5, 1, 3), (7, 1, 2), (7, 1, 3), (3, 1, 4), (3, 2, 2), (5, 2, 2)]
+    "p, k, n",
+    [(5, 1, 2), (5, 1, 3), (7, 1, 2), (7, 1, 3), (3, 1, 4), (3, 2, 2), (3, 2, 3), (5, 2, 2)],
 )
-def test_direct_walk_values_are_pinned(p, k, n):
+def test_direct_walk_values_are_pinned(monkeypatch, p, k, n):
     field = make_field(p, k)
     rng = np.random.default_rng(1000 * p + 10 * k + n)
     one = [Grid.random(field, n, rng)]
     five = [Grid.random(field, n, rng), Grid.constant(field, n, 0.0),
             indicator_grid(field, n, [(0,) * n]), Grid.random(field, n, rng),
             Grid.constant(field, n, 1.0)]
+    m = field.order ** (n - 1)
     for fs in (one, five):
         got = kakeya_maximal_direct(*fs)
-        assert got.shape == (len(fs), field.order ** (n - 1))
+        assert got.shape == (len(fs), m)
         assert np.array_equal(got, _grid_major_walk(*fs))
     assert not kakeya_maximal_direct(five[1]).any()
+    for fs in (one, five):  # two directions per chunk: m is odd, so the last chunk has one
+        width = field.order * m * len(fs)
+        monkeypatch.setattr(grid, "BLOCK_ENTRIES", 2 * width + 1)
+        sizes = [b.stop - b.start for b in grid.blocks(m, width)]
+        assert len(sizes) > 1 and sizes[-1] == 1
+        assert np.array_equal(kakeya_maximal_direct(*fs), _grid_major_walk(*fs))
 
 
 def test_direct_walk_peak_stays_per_direction():
-    # one direction's gather at a time: an all-direction gather of the four
-    # kakeya maximal witnesses at F_13, n = 3 would take about 11.6 MiB
-    field = make_field(13)
-    certs = kakeya_norm_certificates(
-        field, 3, 2, 4, witnesses=("point", "line", "full_space", "random_sets"))
-    fs = [grid.grid_from_bytes(c.witness) for c in certs]
-    tracemalloc.start()
-    try:
-        kakeya_maximal_direct(*fs)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * field.order**3 * len(fs) * 8
+    # a chunk of directions' gather at a time, of at most BLOCK_ENTRIES entries
+    # or one direction's: at F_13 a chunk holds 7 directions of the four
+    # grids, at F_31 one direction (31 * 961 * 4 gathers) already fills it
+    for p in (13, 31):
+        field = make_field(p)
+        q, n = field.order, 3
+        m = q ** (n - 1)
+        rng = np.random.default_rng(p)
+        fs = [Grid.random(field, n, rng), indicator_grid(field, n, [(0,) * n]),
+              Grid.constant(field, n, 1.0), Grid.random(field, n, rng)]
+        width = q * m * len(fs)  # gathers per direction
+        chunk = max(1, grid.BLOCK_ENTRIES // width) * width * 8
+        stack = q**n * len(fs) * 8  # the point-major [point flat, grid] stack
+        shifts = m * q * (n - 1) * 8  # the [direction, height, coordinate] table
+        tracemalloc.start()
+        try:
+            kakeya_maximal_direct(*fs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < stack + shifts + 2 * chunk
 
 
 def test_stacked_maximal_refuses_mixed_grids(f5, f7):
@@ -422,11 +438,27 @@ def test_recheck_independent_of_line_tables(monkeypatch, f7):
         raise AssertionError("the recheck must not build line tables")
 
     monkeypatch.setattr(kakeya, "translate_flats", refuse)
-    monkeypatch.setattr(kakeya, "blocks", refuse)
+    monkeypatch.setattr(kakeya, "kakeya_maximal", refuse)
     with pytest.raises(AssertionError):
         kakeya_maximal(indicator_grid(f7, 3, [(0, 0, 0)]))
     assert all(verify_lower(c) for c in certs)
     assert verify_lowers(certs) == [True] * len(certs)
+
+
+def test_recheck_fails_on_a_dropped_chunk(monkeypatch, f7):
+    certs = kakeya_norm_certificates(
+        f7, 3, 2, 4, witnesses=("point", "line", "full_space", "random_sets")
+    )
+
+    def drop_last(count, width, *args):
+        return list(grid.blocks(count, width, *args))[:-1]
+
+    fs = [grid.grid_from_bytes(c.witness) for c in certs]
+    monkeypatch.setattr(grid, "BLOCK_ENTRIES", 10 * 7**3 * len(fs))  # 10 of the 49 directions
+    monkeypatch.setattr(kakeya, "blocks", drop_last)
+    stars = kakeya_maximal_direct(*fs)
+    assert np.isnan(stars[:, 40:]).all() and not np.isnan(stars[:, :40]).any()
+    assert verify_lowers(certs) == [False] * len(certs)
 
 
 def test_maximal_budget_gate():

@@ -401,17 +401,19 @@ def test_cli_wolff_refuses_an_empty_random_family(capsys, monkeypatch, count):
 
 
 def test_cli_wolff_modes_report_the_same_count(capsys):
+    # the default family reads neither --mode nor --count: one run, one stored key
     reports = []
-    for mode in ("pairs", "exhaustive"):
+    for extra in ((), ("--count", "7", "--mode", "exhaustive")):
         code, out, err = run_cli(
-            capsys, "kakeya", "wolff-check", "--field", "5", "--mode", mode, "--format", "json",
+            capsys, "kakeya", "wolff-check", "--field", "5", *extra, "--format", "json",
         )
         assert code == 0 and err == ""
         report = json.loads(out)
-        assert report["config"].pop("mode") == mode
+        assert not {"mode", "count"} & set(report["config"])
         del report["runtime_ms"]
         reports.append(report)
     assert reports[0] == reports[1]
+    assert len(list(results_dir().glob("*.json"))) == 1
     config = reports[0]["config"]
     assert config["max_lines_in_plane"] == 5  # the 25 lines of distinct directions
     assert config["ratio"] == reports[0]["checks"][0]["deviation"] == repr(5 / 5)
@@ -701,6 +703,8 @@ MATRIX_CONFIG_ERRORS = {
     ("kakeya heisenberg", "5"), ("kakeya heisenberg", "7"),
     ("kakeya sd", "5"), ("kakeya sd", "3^2"),
 }
+# parsed options a command ignores, so they do not identify its run
+MATRIX_UNREAD = {"kakeya wolff-check": {"mode"}}
 # values a command derives from its run and records beside its arguments
 MATRIX_DERIVED = {
     "kakeya besicovitch": {"size"},
@@ -743,9 +747,11 @@ def test_cli_matrix_single_report_path(capsys, tmp_path, name, fld):
     assert report["experiment"] == f"{command}-{subcommand}{suffix}"
     assert MATRIX_DERIVED.get(f"{command} {subcommand}", set()) <= set(config)
     assert not {"budget", "out", "fmt", "format", "func", "subcommand"} & set(config)
-    # every option given on the command line identifies the run
+    # every option given on the command line that the run reads identifies it
     flags = {a[2:].replace("-", "_") for a in argv if a.startswith("--")}
-    assert flags - {"budget", "out", "format"} <= set(config)
+    unread = MATRIX_UNREAD.get(f"{command} {subcommand}", set())
+    assert flags - {"budget", "out", "format"} - unread <= set(config)
+    assert not unread & set(config)
 
 
 def test_cli_wolff_count_identifies_the_run(capsys):
@@ -757,7 +763,7 @@ def test_cli_wolff_count_identifies_the_run(capsys):
         )
         assert code == 0
         config = json.loads(out)["config"]
-        assert config["count"] == int(count)
+        assert config["count"] == int(count) and "mode" not in config
         keys.append(config_key(config))
     assert keys[0] != keys[1]
     assert len(list(results_dir().glob("*.json"))) == 2
