@@ -34,7 +34,7 @@ from .certificates import (
     parse_exponent,
 )
 from .errors import (
-    DEFAULT_BUDGET, FFLabError, NoClosedFormError, UnsupportedDimensionError, require_budget,
+    DEFAULT_BUDGET, BudgetExceededError, FFLabError, NoClosedFormError, require_budget,
 )
 from .field import Field, is_prime, make_field
 from .grid import Grid, Side, fourier_forward, fourier_inverse, lp_norm, parseval_defect
@@ -306,8 +306,10 @@ def cmd_kakeya_maximal(args) -> tuple[int, str]:
         CheckResult(f"recheck:{c.meta['witness_name']}", ok, None)
         for c, ok in zip(certs, kk.verify_lowers(certs))
     ]
-    if (p, q) == (Fraction(2), Fraction(2 * n - 2)):
-        certs.append(kk.kakeya_upper_overlap(field, n))
+    try:
+        certs.append(kk.kakeya_upper_overlap(field, n, p, q))
+    except NoClosedFormError:
+        pass
     violations = certificate_consistency(certs)
     checks.append(CheckResult("certificate_consistency", not violations, None))
     return _report(
@@ -337,7 +339,7 @@ def cmd_kakeya_cordoba(args) -> tuple[int, str]:
     field = make_field(*parse_field_token(args.field))
     n = args.dim
     if n < 2:
-        raise UnsupportedDimensionError("need n >= 2")
+        raise FFLabError("need n >= 2")
     if args.trials < 1:
         raise ValueError("need at least one trial")
     require_budget(args.trials * field.order**n, args.budget, "line points trials |F|^n")
@@ -353,7 +355,7 @@ def cmd_kakeya_cordoba(args) -> tuple[int, str]:
     return _report(
         args, t0, checks,
         field=field, n=n, surface=f"lines(n={n})", p=Fraction(2), q=Fraction(2 * n - 2),
-        certificates=[kk.kakeya_upper_overlap(field, n)],
+        certificates=[kk.kakeya_upper_overlap(field, n, 2, 2 * n - 2)],
     )
 
 
@@ -519,7 +521,7 @@ def _figure1_rows(fields, seed, restarts, iters, budget):
         for label, p, q in spec["pairs"]:
             try:
                 upper = rl.rstar_upper_even(surface, p, q, budget)
-            except FFLabError:
+            except (NoClosedFormError, BudgetExceededError):
                 upper = None
             lower = rl.rstar_lower_power(
                 surface, p, q, restarts=restarts, max_iters=iters, seed=seed,
@@ -662,7 +664,7 @@ def build_parser() -> argparse.ArgumentParser:
     idn = versub.add_parser("identities", help="run an identity suite")
     idn.add_argument(
         "--suite", required=True,
-        choices=("gauss", "parseval", "paraboloid-kernel", "bridge", "pseudoconformal", "all"),
+        choices=(*SUITES, "all"),
     )
     idn.add_argument(
         "--fields", default=DEFAULT_FIELDS, help="read by the gauss and parseval suites only"

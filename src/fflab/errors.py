@@ -1,7 +1,9 @@
 """Exception types shared across the library.
 
-Division by zero raises the builtin ZeroDivisionError; everything else gets a
-named subclass so callers can tell a bad configuration from a failed check.
+An FFLabError is a refusal: the run's configuration is out of scope, and the
+command line exits 2 with its message.  A failed check never raises; it is
+reported and exits 1.  Division by zero raises the builtin ZeroDivisionError.
+A subclass exists only where code catches it to tell one refusal apart.
 Every --budget refusal goes through require_budget, in one message form.
 """
 
@@ -10,89 +12,15 @@ DEFAULT_BUDGET = 10**9
 
 
 class FFLabError(Exception):
-    """Base class for library-specific failures."""
+    """A refusal of an out-of-scope configuration."""
 
 
-# field construction and arithmetic
-class NotPrimeError(FFLabError):
-    pass
-
-
-class EvenCharacteristicError(FFLabError):
-    pass
-
-
-class DegreeTooLargeError(FFLabError):
-    pass
-
-
-class NotQuadraticExtensionError(FFLabError):
-    pass
-
-
-# grids and transforms
-class WrongSideError(FFLabError):
-    pass
-
-
-class SideMismatchError(FFLabError):
-    pass
-
-
-# surfaces
-class CharacteristicTooSmallError(FFLabError):
-    pass
-
-
-class UnsupportedDimensionError(FFLabError):
-    pass
-
-
-class WrongSurfaceKindError(FFLabError):
-    pass
-
-
-# norm estimation
 class NoClosedFormError(FFLabError):
-    pass
+    """A certificate producer does not cover this exponent pair."""
 
 
-class SubspaceNotFoundError(FFLabError):
-    pass
-
-
-class UnknownWitnessError(FFLabError):
-    pass
-
-
-class MinusOneIsSquareError(FFLabError):
-    pass
-
-
-class SupportViolationError(FFLabError):
-    pass
-
-
-# kakeya machinery
-class NotInjectiveError(FFLabError):
-    pass
-
-
-class ImproperSlopeError(FFLabError):
-    pass
-
-
-class DegenerateHeightsError(FFLabError):
-    pass
-
-
-class ConstraintViolatedError(FFLabError):
-    pass
-
-
-# budgets
 class BudgetExceededError(FFLabError):
-    pass
+    """The work of an enumeration is above its budget."""
 
 
 def require_budget(work: int, budget: int, what: str) -> None:

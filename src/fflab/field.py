@@ -35,12 +35,7 @@ import functools
 
 import numpy as np
 
-from .errors import (
-    DegreeTooLargeError,
-    EvenCharacteristicError,
-    NotPrimeError,
-    NotQuadraticExtensionError,
-)
+from .errors import FFLabError
 
 MAX_ORDER = 1 << 20
 ADD_TABLE_MAX_ORDER = 1 << 11  # q * q int16 entries: 8 MiB at the cap
@@ -116,13 +111,13 @@ class Field:
 
     def __init__(self, p: int, k: int = 1):
         if not is_prime(p):
-            raise NotPrimeError(f"{p} is not prime")
+            raise FFLabError(f"{p} is not prime")
         if p == 2:
-            raise EvenCharacteristicError("characteristic 2 is out of scope")
+            raise FFLabError("characteristic 2 is out of scope")
         if k < 1:
             raise ValueError("extension degree must be >= 1")
         if p**k > MAX_ORDER:
-            raise DegreeTooLargeError(f"{p}^{k} exceeds the order cap {MAX_ORDER}")
+            raise FFLabError(f"{p}^{k} exceeds the order cap {MAX_ORDER}")
         self.p = p
         self.k = k
         self.order = p**k
@@ -419,12 +414,12 @@ class Field:
     def im_part(self, a: int) -> int:
         """(a - conj(a)) / 2 for a quadratic extension, conj the Frobenius."""
         if self.k != 2:
-            raise NotQuadraticExtensionError("im_part needs k = 2")
+            raise FFLabError("im_part needs k = 2")
         return self.mul(self.sub(a, self.frobenius(a)), self.inv(2 % self.p))
 
     def im_arrays(self, a) -> np.ndarray:
         if self.k != 2:
-            raise NotQuadraticExtensionError("im_part needs k = 2")
+            raise FFLabError("im_part needs k = 2")
         a = np.asarray(a, dtype=np.int64)
         diff = self.add_arrays(a, self.neg_arrays(self._frob[a]))
         return self.mul_arrays(diff, np.int64(self.inv(2 % self.p)))

@@ -40,7 +40,7 @@ import math
 import numpy as np
 
 from .certificates import as_float
-from .errors import BudgetExceededError, SideMismatchError, WrongSideError
+from .errors import BudgetExceededError, FFLabError
 from .field import Field, make_field
 
 # Largest extension field that keeps the dense |F| x |F| kernel: the factored
@@ -274,7 +274,7 @@ def _transform(kernel: TransformKernel, mat: np.ndarray, values: np.ndarray, n: 
 def fourier_forward(f: Grid) -> Grid:
     """f^(xi) = sum_x f(x) e(-x.xi); defined on space-side grids only."""
     if f.side != Side.SPACE:
-        raise WrongSideError("forward transform expects a space-side grid")
+        raise FFLabError("forward transform expects a space-side grid")
     kernel = _transform_matrices(f.field)
     out = _transform(kernel, kernel.minus, f.values, f.n)
     return Grid(f.field, f.n, out, Side.FREQUENCY)
@@ -283,7 +283,7 @@ def fourier_forward(f: Grid) -> Grid:
 def fourier_inverse(g: Grid) -> Grid:
     """g_(x) = |F|^{-n} sum_xi g(xi) e(x.xi); frequency-side grids only."""
     if g.side != Side.FREQUENCY:
-        raise WrongSideError("inverse transform expects a frequency-side grid")
+        raise FFLabError("inverse transform expects a frequency-side grid")
     kernel = _transform_matrices(g.field)
     out = _transform(kernel, kernel.plus, g.values, g.n)
     out *= float(g.field.order) ** (-g.n)
@@ -320,13 +320,13 @@ def mean_lp_norm(values: np.ndarray, p) -> float:
 def inner_product(f: Grid, g: Grid) -> complex:
     """<f, g> = sum f conj(g) under the shared measure."""
     if f.side != g.side or f.n != g.n or f.field is not g.field and f.field != g.field:
-        raise SideMismatchError("inner product needs matching grids")
+        raise FFLabError("inner product needs matching grids")
     return complex(_weight(f) * np.sum(f.values * np.conj(g.values)))
 
 
 def pointwise_mul(f: Grid, g: Grid) -> Grid:
     if f.side != g.side or f.n != g.n or f.field != g.field:
-        raise SideMismatchError("pointwise product needs matching grids")
+        raise FFLabError("pointwise product needs matching grids")
     return f.with_values(f.values * g.values)
 
 
@@ -337,7 +337,7 @@ def convolve(f: Grid, g: Grid) -> Grid:
     Frequency side: (f*g)(xi) = |F|^{-n} sum_eta f(eta) g(xi-eta)
     """
     if f.side != g.side or f.n != g.n or f.field != g.field:
-        raise SideMismatchError("convolution needs matching grids")
+        raise FFLabError("convolution needs matching grids")
     if f.side == Side.SPACE:
         prod = pointwise_mul(fourier_forward(f), fourier_forward(g))
         return fourier_inverse(prod)

@@ -35,18 +35,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .certificates import NormCertificate, as_float, holder_dual, parse_exponent, recheck_agrees
-from .errors import (
-    DEFAULT_BUDGET,
-    ConstraintViolatedError,
-    DegenerateHeightsError,
-    ImproperSlopeError,
-    NotInjectiveError,
-    NotQuadraticExtensionError,
-    UnknownWitnessError,
-    UnsupportedDimensionError,
-    require_budget,
+from .certificates import (
+    NormCertificate, as_float, exponent_str, holder_dual, parse_exponent, recheck_agrees,
 )
+from .errors import DEFAULT_BUDGET, FFLabError, NoClosedFormError, require_budget
 from .field import Field
 from .grid import (
     Grid,
@@ -76,6 +68,16 @@ def line_flats(field: Field, x0, v) -> np.ndarray:
     flat = affine_flats(field, x0, v)
     flat += np.arange(field.order, dtype=np.int64) * field.order ** np.shape(v)[-1]
     return flat
+
+
+def _require_lines(field: Field, n: int, budget: int | None) -> None:
+    """Refuse n < 2, as a line needs a height and at least one base
+    coordinate; then, unless budget is None, refuse |F|^{2n-1} line-point
+    gathers above budget."""
+    if n < 2:
+        raise FFLabError("need n >= 2")
+    if budget is not None:
+        require_budget(field.order ** (2 * n - 1), budget, "line-point gathers |F|^{2n-1}")
 
 
 def _require_distinct(x0, v) -> None:
@@ -137,10 +139,8 @@ def verify_besicovitch(field: Field, n: int, flat: np.ndarray, budget: int = DEF
     needs a height and at least one base coordinate, so n < 2 is refused
     before the gate.
     """
-    if n < 2:
-        raise UnsupportedDimensionError("need n >= 2")
+    _require_lines(field, n, budget)
     q = field.order
-    require_budget(q ** (2 * n - 1), budget, "line-point gathers |F|^{2n-1}")
     m = q ** (n - 1)
     member = np.zeros(q**n, dtype=bool)
     member[np.asarray(flat, dtype=np.int64)] = True
@@ -173,8 +173,9 @@ def verify_besicovitch(field: Field, n: int, flat: np.ndarray, budget: int = DEF
 # -- maximal function ----------------------------------------------------------------
 
 
-def _common_space(fs: Sequence[Grid]) -> tuple[Field, int]:
-    """The field and dimension n >= 2 every grid of a stack shares."""
+def _common_space(fs: Sequence[Grid], budget: int | None) -> tuple[Field, int]:
+    """The field and dimension n >= 2 every grid of a stack shares; budget,
+    unless None, caps one grid's line-point gathers."""
     if not fs:
         raise ValueError("the maximal function needs at least one grid")
     field, n = fs[0].field, fs[0].n
@@ -182,8 +183,7 @@ def _common_space(fs: Sequence[Grid]) -> tuple[Field, int]:
         raise ValueError("stacked grids must share one field and one dimension")
     if any(f.side != Side.SPACE for f in fs):
         raise ValueError("maximal function acts on space-side grids")
-    if n < 2:
-        raise UnsupportedDimensionError("need n >= 2")
+    _require_lines(field, n, budget)
     return field, n
 
 
@@ -195,9 +195,8 @@ def kakeya_maximal(*fs: Grid, budget: int = DEFAULT_BUDGET) -> np.ndarray:
     |F|^{2n-1} gathers of one grid; each block's c + x index table is built
     once and read for every grid.
     """
-    field, n = _common_space(fs)
+    field, n = _common_space(fs, budget)
     q = field.order
-    require_budget(q ** (2 * n - 1), budget, "line-point gathers |F|^{2n-1}")
     m = q ** (n - 1)
     absf = np.empty((q, m, len(fs)), dtype=np.float64)  # [height, base point, grid]
     for i, f in enumerate(fs):
@@ -228,7 +227,7 @@ def kakeya_maximal_direct(*fs: Grid) -> np.ndarray:
     tables; certificates are re-evaluated through this path.  A direction no
     chunk reaches stays NaN, which no recheck accepts.
     """
-    field, n = _common_space(fs)
+    field, n = _common_space(fs, None)
     q = field.order
     m = q ** (n - 1)
     absf = np.stack([np.abs(f.values) for f in fs], axis=1)  # [point flat, grid]
@@ -284,11 +283,10 @@ def kakeya_norm_certificates(
     checked before any grid is built; n < 2 is refused before the gate, since
     a line needs a height and at least one base coordinate.
     """
-    if n < 2:
-        raise UnsupportedDimensionError("need n >= 2")
+    _require_lines(field, n, None)
     p = parse_exponent(p)
     q = parse_exponent(q)
-    require_budget(field.order ** (2 * n - 1), budget, "line-point gathers |F|^{2n-1}")
+    _require_lines(field, n, budget)
     qf = field.order
     total = qf**n
     drawn: list[tuple[dict, list[Grid]]] = []  # per name: metadata, candidate grids
@@ -312,7 +310,7 @@ def kakeya_norm_certificates(
             meta["formula_value"] = float(qf) ** (1.0 - n / as_float(p))
         elif name == "besicovitch_indicator":
             if n != 2:
-                raise UnsupportedDimensionError("the explicit construction is 2-D")
+                raise FFLabError("the explicit construction is 2-D")
             wit = besicovitch_2d(field)
             vals = np.zeros(total, dtype=np.complex128)
             vals[wit.flat] = 1.0
@@ -327,7 +325,7 @@ def kakeya_norm_certificates(
                     vals[0] = 1.0
                 fs.append(Grid(field, n, vals, Side.SPACE))
         else:
-            raise UnknownWitnessError(f"no Kakeya witness named {name!r}")
+            raise FFLabError(f"no Kakeya witness named {name!r}")
         drawn.append((meta, fs))
     stack = [f for _, fs in drawn for f in fs]
     stars = iter(kakeya_maximal(*stack, budget=budget))
@@ -346,19 +344,24 @@ def kakeya_norm_certificates(
     return out
 
 
-def kakeya_upper_overlap(field: Field, n: int) -> NormCertificate:
+def kakeya_upper_overlap(field: Field, n: int, p, q) -> NormCertificate:
     """K(2 -> 2n-2) <= sqrt(2), certified.
 
     Distinct directions intersect in at most one point, so the squared
     L^2 mass of an averaged line bundle splits into a diagonal term and a
     rank-one term, each dominated by ||g||_{(2n-2)'}^2.  Both steps are
     exact inequalities with constant 1, so the certificate carries the
-    explicit sqrt(2).
+    explicit sqrt(2).  Any pair but (2, 2n-2) is refused with
+    NoClosedFormError before a certificate is built.
     """
-    if n < 2:
-        raise UnsupportedDimensionError("need n >= 2")
+    _require_lines(field, n, None)
+    p = parse_exponent(p)
+    q = parse_exponent(q)
+    if (p, q) != (2, 2 * n - 2):
+        pair = f"({exponent_str(p)}, {exponent_str(q)})"
+        raise NoClosedFormError(f"line-overlap counting covers only (2, {2 * n - 2}), not {pair}")
     return _kakeya_cert(
-        field, n, "upper", "closed_form", 2, 2 * n - 2, math.sqrt(2.0),
+        field, n, "upper", "closed_form", p, q, math.sqrt(2.0),
         meta={"derivation": "line-overlap counting: diagonal plus rank-one split"},
     )
 
@@ -367,7 +370,7 @@ def _recheck_values(certs: Sequence[NormCertificate]) -> list[float]:
     """Each Kakeya lower certificate's ratio, re-evaluated in one direct walk."""
     for cert in certs:
         if cert.quantity != "kakeya" or cert.kind != "lower" or cert.witness is None:
-            raise UnknownWitnessError("expected a witness-bearing Kakeya lower certificate")
+            raise FFLabError("expected a witness-bearing Kakeya lower certificate")
     if not certs:
         return []
     fs = [grid_from_bytes(cert.witness) for cert in certs]
@@ -431,8 +434,7 @@ def cordoba_check(field: Field, n: int, g: np.ndarray, x0map: np.ndarray):
     is bit-identical to evaluating its trial alone: the roots are taken on
     Python floats, as lp_norm and mean_lp_norm take them.
     """
-    if n < 2:
-        raise UnsupportedDimensionError("need n >= 2")
+    _require_lines(field, n, None)
     g = np.asarray(g, dtype=np.float64)
     x0map = np.asarray(x0map, dtype=np.int64)
     if np.any(g < 0):
@@ -617,7 +619,7 @@ def wolff_axiom_check(field: Field, x0, v, budget: int = DEFAULT_BUDGET) -> int:
     x0 = np.asarray(x0, dtype=np.int64)
     v = np.asarray(v, dtype=np.int64)
     if x0.ndim != 2 or x0.shape[1] != 2:
-        raise UnsupportedDimensionError("plane analysis lives in F^3")
+        raise FFLabError("plane analysis lives in F^3")
     if not len(x0):
         return 0
     _require_distinct(x0, v)
@@ -663,7 +665,7 @@ def heisenberg_example(field: Field, budget: int = DEFAULT_BUDGET) -> QuadExtens
     in blocks.
     """
     if field.k != 2:
-        raise NotQuadraticExtensionError("the construction needs a quadratic extension")
+        raise FFLabError("the construction needs a quadratic extension")
     q = field.order
     require_budget(q**3, budget, "membership array |F|^3")
     pairs = field.grid_coords(2)
@@ -712,10 +714,10 @@ def _read_slope(field: Field, slope) -> tuple[str, int | None]:
         return "inf", None
     r = Fraction(slope)
     if r == -1:
-        raise ImproperSlopeError("the difference projection itself is not allowed")
+        raise FFLabError("the difference projection itself is not allowed")
     den = r.denominator
     if den % field.p == 0 or not (0 < den < field.p):
-        raise ImproperSlopeError(f"slope {r} has no representative with denominator below {field.p}")
+        raise FFLabError(f"slope {r} has no representative with denominator below {field.p}")
     return str(r), field.rational(r.numerator, den)
 
 
@@ -752,7 +754,7 @@ def slope_projections(
     n_diff = len(np.unique(flat_points(field, field.sub_arrays(a, b))))
     if n_diff != len(pairs):
         if require_injective:
-            raise NotInjectiveError("the difference projection collides on this set")
+            raise FFLabError("the difference projection collides on this set")
         warnings.warn("difference projection is not injective on this set", stacklevel=2)
 
     mapped: dict[str, int | None] = {}
@@ -826,7 +828,7 @@ def slices_construction(witness: BesicovitchWitness, t0: int, t_inf: int, slopes
     if not (0 <= t0 < q and 0 <= t_inf < q):
         raise ValueError(f"heights must be field elements 0 .. {q - 1}")
     if t0 == t_inf:
-        raise DegenerateHeightsError("the two heights must differ")
+        raise FFLabError("the two heights must differ")
     m = q ** (n - 1)
     coords = field.grid_coords(n - 1)
     if np.any(witness.assignment < 0):
@@ -850,7 +852,7 @@ def slices_construction(witness: BesicovitchWitness, t0: int, t_inf: int, slopes
         else:
             denom = field.add(elem, field.rational(1))
             if denom == 0:
-                raise ImproperSlopeError(f"slope {label} + 1 vanishes in F")
+                raise FFLabError(f"slope {label} + 1 vanishes in F")
             inv = field.inv(denom)
             t_r = field.add(
                 field.mul(t0, inv), field.mul(field.mul(elem, t_inf), inv)
@@ -871,15 +873,15 @@ def incidence_to_kakeya_exponents(a, b, c, n: int) -> tuple[Fraction, Fraction]:
     """
     a, b, c = Fraction(a), Fraction(b), Fraction(c)
     if not (0 <= a <= 1 and 0 <= b <= 1 and 0 <= c <= 1):
-        raise ConstraintViolatedError("exponents must lie in [0, 1]")
+        raise FFLabError("exponents must lie in [0, 1]")
     if a <= 0 or b <= 0:
-        raise ConstraintViolatedError(
+        raise FFLabError(
             "point and line exponents must be positive; the b = 0 edge only "
             "gives the line q = (n-1)p'"
         )
     weight = (n - 1) * b + c
     if weight < 1:
-        raise ConstraintViolatedError("need (n-1)b + c >= 1")
+        raise FFLabError("need (n-1)b + c >= 1")
     p = weight / a
     p_dual = holder_dual(p)
     q = min((n - 1) * Fraction(p_dual), weight / b)

@@ -37,16 +37,7 @@ from .certificates import (
     parse_exponent,
     recheck_agrees,
 )
-from .errors import (
-    DEFAULT_BUDGET,
-    MinusOneIsSquareError,
-    NoClosedFormError,
-    SubspaceNotFoundError,
-    SupportViolationError,
-    UnknownWitnessError,
-    WrongSurfaceKindError,
-    require_budget,
-)
+from .errors import DEFAULT_BUDGET, FFLabError, NoClosedFormError, require_budget
 from .field import Field, make_field
 from .kakeya import IncidenceReport, incidence_count, line_flats
 from .grid import (
@@ -129,7 +120,7 @@ def rebuild_surface(cert: NormCertificate) -> SurfaceMeasure:
     """Reconstruct the surface a certificate refers to from its metadata."""
     kind = cert.meta.get("surface_kind")
     if kind is None or kind == SurfaceKind.CUSTOM.value:
-        raise UnknownWitnessError("certificate does not name a rebuildable surface")
+        raise FFLabError("certificate does not name a rebuildable surface")
     fld = make_field(cert.char, cert.degree)
     if kind == SurfaceKind.CONE.value:
         return build_surface(kind, fld, cert.n, include_origin=cert.meta.get("include_origin", False))
@@ -481,7 +472,7 @@ def find_affine_line(surface: SurfaceMeasure, budget: int = DEFAULT_BUDGET):
             inside = member[affine_flats(fld, a, b)].all(axis=1)
             if inside.any():
                 return a.copy(), b[inside.argmax()]
-    raise SubspaceNotFoundError("no affine line inside the surface")
+    raise FFLabError("no affine line inside the surface")
 
 
 def rstar_lower_witness(
@@ -499,7 +490,7 @@ def rstar_lower_witness(
     fld = surface.field
     if name == "dual_cone_X":
         if surface.kind != SurfaceKind.CONE:
-            raise WrongSurfaceKindError("the dual set witness lives on the cone")
+            raise FFLabError("the dual set witness lives on the cone")
         x_set = cone_counterexample_set(fld)
         f = indicator_grid(fld, 3, x_set, Side.SPACE)
         return _base_cert(
@@ -525,7 +516,7 @@ def rstar_lower_witness(
         g = SurfaceFunction(surface, np.isin(surface.flat, affine_flats(fld, a, b)))
         extra = {"line_base": [int(x) for x in a], "line_dir": [int(x) for x in b]}
     else:
-        raise UnknownWitnessError(f"no witness named {name!r}")
+        raise FFLabError(f"no witness named {name!r}")
     return _surface_lower(g, p, q, extension, "witness", {"witness_name": name, **extra})
 
 
@@ -536,7 +527,7 @@ def recheck_lower(cert: NormCertificate) -> float:
     confirm itself.
     """
     if cert.kind != "lower" or cert.witness is None:
-        raise UnknownWitnessError("only witness-bearing lower certificates can be rechecked")
+        raise FFLabError("only witness-bearing lower certificates can be rechecked")
     surface = rebuild_surface(cert)
     form = cert.meta.get("witness_form", "surface_function")
     if form == "surface_function":
@@ -545,7 +536,7 @@ def recheck_lower(cert: NormCertificate) -> float:
     if form == "space_indicator":
         f = grid_from_bytes(cert.witness)
         return _space_ratio(f, surface, cert.p, cert.q, restriction_direct)
-    raise UnknownWitnessError(f"unknown witness form {form!r}")
+    raise FFLabError(f"unknown witness form {form!r}")
 
 
 def verify_lower(cert: NormCertificate) -> bool:
@@ -616,7 +607,7 @@ def selfdot_incidence_count(
     vanish), so incidence_count counts them; budget caps their |P| |F| points.
     """
     if field.is_square(field.minus_one):
-        raise MinusOneIsSquareError("-1 is a square; the self-dot lines degenerate")
+        raise FFLabError("-1 is a square; the self-dot lines degenerate")
     pts = np.asarray(points, dtype=np.int64)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("points must be an (m, 2) array over F^2")
@@ -637,12 +628,12 @@ def pseudoconformal_identity_check(g: Grid) -> float:
     exactly.
     """
     if g.n != 3 or g.side != Side.SPACE:
-        raise SupportViolationError("expected a space-side grid on F^3")
+        raise FFLabError("expected a space-side grid on F^3")
     fld = g.field
     q = fld.order
     m = q * q
     if np.any(np.abs(g.values[m:]) > 0):
-        raise SupportViolationError("grid must vanish off the bottom slice")
+        raise FFLabError("grid must vanish off the bottom slice")
     surf = paraboloid(fld, 3)
     kern = bochner_riesz_kernel(surf)
     lhs = lp_norm(convolve(g, kern), 4) ** 4

@@ -22,13 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DEFAULT_BUDGET,
-    CharacteristicTooSmallError,
-    UnsupportedDimensionError,
-    WrongSideError,
-    require_budget,
-)
+from .errors import DEFAULT_BUDGET, FFLabError, require_budget
 from .field import Field
 # fourier_inverse is not called here; it stays importable from this module
 # because perfbench's tracer test expects to rebind it here as well.
@@ -110,7 +104,7 @@ class SurfaceFunction:
 def paraboloid(field: Field, n: int) -> SurfaceMeasure:
     """{(xi, xi.xi) : xi in F^{n-1}}, |S| = |F|^{n-1}."""
     if n < 2:
-        raise UnsupportedDimensionError("paraboloid needs n >= 2")
+        raise FFLabError("paraboloid needs n >= 2")
     base = field.grid_coords(n - 1)
     tau = field.dot_arrays(base, base)
     pts = np.concatenate([base, tau[:, None]], axis=1)
@@ -142,7 +136,7 @@ def cone(field: Field, include_origin: bool = False) -> SurfaceMeasure:
 def moment_curve(field: Field, n: int) -> SurfaceMeasure:
     """{(t, t^2, ..., t^n) : t in F}; needs char > n."""
     if field.p <= n:
-        raise CharacteristicTooSmallError(
+        raise FFLabError(
             f"moment curve in dimension {n} needs characteristic > {n}"
         )
     t = np.arange(field.order, dtype=np.int64)
@@ -160,7 +154,7 @@ def double_paraboloid(field: Field, n: int) -> SurfaceMeasure:
     the list index of (eta, theta) is eta_flat + |F|^{n-1} * theta_flat.
     """
     if n < 2:
-        raise UnsupportedDimensionError("double paraboloid needs base n >= 2")
+        raise FFLabError("double paraboloid needs base n >= 2")
     m = field.order ** (n - 1)
     base = field.grid_coords(n - 1)
     eta = np.tile(base, (m, 1))
@@ -184,7 +178,7 @@ def build_surface(kind, field: Field, n: int, include_origin=False):
         return paraboloid(field, n)
     if kind == SurfaceKind.CONE:
         if n != 3:
-            raise UnsupportedDimensionError("the cone lives in F^3")
+            raise FFLabError("the cone lives in F^3")
         return cone(field, include_origin=include_origin)
     if kind == SurfaceKind.MOMENT_CURVE:
         return moment_curve(field, n)
@@ -306,7 +300,7 @@ def extension_adjoint(f: Grid, surface: SurfaceMeasure) -> SurfaceFunction:
     Equals restriction(fourier_forward(f), surface).
     """
     if f.side != Side.SPACE:
-        raise WrongSideError("the extension adjoint expects a space-side grid")
+        raise FFLabError("the extension adjoint expects a space-side grid")
     if f.n != surface.n or f.field != surface.field:
         raise ValueError("grid and surface do not match")
     q = surface.field.order
@@ -354,7 +348,7 @@ def extension_direct(sf: SurfaceFunction) -> Grid:
 def restriction(f_hat: Grid, surface: SurfaceMeasure) -> SurfaceFunction:
     """Read a frequency-side grid at the surface points."""
     if f_hat.side != Side.FREQUENCY:
-        raise WrongSideError("restriction expects a frequency-side grid")
+        raise FFLabError("restriction expects a frequency-side grid")
     if f_hat.n != surface.n or f_hat.field != surface.field:
         raise ValueError("grid and surface do not match")
     return SurfaceFunction(surface, f_hat.values[surface.flat])

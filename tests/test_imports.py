@@ -80,7 +80,7 @@ def test_an_added_unused_import_fails():
     sources = package_sources()
     sources["kakeya"] = "import json\n" + sources["kakeya"]
     sources["restriction"] = sources["restriction"].replace(
-        "from .errors import (\n", "from .errors import (\n    BudgetExceededError,\n", 1
+        "from .errors import ", "from .errors import BudgetExceededError, ", 1
     )
     sources["grid"] += "\nfrom .field import make_field as _unused_alias\n"
     sources["field"] += "\nimport os.path\n"

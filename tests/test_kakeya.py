@@ -10,16 +10,7 @@ import pytest
 
 from fflab import grid, kakeya
 from fflab.certificates import certificate_consistency
-from fflab.errors import (
-    BudgetExceededError,
-    ConstraintViolatedError,
-    DegenerateHeightsError,
-    ImproperSlopeError,
-    NotInjectiveError,
-    NotQuadraticExtensionError,
-    UnknownWitnessError,
-    UnsupportedDimensionError,
-)
+from fflab.errors import BudgetExceededError, FFLabError, NoClosedFormError
 from fflab.field import Field, make_field
 from fflab.grid import Grid, Side, flat_points, lp_norm, mean_lp_norm
 from fflab.kakeya import (
@@ -207,7 +198,7 @@ def test_verify_besicovitch_edge_sets(monkeypatch, f5, f9, shape, short_last_blo
 @pytest.mark.parametrize("n", [0, 1])
 def test_verify_besicovitch_refuses_n_below_2(f5, n):
     # refused before the budget gate, which a budget of 0 would fail for every n
-    with pytest.raises(UnsupportedDimensionError, match="need n >= 2"):
+    with pytest.raises(FFLabError, match="need n >= 2"):
         verify_besicovitch(f5, n, np.arange(5), budget=0)
 
 
@@ -406,7 +397,7 @@ def test_stacked_maximal_refuses_mixed_grids(f5, f7):
 
 @pytest.mark.parametrize("maximal", [kakeya_maximal, kakeya_maximal_direct])
 def test_maximal_refuses_lines_in_f1(f5, maximal):
-    with pytest.raises(UnsupportedDimensionError, match="need n >= 2"):
+    with pytest.raises(FFLabError, match="need n >= 2"):
         maximal(Grid.constant(f5, 1, 1.0))
 
 
@@ -481,7 +472,7 @@ def test_maximal_budget_boundary(f5):
 @pytest.mark.parametrize("n", [0, 1])
 def test_norm_certificates_refuse_n_below_2(f5, n):
     # refused before the budget gate, which a budget of 0 would fail for every n
-    with pytest.raises(UnsupportedDimensionError, match="need n >= 2"):
+    with pytest.raises(FFLabError, match="need n >= 2"):
         kakeya_norm_certificates(f5, n, 2, 2, budget=0)
 
 
@@ -535,8 +526,8 @@ def test_verify_lowers_needs_one_field_and_dimension(f5, f7):
     ):
         with pytest.raises(ValueError):
             verify_lowers([a, other])
-    with pytest.raises(UnknownWitnessError):
-        verify_lowers([a, kakeya_upper_overlap(f7, 2)])
+    with pytest.raises(FFLabError, match="expected a witness-bearing Kakeya lower certificate"):
+        verify_lowers([a, kakeya_upper_overlap(f7, 2, 2, 2)])
 
 
 def test_random_sets_keep_the_first_best():
@@ -554,19 +545,29 @@ def test_random_sets_keep_the_first_best():
 
 
 def test_certificate_rejections(f7):
-    with pytest.raises(UnknownWitnessError):
+    with pytest.raises(FFLabError, match="no Kakeya witness named 'nope'"):
         kakeya_norm_certificates(f7, 2, 2, 2, witnesses=("nope",))
-    with pytest.raises(UnsupportedDimensionError):
+    with pytest.raises(FFLabError, match="the explicit construction is 2-D"):
         kakeya_norm_certificates(f7, 3, 2, 4, witnesses=("besicovitch_indicator",))
-    with pytest.raises(UnknownWitnessError):
-        recheck_lower(kakeya_upper_overlap(f7, 2))
+    with pytest.raises(FFLabError, match="expected a witness-bearing Kakeya lower certificate"):
+        recheck_lower(kakeya_upper_overlap(f7, 2, 2, 2))
+
+
+@pytest.mark.parametrize("n,p,q", [(3, 2, 3), (2, 3, 2)])
+def test_overlap_upper_refuses_other_pairs(f7, monkeypatch, n, p, q):
+    def no_cert(*args, **kwargs):
+        raise AssertionError("a certificate was built before the refusal")
+
+    monkeypatch.setattr(kakeya, "_kakeya_cert", no_cert)
+    with pytest.raises(NoClosedFormError, match=rf"only \(2, {2 * n - 2}\), not \({p}, {q}\)"):
+        kakeya_upper_overlap(f7, n, p, q)
 
 
 def test_overlap_upper_consistency(f7):
-    upper = kakeya_upper_overlap(f7, 2)
+    upper = kakeya_upper_overlap(f7, 2, 2, 2)
     assert upper.value == pytest.approx(math.sqrt(2))
     assert (upper.p, upper.q) == (Fraction(2), Fraction(2))
-    assert kakeya_upper_overlap(f7, 3).q == Fraction(4)
+    assert kakeya_upper_overlap(f7, 3, "2", "4").q == Fraction(4)
     lowers = kakeya_norm_certificates(
         f7, 2, 2, 2, witnesses=("point", "line", "full_space", "besicovitch_indicator")
     )
@@ -658,7 +659,7 @@ def test_stacked_cordoba_matches_one_trial_at_a_time(monkeypatch, p, k, n):
 
 
 def test_cordoba_refuses_lines_in_one_dimension(f5):
-    with pytest.raises(UnsupportedDimensionError):
+    with pytest.raises(FFLabError, match="need n >= 2"):
         cordoba_check(f5, 1, np.ones(1), np.zeros(1, dtype=np.int64))
 
 
@@ -912,7 +913,7 @@ def test_wolff_exhaustive_agrees(f5):
     assert wolff_axiom_check(f5, np.empty((0, 2)), np.empty((0, 2))) == 0
     with pytest.raises(BudgetExceededError):
         wolff_axiom_check(f5, *fam, budget=len(fam[0]) * 6 - 1)
-    with pytest.raises(UnsupportedDimensionError):
+    with pytest.raises(FFLabError, match=r"plane analysis lives in F\^3"):
         wolff_axiom_check(f5, [[0]], [[1]])
 
 
@@ -951,7 +952,7 @@ def test_heisenberg_frozen(f9):
     assert rep.duplicate_direction is not None
     assert rep.point_ratio == pytest.approx(1.0)
     assert rep.line_ratio == pytest.approx(96 / 81)
-    with pytest.raises(NotQuadraticExtensionError):
+    with pytest.raises(FFLabError, match="the construction needs a quadratic extension"):
         heisenberg_example(make_field(7))
 
 
@@ -1067,7 +1068,7 @@ def test_slope_projections_graph_collides(f7):
         [np.arange(7, dtype=np.int64), f7.mul_arrays(np.arange(7), np.arange(7))],
         axis=1,
     )
-    with pytest.raises(NotInjectiveError):
+    with pytest.raises(FFLabError, match="the difference projection collides on this set"):
         slope_projections(f7, 2, pairs, [0])
     with pytest.warns(UserWarning, match="not injective"):
         rep = slope_projections(f7, 2, pairs, [0, "inf"], require_injective=False)
@@ -1078,9 +1079,11 @@ def test_slope_projections_graph_collides(f7):
 def test_slope_edge_cases(f7):
     wit = besicovitch_2d(f7)
     pairs = slices_construction(wit, 0, 1, []).pairs
-    with pytest.raises(ImproperSlopeError):
+    with pytest.raises(FFLabError, match="the difference projection itself is not allowed"):
         slope_projections(f7, 2, pairs, [-1])
-    with pytest.raises(ImproperSlopeError):
+    with pytest.raises(
+        FFLabError, match="slope 1/7 has no representative with denominator below 7"
+    ):
         slope_projections(f7, 2, pairs, ["1/7"])
     with pytest.warns(UserWarning, match="collides"):
         rep = slope_projections(f7, 2, pairs, [1, 8])
@@ -1117,9 +1120,9 @@ def test_slices_all_height_pairs(f7):
 
 def test_slices_rejections(f7):
     wit = besicovitch_2d(f7)
-    with pytest.raises(DegenerateHeightsError):
+    with pytest.raises(FFLabError, match="the two heights must differ"):
         slices_construction(wit, 2, 2, [0])
-    with pytest.raises(ImproperSlopeError):
+    with pytest.raises(FFLabError, match=r"slope 6 \+ 1 vanishes in F"):
         slices_construction(wit, 0, 1, [6])  # 6 + 1 = 0 in F_7
     with pytest.raises(ValueError, match="field elements"):
         slices_construction(wit, 0, 7, [0])  # 7 is not an element index of F_7
@@ -1145,11 +1148,11 @@ def test_incidence_exponent_map():
 
 
 def test_incidence_exponent_rejections():
-    with pytest.raises(ConstraintViolatedError):
+    with pytest.raises(FFLabError, match="point and line exponents must be positive"):
         incidence_to_kakeya_exponents(0, 1, 0, 3)
-    with pytest.raises(ConstraintViolatedError):
+    with pytest.raises(FFLabError, match="point and line exponents must be positive"):
         incidence_to_kakeya_exponents(1, 0, 1, 3)
-    with pytest.raises(ConstraintViolatedError):
+    with pytest.raises(FFLabError, match=r"exponents must lie in \[0, 1\]"):
         incidence_to_kakeya_exponents(1, 1, 2, 3)
-    with pytest.raises(ConstraintViolatedError):
+    with pytest.raises(FFLabError, match=r"need \(n-1\)b \+ c >= 1"):
         incidence_to_kakeya_exponents("1/4", "1/4", "1/4", 2)

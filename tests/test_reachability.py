@@ -11,6 +11,10 @@ as an attribute or a bare name; dunder methods come with their class, and a
 class statement's own mentions leave out its method bodies.  Imports mention
 nothing.  Matching by name can only over-approximate, so this check may miss
 dead code but never flags code that a command uses.
+
+Every exception class of the package is also named by some ``except`` clause
+of the package: ``cli.main`` turns any ``FFLabError`` into exit 2, so a
+subclass earns its place only where code tells it apart.
 """
 
 import ast
@@ -156,3 +160,44 @@ def test_an_added_unreached_definition_fails():
         1,
     )
     assert unreached(sources, root_names(sources), ALLOWED_UNREACHED) == ["grid.OrphanReport"]
+
+
+def uncaught_exceptions(sources: dict[str, str]) -> list[str]:
+    """Exception classes of the package that no ``except`` clause names.
+
+    A class is an exception class when one of its bases is ``Exception``,
+    ``BaseException`` or another exception class of the package.  A refusal
+    that nothing tells apart from ``FFLabError`` needs no class of its own.
+    """
+    bases: dict[str, tuple[str, set[str]]] = {}
+    caught: set[str] = set()
+    for module, text in sources.items():
+        tree = ast.parse(text)
+        for stmt in tree.body:
+            if isinstance(stmt, ast.ClassDef):
+                bases[stmt.name] = (f"{module}.{stmt.name}", _mentions(*stmt.bases))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                caught |= _mentions(node.type)
+    errors = {"Exception", "BaseException"}
+    while grown := {name for name, (_, b) in bases.items() if b & errors} - errors:
+        errors |= grown
+    return sorted(bases[name][0] for name in errors & set(bases) if name not in caught)
+
+
+def test_every_exception_class_is_caught():
+    assert uncaught_exceptions(package_sources()) == []
+
+
+def test_an_added_uncaught_exception_fails():
+    sources = package_sources()
+    sources["errors"] += "\n\nclass OrphanError(FFLabError):\n    pass\n"
+    sources["kakeya"] += "\n\ndef _orphan(n):\n    raise OrphanError(f'n = {n}')\n"
+    assert uncaught_exceptions(sources) == ["errors.OrphanError"]
+    # once an except clause names it, it is told apart, so it may stay
+    sources["cli"] = sources["cli"].replace(
+        "except (NoClosedFormError, BudgetExceededError):",
+        "except (NoClosedFormError, BudgetExceededError, OrphanError):",
+        1,
+    )
+    assert uncaught_exceptions(sources) == []

@@ -229,6 +229,88 @@ def test_cli_rejects_bad_field(capsys):
     assert code == 2 and "error:" in err
 
 
+# One command line per refusal the CLI can reach, with its exact stderr line.
+# The unit tests pin the refusals no command line reaches (wrong grid sides,
+# the pseudoconformal support, the injective-difference requirement of
+# slope_projections and the exponent calculus).
+REFUSALS = [
+    ("kakeya maximal --field 7 --dim 1", "need n >= 2"),
+    ("kakeya maximal --field 3^2 --dim 1", "need n >= 2"),
+    ("kakeya cordoba --field 7 --dim 1", "need n >= 2"),
+    (
+        "restriction estimate --field 4 --dim 2 --surface parabola --p 2 --q 4",
+        "4 is not prime",
+    ),
+    (
+        "restriction estimate --field 2 --dim 2 --surface parabola --p 2 --q 4",
+        "characteristic 2 is out of scope",
+    ),
+    ("kakeya besicovitch --field 3^13", "3^13 exceeds the order cap 1048576"),
+    ("kakeya heisenberg --field 7", "the construction needs a quadratic extension"),
+    (
+        "restriction estimate --field 3 --dim 3 --surface moment --p 2 --q 6",
+        "moment curve in dimension 3 needs characteristic > 3",
+    ),
+    (
+        "restriction estimate --field 5 --dim 1 --surface paraboloid --p 2 --q 4",
+        "paraboloid needs n >= 2",
+    ),
+    (
+        "restriction estimate --field 5 --dim 1 --surface double_paraboloid --p 2 --q 4",
+        "double paraboloid needs base n >= 2",
+    ),
+    (
+        "restriction estimate --field 5 --dim 2 --surface cone --p 2 --q 4",
+        "the cone lives in F^3",
+    ),
+    (
+        "kakeya maximal --field 7 --dim 3 --witnesses besicovitch_indicator",
+        "the explicit construction is 2-D",
+    ),
+    ("kakeya maximal --field 7 --witnesses point,nosuch", "no Kakeya witness named 'nosuch'"),
+    (
+        "kakeya slices --field 7 --slopes 1/7",
+        "slope 1/7 has no representative with denominator below 7",
+    ),
+    ("kakeya slices --field 7 --slopes=-1", "the difference projection itself is not allowed"),
+    ("kakeya slices --field 7 --slopes 6", "slope 6 + 1 vanishes in F"),
+    ("kakeya slices --field 7 --t0 1 --t-inf 1", "the two heights must differ"),
+    (
+        "restriction witness --field 7 --dim 3 --surface paraboloid --p 2 --q 4"
+        " --witness subspace",
+        "no affine line inside the surface",
+    ),
+    (
+        "restriction witness --field 7 --dim 3 --surface paraboloid --p 2 --q 4"
+        " --witness dual_cone_X",
+        "the dual set witness lives on the cone",
+    ),
+    ("kakeya sd --field 5", "-1 is a square; the self-dot lines degenerate"),
+    (
+        "restriction estimate --field 5 --dim 2 --surface parabola --p 2 --q 4 --method closed",
+        "no closed form at (2, 4)",
+    ),
+    (
+        "restriction estimate --field 5 --dim 2 --surface parabola --p 2 --q 8 --method even",
+        "even counting covers only (2, 4) and (2, 6), not (2, 8)",
+    ),
+    (
+        "kakeya besicovitch --field 7 --budget 10",
+        "line-point gathers |F|^{2n-1} = 343 exceeds the budget 10",
+    ),
+    (
+        "kakeya maximal --field 7 --dim 3 --witnesses besicovitch_indicator --budget 10",
+        "line-point gathers |F|^{2n-1} = 16807 exceeds the budget 10",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,message", REFUSALS)
+def test_cli_refusal_lines_are_pinned(capsys, argv, message):
+    code, out, err = run_cli(capsys, *shlex.split(argv))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_cli_witness_and_out_file(capsys, tmp_path):
     target = tmp_path / "cert.json"
     code, out, _ = run_cli(

@@ -17,15 +17,7 @@ from fflab.certificates import (
     holder_dual,
     parse_exponent,
 )
-from fflab.errors import (
-    BudgetExceededError,
-    MinusOneIsSquareError,
-    NoClosedFormError,
-    SubspaceNotFoundError,
-    SupportViolationError,
-    UnknownWitnessError,
-    WrongSurfaceKindError,
-)
+from fflab.errors import BudgetExceededError, FFLabError, NoClosedFormError
 from fflab.field import Field, make_field
 from fflab.grid import Grid, Side, flat_points, fourier_forward, fourier_inverse
 from fflab.restriction import (
@@ -393,7 +385,7 @@ def test_subspace_witness(f5, f7):
     assert verify_lower(cert)
     tight = rstar_lower_witness(surface, 2, "10/3", "subspace")
     assert tight.value == pytest.approx(5 ** 0.1, rel=1e-12)
-    with pytest.raises(SubspaceNotFoundError):
+    with pytest.raises(FFLabError, match="no affine line inside the surface"):
         find_affine_line(paraboloid(f7, 3))
 
 
@@ -434,10 +426,10 @@ def test_find_affine_line_against_scan(p, k, n, kind, monkeypatch):
         surface = surfaces.build_surface(kind, field, n)
     want = affine_line_scan(surface)
     if want is None:
-        with pytest.raises(SubspaceNotFoundError):
+        with pytest.raises(FFLabError, match="no affine line inside the surface"):
             find_affine_line(surface)
         monkeypatch.setattr(grid, "BLOCK_ENTRIES", 5 * surface.field.order + 2)
-        with pytest.raises(SubspaceNotFoundError):
+        with pytest.raises(FFLabError, match="no affine line inside the surface"):
             find_affine_line(surface)  # blocks of 5 directions
         return
     a, b = find_affine_line(surface)
@@ -473,7 +465,7 @@ def test_find_affine_line_budget_boundaries(monkeypatch):
     surface = paraboloid(field, 3)  # no line, so the whole scan runs
     work = points_tested(surface)
     assert work == 3 * 49 * 57 + 7 * 392  # 392 of the 49 x 57 a + b tests land on S
-    with pytest.raises(SubspaceNotFoundError):
+    with pytest.raises(FFLabError, match="no affine line inside the surface"):
         find_affine_line(surface, budget=work)
     with pytest.raises(BudgetExceededError, match=rf"kept\) = {work} exceeds the budget {work - 1}"):
         find_affine_line(surface, budget=work - 1)
@@ -510,7 +502,7 @@ def test_find_affine_line_budget_boundaries(monkeypatch):
 def test_find_affine_line_scans_the_moment_curve_at_the_default_budget():
     # n = 3 moment curve over F_179: no line, about 1.7e7 points tested (the
     # old count of |F| per direction tried, 1.03e9, was refused)
-    with pytest.raises(SubspaceNotFoundError):
+    with pytest.raises(FFLabError, match="no affine line inside the surface"):
         find_affine_line(moment_curve(make_field(179), 3))
 
 
@@ -525,9 +517,9 @@ def test_dual_cone_witness_frozen(f7):
     cert = rstar_lower_witness(cone(f7), 2, 4, "dual_cone_X")
     assert cert.value == pytest.approx(0.8367291862806082, abs=1e-12)
     assert verify_lower(cert)
-    with pytest.raises(WrongSurfaceKindError):
+    with pytest.raises(FFLabError, match="the dual set witness lives on the cone"):
         rstar_lower_witness(paraboloid(f7, 2), 2, 4, "dual_cone_X")
-    with pytest.raises(UnknownWitnessError):
+    with pytest.raises(FFLabError, match="no witness named 'no_such_thing'"):
         rstar_lower_witness(cone(f7), 2, 4, "no_such_thing")
 
 
@@ -536,7 +528,9 @@ def test_recheck_uses_independent_path(f5):
     cert = rstar_lower_witness(surface, 2, 4, "constant")
     assert recheck_lower(cert) == pytest.approx(cert.value, rel=1e-12)
     upper = rstar_upper_even(surface, 2, 4)
-    with pytest.raises(UnknownWitnessError):
+    with pytest.raises(
+        FFLabError, match="only witness-bearing lower certificates can be rechecked"
+    ):
         recheck_lower(upper)
 
 
@@ -631,7 +625,7 @@ def test_selfdot_incidences_frozen(f7):
 
 
 def test_selfdot_rejections(f7):
-    with pytest.raises(MinusOneIsSquareError):
+    with pytest.raises(FFLabError, match="-1 is a square; the self-dot lines degenerate"):
         selfdot_incidence_count(make_field(13), make_field(13).grid_coords(2)[1:])
     with pytest.raises(ValueError):
         selfdot_incidence_count(f7, f7.grid_coords(2))  # contains the origin
@@ -696,9 +690,9 @@ def test_pseudoconformal_identity(f7):
 def test_pseudoconformal_rejects_bad_support(f7, f5):
     vals = np.zeros(343, dtype=np.complex128)
     vals[100] = 1.0
-    with pytest.raises(SupportViolationError):
+    with pytest.raises(FFLabError, match="grid must vanish off the bottom slice"):
         pseudoconformal_identity_check(Grid(f7, 3, vals, Side.SPACE))
-    with pytest.raises(SupportViolationError):
+    with pytest.raises(FFLabError, match=r"expected a space-side grid on F\^3"):
         pseudoconformal_identity_check(Grid.constant(f5, 2, 1.0, Side.SPACE))
 
 
