@@ -3,7 +3,8 @@
 One experiment per invocation: the subcommand picks the module operation,
 global flags fix the seed, budget, output path, and format.  Exit code 0
 means the run completed with every check passing, 1 means a check or
-certificate invariant failed, 2 means the configuration was invalid.
+certificate invariant failed, 2 means the configuration was invalid.  A run
+prints its output and writes one file only when ``--out`` names it.
 
 Exponents on the command line are exact rationals ("2", "8/5", "inf");
 decimals are rejected so that region boundaries stay exact.  Fields parse
@@ -13,9 +14,7 @@ as "7", "3^2", comma lists, and prime ranges "3..97".
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import sys
 import time
@@ -38,7 +37,7 @@ from .errors import (
 )
 from .field import Field, is_prime, make_field
 from .grid import Grid, Side, fourier_forward, fourier_inverse, lp_norm, parseval_defect
-from .reports import CheckResult, ExperimentReport, cache_gc, results_dir, store_report
+from .reports import CheckResult, ExperimentReport, store_report
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -107,7 +106,7 @@ def _report(
     args, t0, checks, config=None, *, field=None, n=0, surface=None, p=None, q=None,
     certificates=(), experiment=None, note=None, unread=(),
 ) -> tuple[int, str]:
-    """Build, render and store one run's report; exit 1 if any check failed.
+    """Build and render one run's report; exit 1 if any check failed.
 
     The run's config is every parsed argument that can change its result,
     with exponent arguments recorded as the resolved ``p``/``q``, plus the
@@ -132,7 +131,6 @@ def _report(
         seed=args.seed, config=run_config,
     )
     rendered = report.render(args.fmt)
-    store_report(report, encoded=rendered if args.fmt == "json" else None)
     if note and args.fmt == "text":
         rendered += "\n" + note
     return (EXIT_OK if report.all_passed else EXIT_VIOLATION), rendered
@@ -594,20 +592,6 @@ def cmd_table_figure1(args) -> tuple[int, str]:
     return (EXIT_OK if rechecked else EXIT_VIOLATION), _render_figure1(rows, args.fmt)
 
 
-def cmd_cache_gc(args) -> tuple[int, str]:
-    kept, removed = cache_gc()
-    where = results_dir()
-    if args.fmt == "json":
-        return EXIT_OK, json.dumps({"cache": str(where), "kept": kept, "removed": removed})
-    if args.fmt == "csv":
-        out = io.StringIO()
-        csv.writer(out, lineterminator="\n").writerows(
-            [("cache", "kept", "removed"), (where, kept, removed)]
-        )
-        return EXIT_OK, out.getvalue().rstrip("\n")
-    return EXIT_OK, f"cache at {where}: kept {kept}, removed {removed}"
-
-
 # -- parser ---------------------------------------------------------------------------
 
 
@@ -737,12 +721,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(fig)
     fig.set_defaults(func=cmd_table_figure1)
 
-    cache = sub.add_parser("cache", help="results-cache maintenance")
-    cachesub = cache.add_subparsers(dest="subcommand", required=True)
-    gc = cachesub.add_parser("gc", help="drop unreadable or incompatible entries")
-    _add_common(gc)
-    gc.set_defaults(func=cmd_cache_gc)
-
     return parser
 
 
@@ -756,7 +734,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     print(rendered)
     if args.out is not None:
-        args.out.write_text(rendered + "\n")
+        store_report(rendered, args.out)
     return code
 
 

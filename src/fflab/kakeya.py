@@ -279,14 +279,13 @@ def kakeya_norm_certificates(
     the leading direction); besicovitch_indicator uses the 2-D construction;
     random_sets tries seeded random indicators and keeps the first best.
     Every test function is drawn first and all are evaluated in one
-    kakeya_maximal sweep.  budget caps that sweep's gathers per grid and is
-    checked before any grid is built; n < 2 is refused before the gate, since
-    a line needs a height and at least one base coordinate.
+    kakeya_maximal sweep.  n < 2 (a line needs a height and at least one base
+    coordinate) and then budget, which caps that sweep's gathers per grid, are
+    checked before anything is parsed or built.
     """
-    _require_lines(field, n, None)
+    _require_lines(field, n, budget)
     p = parse_exponent(p)
     q = parse_exponent(q)
-    _require_lines(field, n, budget)
     qf = field.order
     total = qf**n
     drawn: list[tuple[dict, list[Grid]]] = []  # per name: metadata, candidate grids

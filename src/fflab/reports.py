@@ -1,4 +1,4 @@
-"""Experiment reports and the per-run results store.
+"""Experiment reports and the one file a run writes.
 
 A report is one self-contained record per run: the experiment name, the
 field and geometry, the exponent pair, every certificate produced, every
@@ -6,25 +6,18 @@ named check with its pass flag and deviation, the runtime, the package
 version, and the seed.  Floating-point numbers are rendered as decimal
 strings in JSON so that readers in other languages reparse them exactly.
 
-Each run writes its report under a results directory (environment variable
-FFLAB_RESULTS_DIR overrides the default ./.fflab-cache), named by the sha256
-of the canonical JSON of its configuration.  The store is a record of runs:
-nothing reads a report back to answer a later run.
+A run prints its rendered report and writes it nowhere else, except to the
+file ``--out`` names; ``store_report`` is that one write.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
-import os
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
 from . import __version__
 from .certificates import NormCertificate, exponent_str, parse_exponent
-
-RESULTS_ENV = "FFLAB_RESULTS_DIR"
-DEFAULT_RESULTS_DIR = ".fflab-cache"
 
 
 def _stringify_floats(obj):
@@ -51,11 +44,6 @@ class CheckResult:
     def to_dict(self) -> dict:
         dev = None if self.deviation is None else repr(float(self.deviation))
         return {"name": self.name, "pass": self.passed, "deviation": dev}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CheckResult":
-        dev = d.get("deviation")
-        return cls(d["name"], bool(d["pass"]), None if dev is None else float(dev))
 
 
 @dataclass
@@ -98,28 +86,6 @@ class ExperimentReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentReport":
-        return cls(
-            experiment=d["experiment"],
-            char=int(d["field"]["p"]),
-            degree=int(d["field"]["k"]),
-            n=int(d["n"]),
-            surface=d.get("surface"),
-            p=d.get("p"),
-            q=d.get("q"),
-            certificates=[NormCertificate.from_dict(c) for c in d.get("certificates", [])],
-            checks=[CheckResult.from_dict(c) for c in d.get("checks", [])],
-            runtime_ms=float(d.get("runtime_ms", 0.0)),
-            seed=d.get("seed"),
-            config=d.get("config", {}),
-            version=d.get("version", "0.0.0"),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentReport":
-        return cls.from_dict(json.loads(text))
 
     def to_text(self) -> str:
         ftxt = "-" if self.char == 0 else f"F_{self.char}" + (
@@ -173,50 +139,8 @@ class ExperimentReport:
         raise ValueError(f"unknown format {fmt!r}")
 
 
-# -- results store --------------------------------------------------------------------
-
-
-def results_dir() -> Path:
-    return Path(os.environ.get(RESULTS_ENV, DEFAULT_RESULTS_DIR))
-
-
-def config_key(config: dict) -> str:
-    """sha256 of the canonical JSON encoding of a configuration."""
-    canon = json.dumps(_stringify_floats(config), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode()).hexdigest()
-
-
-def _major(version: str) -> int:
-    return int(version.split(".")[0])
-
-
-def store_report(report: ExperimentReport, encoded: str | None = None) -> Path:
-    """Write the report under its configuration key in results_dir(); encoded,
-    when given, is its to_json() text already rendered, so it is not encoded
-    twice."""
-    d = results_dir()
-    d.mkdir(parents=True, exist_ok=True)
-    path = d / f"{config_key(report.config)}.json"
-    path.write_text(report.to_json() if encoded is None else encoded)
+def store_report(text: str, path: Path) -> Path:
+    """Write a command's rendered output to path, newline-terminated as printed;
+    the only file fflab writes."""
+    path.write_text(text + "\n")
     return path
-
-
-def cache_gc() -> tuple[int, int]:
-    """Drop unreadable or major-version-incompatible entries of results_dir();
-    (kept, removed)."""
-    d = results_dir()
-    kept = removed = 0
-    if not d.exists():
-        return (0, 0)
-    for path in sorted(d.glob("*.json")):
-        try:
-            report = ExperimentReport.from_json(path.read_text())
-            keep = _major(report.version) == _major(__version__)
-        except Exception:  # unreadable or malformed
-            keep = False
-        if keep:
-            kept += 1
-        else:
-            path.unlink()
-            removed += 1
-    return (kept, removed)

@@ -134,7 +134,9 @@ def cone(field: Field, include_origin: bool = False) -> SurfaceMeasure:
 
 
 def moment_curve(field: Field, n: int) -> SurfaceMeasure:
-    """{(t, t^2, ..., t^n) : t in F}; needs char > n."""
+    """{(t, t^2, ..., t^n) : t in F}; needs n >= 1 and char > n."""
+    if n < 1:
+        raise FFLabError("moment curve needs n >= 1")
     if field.p <= n:
         raise FFLabError(
             f"moment curve in dimension {n} needs characteristic > {n}"

@@ -12,12 +12,6 @@ settings.register_profile(
 settings.load_profile("fflab")
 
 
-@pytest.fixture(autouse=True)
-def isolated_results_dir(tmp_path, monkeypatch):
-    """Keep every test's report cache inside its own tmp directory."""
-    monkeypatch.setenv("FFLAB_RESULTS_DIR", str(tmp_path / "fflab-results"))
-
-
 @pytest.fixture(scope="session")
 def f3():
     return make_field(3)

@@ -1,8 +1,6 @@
-"""Report serialization, the results store, and the command-line surface."""
+"""Report serialization, the one file a run writes, and the command-line surface."""
 
-import csv
 import dataclasses
-import io
 import json
 import math
 import shlex
@@ -17,19 +15,12 @@ from fflab import restriction as rl
 from fflab import surfaces
 from fflab.certificates import NormCertificate
 from fflab.field import make_field
-from fflab.reports import (
-    CheckResult,
-    ExperimentReport,
-    cache_gc,
-    config_key,
-    results_dir,
-    store_report,
-)
+from fflab.reports import CheckResult, ExperimentReport, store_report
 from fflab.restriction import rstar_lower_witness
 from fflab.surfaces import paraboloid
 
 
-def sample_report(seed=0) -> ExperimentReport:
+def sample_report() -> ExperimentReport:
     cert = rstar_lower_witness(paraboloid(make_field(5), 2), 2, 4, "dirac")
     return ExperimentReport(
         experiment="restriction-estimate",
@@ -37,8 +28,8 @@ def sample_report(seed=0) -> ExperimentReport:
         certificates=[cert],
         checks=[CheckResult("lower_recheck", True, 3e-16), CheckResult("plain", True)],
         runtime_ms=1.25,
-        seed=seed,
-        config={"command": "restriction estimate", "seed": seed, "tol": 1e-10},
+        seed=0,
+        config={"command": "restriction estimate", "seed": 0, "tol": 1e-10},
     )
 
 
@@ -47,10 +38,11 @@ def sample_report(seed=0) -> ExperimentReport:
 
 def test_report_json_roundtrip():
     rep = sample_report()
-    again = ExperimentReport.from_json(rep.to_json())
-    assert again.to_json() == rep.to_json()
-    assert again.certificates[0].witness == rep.certificates[0].witness
-    assert again.checks[0].deviation == 3e-16
+    d = json.loads(rep.to_json())
+    (again,) = [NormCertificate.from_dict(c) for c in d["certificates"]]
+    (cert,) = rep.certificates
+    assert (again.key, again.value, again.witness) == (cert.key, cert.value, cert.witness)
+    assert float(d["checks"][0]["deviation"]) == 3e-16
 
 
 def test_floats_serialize_as_repr_strings():
@@ -83,35 +75,14 @@ def test_all_passed_flag():
     assert not rep.all_passed
 
 
-# -- results store ---------------------------------------------------------------------
+# -- the one write ---------------------------------------------------------------------
 
 
-def test_store_load_roundtrip():
-    rep = sample_report()
-    path = store_report(rep)
-    assert path.parent == results_dir()
-    assert path.name == f"{config_key(rep.config)}.json"
-    loaded = ExperimentReport.from_json(path.read_text())
-    assert loaded.to_json() == rep.to_json()
-    assert path.read_text() == rep.to_json()
-
-
-def test_config_key_depends_on_seed():
-    assert config_key({"seed": 0}) != config_key({"seed": 1})
-    assert config_key({"a": 1, "b": 2}) == config_key({"b": 2, "a": 1})
-
-
-def test_cache_gc_drops_bad_entries():
-    keep = sample_report(seed=1)
-    kept_path = store_report(keep)
-    stale = sample_report(seed=2)
-    stale.version = "2.0.0"
-    stale_path = store_report(stale)
-    (results_dir() / "corrupt.json").write_text("{ not json")
-    kept, removed = cache_gc()
-    assert (kept, removed) == (1, 2)
-    assert not stale_path.exists()
-    assert ExperimentReport.from_json(kept_path.read_text()).seed == 1
+def test_store_report_writes_the_printed_text_and_returns_its_path(tmp_path):
+    text = sample_report().to_json()
+    path = store_report(text, tmp_path / "report.json")
+    assert path == tmp_path / "report.json"
+    assert path.read_text() == text + "\n"
 
 
 # -- command line ----------------------------------------------------------------------
@@ -154,7 +125,6 @@ def test_cli_even_counting_refuses_uncovered_pairs(capsys, p, q):
     )
     code, out, err = run_cli(capsys, *argv, "--method", "even")
     assert (code, out) == (2, "") and "even counting covers only" in err
-    assert not results_dir().exists()
     code, out, _ = run_cli(capsys, *argv)  # auto: only the power lower
     assert code == 0
     assert [c["method"] for c in json.loads(out)["certificates"]] == ["power_iteration"]
@@ -167,7 +137,6 @@ def test_cli_custom_surface_is_refused(capsys):
         "--p", "2", "--q", "4",
     )
     assert (code, out) == (2, "") and "no builder" in err
-    assert not results_dir().exists()
 
 
 def test_cli_determinism(capsys):
@@ -250,6 +219,14 @@ REFUSALS = [
     (
         "restriction estimate --field 3 --dim 3 --surface moment --p 2 --q 6",
         "moment curve in dimension 3 needs characteristic > 3",
+    ),
+    (
+        "restriction estimate --field 5 --dim 0 --surface moment --p 2 --q 4",
+        "moment curve needs n >= 1",
+    ),
+    (
+        "restriction estimate --field 5 --dim -1 --surface moment --p 2 --q 4",
+        "moment curve needs n >= 1",
     ),
     (
         "restriction estimate --field 5 --dim 1 --surface paraboloid --p 2 --q 4",
@@ -446,7 +423,6 @@ def test_cli_membership_and_line_search_gates_exit_2(capsys, argv, gate):
 def test_cli_cordoba_refuses_empty_runs_and_lines_in_one_dimension(capsys, argv, message):
     code, out, err = run_cli(capsys, "kakeya", "cordoba", "--field", "5", *argv.split())
     assert code == 2 and out == "" and message in err
-    assert not results_dir().exists()
 
 
 def test_cli_cordoba_budget_boundary(capsys, monkeypatch):
@@ -475,7 +451,6 @@ def test_cli_wolff_refuses_an_empty_random_family(capsys, monkeypatch, count):
         patch.setattr(cli.np.random, "default_rng", refuse)
         code, out, err = run_cli(capsys, *argv, "--count", count)
     assert code == 2 and out == "" and "at least one random line" in err
-    assert not results_dir().exists()
     code, out, err = run_cli(capsys, *argv, "--count", "1", "--format", "json")
     assert code == 0 and err == ""
     config = json.loads(out)["config"]
@@ -483,7 +458,7 @@ def test_cli_wolff_refuses_an_empty_random_family(capsys, monkeypatch, count):
 
 
 def test_cli_wolff_modes_report_the_same_count(capsys):
-    # the default family reads neither --mode nor --count: one run, one stored key
+    # the default family reads neither --mode nor --count: the two runs are one run
     reports = []
     for extra in ((), ("--count", "7", "--mode", "exhaustive")):
         code, out, err = run_cli(
@@ -495,14 +470,14 @@ def test_cli_wolff_modes_report_the_same_count(capsys):
         del report["runtime_ms"]
         reports.append(report)
     assert reports[0] == reports[1]
-    assert len(list(results_dir().glob("*.json"))) == 1
     config = reports[0]["config"]
     assert config["max_lines_in_plane"] == 5  # the 25 lines of distinct directions
     assert config["ratio"] == reports[0]["checks"][0]["deviation"] == repr(5 / 5)
 
 
 @pytest.mark.parametrize("fmt", ["json", "text", "csv"])
-def test_cli_encodes_each_report_once(capsys, monkeypatch, fmt):
+def test_cli_encodes_each_report_once(capsys, monkeypatch, tmp_path, fmt):
+    # JSON is encoded once under --format json, and never for text or CSV
     calls = []
     to_json = ExperimentReport.to_json
 
@@ -511,12 +486,12 @@ def test_cli_encodes_each_report_once(capsys, monkeypatch, fmt):
         return to_json(self)
 
     monkeypatch.setattr(ExperimentReport, "to_json", counting)
-    code, out, _ = run_cli(capsys, "kakeya", "cordoba", "--field", "5", "--format", fmt)
-    assert code == 0 and len(calls) == 1
-    (stored,) = results_dir().glob("*.json")
-    assert stored.read_text() == to_json(ExperimentReport.from_json(stored.read_text()))
-    if fmt == "json":
-        assert stored.read_text() + "\n" == out
+    target = tmp_path / "out"
+    code, out, _ = run_cli(
+        capsys, "kakeya", "cordoba", "--field", "5", "--format", fmt, "--out", str(target)
+    )
+    assert code == 0 and calls == ([fmt] if fmt == "json" else [])
+    assert target.read_text() == out
 
 
 def test_cli_parseval_runs_on_factored_fields(capsys):
@@ -567,7 +542,6 @@ def test_cli_kakeya_maximal_refuses_lines_in_one_dimension(capsys, argv):
     argv = ("kakeya", "maximal", "--field", "5", "--dim", "1", *argv.split())
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == "" and "need n >= 2" in err
-    assert not results_dir().exists()
 
 
 def test_cli_kakeya_besicovitch(capsys):
@@ -739,25 +713,10 @@ def test_cli_recheck_catches_a_faulty_power_lower(capsys, monkeypatch):
         assert line.split()[:-2] + line.split()[-1:] == ref.split()[:-2] + ref.split()[-1:]
 
 
-def test_cli_cache_gc_formats(capsys):
-    store_report(sample_report())
-    (results_dir() / "junk.json").write_text("broken")
-    code, out, _ = run_cli(capsys, "cache", "gc", "--format", "json")
-    assert code == 0
-    assert json.loads(out) == {"cache": str(results_dir()), "kept": 1, "removed": 1}
-    code, out, _ = run_cli(capsys, "cache", "gc", "--format", "csv")
-    assert code == 0
-    assert list(csv.reader(io.StringIO(out))) == [
-        ["cache", "kept", "removed"], [str(results_dir()), "1", "0"],
-    ]
-
-
-def test_cli_cache_gc(capsys):
-    store_report(sample_report())
-    (results_dir() / "junk.json").write_text("broken")
-    code, out, _ = run_cli(capsys, "cache", "gc")
-    assert code == 0
-    assert "kept 1" in out and "removed 1" in out
+def test_cli_has_no_cache_command(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["cache", "gc"])
+    assert exit_.value.code == 2 and "invalid choice: 'cache'" in capsys.readouterr().err
 
 
 # -- one report path: every report subcommand over F_5, F_7 and F_9 ----------------------
@@ -799,29 +758,31 @@ MATRIX_CELLS = [
     for name in MATRIX_COMMANDS
     for fld in ((None,) if name == "restriction region" else MATRIX_FIELDS)
 ]
+# every command: the matrix, and the table, which prints no report
+COMMAND_LINES = {**MATRIX_COMMANDS, "table figure1": "--fields 5,7 --restarts 2 --iters 40"}
+
+
+def command_argv(name: str, fld: str | None, out: str) -> list[str]:
+    command, subcommand = name.split()[:2]
+    argv = [command, subcommand]
+    if fld is not None:
+        argv += ["--fields" if command == "verify" else "--field", fld]
+    return argv + COMMAND_LINES[name].split() + [
+        "--seed", "3", "--budget", "123456789", "--out", out,
+    ]
 
 
 @pytest.mark.parametrize("name,fld", MATRIX_CELLS)
 def test_cli_matrix_single_report_path(capsys, tmp_path, name, fld):
     command, subcommand = name.split()[:2]
-    argv = [command, subcommand]
-    if fld is not None:
-        argv += ["--fields" if command == "verify" else "--field", fld]
-    argv += MATRIX_COMMANDS[name].split()
-    argv += ["--seed", "3", "--budget", "123456789", "--out", str(tmp_path / "out.txt")]
-    argv += ["--format", "json"]
+    argv = command_argv(name, fld, str(tmp_path / "out.txt")) + ["--format", "json"]
     code, out, err = run_cli(capsys, *argv)
-    stored = sorted(results_dir().glob("*.json"))
     if (name, fld) in MATRIX_CONFIG_ERRORS:
         assert code == 2 and out == "" and "error:" in err
-        assert stored == []
         return
     assert code == 0 and err == ""
-    assert len(stored) == 1
     report = json.loads(out)
     config = report["config"]
-    assert stored[0].name == f"{config_key(config)}.json"
-    assert stored[0].read_text() + "\n" == out
     assert (tmp_path / "out.txt").read_text() == out
     assert config["command"] == f"{command} {subcommand}"
     assert config["seed"] == 3 and report["seed"] == 3
@@ -836,8 +797,21 @@ def test_cli_matrix_single_report_path(capsys, tmp_path, name, fld):
     assert not unread & set(config)
 
 
+@pytest.mark.parametrize("name,fld", [*MATRIX_CELLS, ("table figure1", None)])
+def test_cli_writes_no_file_but_out(capsys, tmp_path, monkeypatch, name, fld):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("FFLAB_RESULTS_DIR", raising=False)
+    code, out, _ = run_cli(capsys, *command_argv(name, fld, "out.txt"))
+    if (name, fld) in MATRIX_CONFIG_ERRORS:
+        assert code == 2 and list(tmp_path.rglob("*")) == []
+        return
+    assert code == 0
+    assert list(tmp_path.rglob("*")) == [tmp_path / "out.txt"]
+    assert (tmp_path / "out.txt").read_text() == out
+
+
 def test_cli_wolff_count_identifies_the_run(capsys):
-    keys = []
+    configs = []
     for count in ("20", "21"):
         code, out, _ = run_cli(
             capsys, "kakeya", "wolff-check", "--field", "7", "--family", "random",
@@ -846,9 +820,8 @@ def test_cli_wolff_count_identifies_the_run(capsys):
         assert code == 0
         config = json.loads(out)["config"]
         assert config["count"] == int(count) and "mode" not in config
-        keys.append(config_key(config))
-    assert keys[0] != keys[1]
-    assert len(list(results_dir().glob("*.json"))) == 2
+        configs.append(config)
+    assert configs[0] != configs[1]
 
 
 def test_cli_config_records_resolved_exponents(capsys):
