@@ -161,6 +161,7 @@ def cmd_restriction_estimate(args) -> tuple[int, str]:
         cert = rl.rstar_lower_power(
             surface, p, q,
             restarts=args.restarts, max_iters=args.iters, tol=args.tol, seed=args.seed,
+            budget=args.budget,
         )
         certs.append(cert)
         checks.append(CheckResult("lower_recheck", rl.verify_lower(cert), None))
@@ -522,7 +523,7 @@ def _figure1_rows(fields, seed, restarts, iters, budget):
             except (NoClosedFormError, BudgetExceededError):
                 upper = None
             lower = rl.rstar_lower_power(
-                surface, p, q, restarts=restarts, max_iters=iters, seed=seed,
+                surface, p, q, restarts=restarts, max_iters=iters, seed=seed, budget=budget,
             )
             rechecked &= rl.verify_lower(lower)
             certs += [lower] if upper is None else [lower, upper]

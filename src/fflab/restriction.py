@@ -78,10 +78,14 @@ from .surfaces import (
 DEFAULT_RESTARTS = 32
 DEFAULT_MAX_ITERS = 500
 DEFAULT_TOL = 1e-10
-# Grid entries per stacked block of power-ascent restarts, so that a block of
-# POWER_BLOCK_ENTRIES // |F|^n rows stays in cache; 2^14 beat 2^12 and 2^16
-# over the benchmark's restriction shapes on a 2-core VM with 2 MiB L2 per core.
+# Grid entries of a stacked block of power-ascent restarts (``_power_blocks``):
+# a block holds at least POWER_BLOCK_ENTRIES, because smaller blocks on two
+# threads contend for the interpreter lock (F_7, n = 3 took 135 ms split over
+# two threads against 73 ms in one block), and at most POWER_BLOCK_CAP unless a
+# single row is larger, because F_31, n = 3 ran slower in two-row blocks than
+# in one-row ones (2-core VM, 2 MiB L2 per core).
 POWER_BLOCK_ENTRIES = 2**14
+POWER_BLOCK_CAP = 2**15
 
 
 # -- certificate plumbing -----------------------------------------------------------
@@ -352,16 +356,31 @@ def _cpu_count() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _ascent_workers(n_blocks: int) -> int:
-    """Threads for ``n_blocks`` ascent blocks: min(CPUs, blocks) when BLAS is
-    pinned to one thread, else one.
+def _ascent_workers(tasks: int) -> int:
+    """Threads for ``tasks`` independent ascent rows or blocks: min(CPUs, tasks)
+    when BLAS is pinned to one thread, else one.
 
     Pinned means OPENBLAS_NUM_THREADS is 1 or, when it is unset,
     OMP_NUM_THREADS is 1.  A multithreaded BLAS's own threads contend with the
     ascent's, and two ascent threads then ran slower than one.
     """
     pinned = os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS", ""))
-    return min(_cpu_count(), n_blocks) if pinned.strip() == "1" else 1
+    return min(_cpu_count(), tasks) if pinned.strip() == "1" else 1
+
+
+def _power_blocks(restarts: int, width: int, workers: int) -> list[slice]:
+    """The stacked blocks of ``restarts`` rows of ``width`` grid entries each
+    for ``workers`` threads.
+
+    A thread's share is ceil(restarts / workers) rows.  A block holds the
+    share, cut to POWER_BLOCK_CAP entries and raised to POWER_BLOCK_ENTRIES,
+    and at least one row: each thread gets one block when its share holds at
+    least POWER_BLOCK_ENTRIES entries, and a smaller run stays in one block.
+    """
+    share = -(-restarts // workers) * width
+    return list(
+        blocks(restarts, width, entries=min(share, POWER_BLOCK_CAP), floor=POWER_BLOCK_ENTRIES)
+    )
 
 
 def rstar_lower_power(
@@ -373,6 +392,7 @@ def rstar_lower_power(
     max_iters: int = DEFAULT_MAX_ITERS,
     tol: float = DEFAULT_TOL,
     seed: int = 0,
+    budget: int = DEFAULT_BUDGET,
 ) -> NormCertificate:
     """Lower bound via alternating dual-norm ascent from multiple starts.
 
@@ -383,25 +403,41 @@ def rstar_lower_power(
     so a rechecked certificate is a true lower bound within the 1e-9 recheck
     tolerance.  Ties across restarts break toward the lowest index.
 
-    The restarts run as stacked blocks of max(1, POWER_BLOCK_ENTRIES // |F|^n)
-    rows, and the blocks run on one thread per CPU this process may use (at
-    most one per block) when BLAS is pinned to one thread (``_ascent_workers``),
-    else on the calling thread.  Every row follows its own serial path, so the
-    result depends on neither the block width nor the thread count.
+    The thread count W comes first: one thread per CPU this process may use
+    when BLAS is pinned to one thread (``_ascent_workers``), else the calling
+    thread alone.  The restarts then run as stacked blocks of
+    ``_power_blocks``: each thread gets one block of ceil(restarts / W) rows
+    when that share holds at least POWER_BLOCK_ENTRIES grid entries, no block
+    holds more than POWER_BLOCK_CAP entries unless a single row does, and a
+    smaller run stays in one block on the calling thread.  Each iteration's
+    extension lifts the surface into the grid by ``_extend_rows``, which writes
+    the points alone on their head once and sums only the points that share a
+    head.  Every row follows its own serial path, so the iteration counts and
+    the chosen restart depend on neither the block width nor the thread count.
+
+    ``max_iters`` below 1 and a negative or NaN ``tol`` are refused, and so are
+    restarts * |S| start entries above ``budget``, all before any plan or start
+    is built.
     """
     p = parse_exponent(p)
     q = parse_exponent(q)
     if restarts < 1:
         raise ValueError("need at least one restart")
+    if max_iters < 1:
+        raise FFLabError(f"need at least one iteration, got {max_iters}")
+    if not tol >= 0:
+        raise FFLabError(f"need a tolerance >= 0, got {tol}")
+    require_budget(restarts * surface.size, budget, "ascent start entries restarts |S|")
     _transform_plan(surface)  # lazy caches and budget refusals, before any worker
     g0 = _starts(surface.size, restarts, seed)
     width = surface.field.order**surface.n
-    stacks = [g0[rows] for rows in blocks(restarts, width, entries=POWER_BLOCK_ENTRIES)]
+    workers = _ascent_workers(restarts)
+    stacks = [g0[rows] for rows in _power_blocks(restarts, width, workers)]
 
     def ascend(block):
         return _power_ascent(surface, p, q, block, max_iters, tol)
 
-    workers = _ascent_workers(len(stacks))
+    workers = min(workers, len(stacks))
     if workers == 1:
         parts = [ascend(block) for block in stacks]
     else:

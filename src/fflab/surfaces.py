@@ -197,14 +197,21 @@ class _TransformPlan:
     """A surface's points laid out for the sparse-last-axis transforms.
 
     A point's head is the flat index of its first n - 1 coordinates and its
-    tail tau its last coordinate.  ``order`` sorts the points by head (stably);
-    ``heads`` is each sorted point's head, ``starts`` the first sorted position
-    of each distinct head (None when no two points share a head) and
-    ``columns`` the distinct heads (None when every head of F^{n-1} occurs).
-    Head coordinates go through the field kernel's ``perm`` first, so the
-    digit contractions over the first n - 1 axes need no gather of their own.
-    Column s of ``lift`` is e(x_{n-1} tau_s) / |S| and of ``sample``
+    tail tau its last coordinate.  ``order`` sorts the points by head (stably)
+    and ``heads`` is each sorted point's head.  Head coordinates go through
+    the field kernel's ``perm`` first, so the digit contractions over the
+    first n - 1 axes need no gather of their own.  Column s of ``sample`` is
     e(-x_{n-1} tau_s) for the s-th sorted point, x_{n-1} running down the rows.
+
+    The lift splits the sorted points in two.  ``single`` holds, in head
+    order, the points alone on their head, ``single_heads`` those heads (None
+    when they are every head of F^{n-1}, so the lift needs no dense array)
+    and ``single_lift`` their columns e(x_{n-1} tau) / |S|.  ``shared`` holds
+    the points that share a head, in sorted order, with ``shared_lift`` their
+    columns, ``shared_starts`` the first position in ``shared`` of each shared
+    head and ``shared_heads`` those heads (all empty when no two points share
+    a head; on the cone only the head (0, 0) is shared).
+
     Between the head contractions a block of B grids sits in the rotated
     layout (|F|^{n-1} head, B rows, |F| last coordinate), C order: the head
     axes rotated to the slow end, each by one GEMM over the whole block.
@@ -212,10 +219,14 @@ class _TransformPlan:
 
     order: np.ndarray
     heads: np.ndarray
-    starts: np.ndarray | None
-    columns: np.ndarray | None
-    lift: np.ndarray
     sample: np.ndarray
+    single: np.ndarray
+    single_heads: np.ndarray | None
+    single_lift: np.ndarray
+    shared: np.ndarray
+    shared_starts: np.ndarray
+    shared_heads: np.ndarray
+    shared_lift: np.ndarray
 
 
 def _transform_plan(surface: SurfaceMeasure) -> _TransformPlan:
@@ -232,14 +243,22 @@ def _transform_plan(surface: SurfaceMeasure) -> _TransformPlan:
     heads = heads[order]
     tau = surface.points[order, n - 1]
     first = np.flatnonzero(np.concatenate([[True], heads[1:] != heads[:-1]]))
+    count = np.diff(np.append(first, len(heads)))  # points on each distinct head
+    alone = np.repeat(count == 1, count)
+    single, shared = np.flatnonzero(alone), np.flatnonzero(~alone)
     wave = fld.character[fld.mul_arrays(np.arange(fld.order)[:, None], tau[None, :])]
+    lift = wave * (1.0 / surface.size)
     plan = _TransformPlan(
         order=order,
         heads=heads,
-        starts=first if len(first) < len(heads) else None,
-        columns=heads[first] if len(first) < fld.order ** (n - 1) else None,
-        lift=wave * (1.0 / surface.size),
         sample=np.conj(wave),
+        single=order[single],
+        single_heads=heads[single] if len(single) < fld.order ** (n - 1) else None,
+        single_lift=lift[:, single],
+        shared=order[shared],
+        shared_starts=np.searchsorted(shared, first[count > 1]),
+        shared_heads=heads[first[count > 1]],
+        shared_lift=lift[:, shared],
     )
     object.__setattr__(surface, "_plan", plan)
     return plan
@@ -248,22 +267,25 @@ def _transform_plan(surface: SurfaceMeasure) -> _TransformPlan:
 def _extend_rows(surface: SurfaceMeasure, values: np.ndarray) -> np.ndarray:
     """``extension`` of each row of a (B, |S|) array, as a (|F|^{n-1}, B, |F|) array.
 
-    The sparse last axis goes first: each point adds g(s) e(x_{n-1} tau_s) / |S|
-    to its head's column (q |S| work instead of q^{n+1}), points sharing a head
-    are merged, and the first n - 1 axes run as forward contractions, each one
-    GEMM over the whole block.  They leave the rotated layout (head, row,
-    x_{n-1}), which ``_adjoint_rows`` takes as it is.
+    The sparse last axis goes first: each point puts g(s) e(x_{n-1} tau_s) / |S|
+    in its head's column (q |S| work instead of q^{n+1}).  A point alone on its
+    head is written once, straight into the zeroed dense array; only the points
+    that share a head are summed, by one ``reduceat`` in sorted order.  The
+    first n - 1 axes then run as forward contractions, each one GEMM over the
+    whole block.  They leave the rotated layout (head, row, x_{n-1}), which
+    ``_adjoint_rows`` takes as it is.
     """
     q = surface.field.order
     n = surface.n
     plan = _transform_plan(surface)
     kernel = _transform_matrices(surface.field)
-    cols = plan.lift * values[:, None, plan.order]
-    if plan.starts is not None:
-        cols = np.add.reduceat(cols, plan.starts, axis=2)
-    if plan.columns is not None:
+    cols = plan.single_lift * values[:, None, plan.single]
+    if plan.single_heads is not None:
         dense = np.zeros((len(values), q, q ** (n - 1)), dtype=np.complex128)
-        dense[:, :, plan.columns] = cols
+        dense[:, :, plan.single_heads] = cols
+        if len(plan.shared):
+            shared = plan.shared_lift * values[:, None, plan.shared]
+            dense[:, :, plan.shared_heads] = np.add.reduceat(shared, plan.shared_starts, axis=2)
         cols = dense
     out = transform_axes(cols, kernel.plus, kernel.size, (n - 1) * kernel.digits)
     return out.reshape(q ** (n - 1), len(values), q)

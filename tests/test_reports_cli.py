@@ -279,6 +279,27 @@ REFUSALS = [
         "kakeya maximal --field 7 --dim 3 --witnesses besicovitch_indicator --budget 10",
         "line-point gathers |F|^{2n-1} = 16807 exceeds the budget 10",
     ),
+    (
+        "restriction estimate --field 5 --dim 3 --surface paraboloid --p 2 --q 4 --iters -1",
+        "need at least one iteration, got -1",
+    ),
+    ("table figure1 --fields 5,7 --iters 0", "need at least one iteration, got 0"),
+    (
+        "restriction estimate --field 5 --dim 3 --surface paraboloid --p 2 --q 4 --tol nan",
+        "need a tolerance >= 0, got nan",
+    ),
+    (
+        "restriction estimate --field 5 --dim 3 --surface paraboloid --p 2 --q 4 --tol -1",
+        "need a tolerance >= 0, got -1.0",
+    ),
+    (
+        "restriction estimate --field 5 --dim 3 --surface paraboloid --p 2 --q 3 --budget 799",
+        "ascent start entries restarts |S| = 800 exceeds the budget 799",
+    ),
+    (
+        "table figure1 --fields 5,7 --budget 1",
+        "ascent start entries restarts |S| = 30 exceeds the budget 1",
+    ),
 ]
 
 
@@ -626,13 +647,21 @@ def test_cli_figure1_budget(capsys):
     default, default_out = uppers()
     assert sum(v is not None for v in default.values()) == 4
     assert uppers("--budget", str(10**9))[1] == default_out
-    assert all(v is None for v in uppers("--budget", "1")[0].values())
     # work: moment curve k = 3 at F_5 25 + 5 * 125 = 650, parabola k = 2 25,
-    # paraboloid k = 2 625, cone k = 2 576
+    # paraboloid k = 2 625, cone k = 2 576; the ascent starts take at most
+    # 2 restarts * 49 points (the F_7 paraboloid) = 98
     kept = {key[0] for key, v in uppers("--budget", "600")[0].items() if v is not None}
     assert kept == {"parabola", "cone"}
-    code, out, _ = run_cli(capsys, *argv[:-2], "--budget", "1")
-    assert code == 0 and all(line.rstrip().endswith("-") for line in out.splitlines()[1:])
+    assert {key[0] for key, v in uppers("--budget", "98")[0].items() if v is not None} == {
+        "parabola"
+    }
+    code, out, _ = run_cli(capsys, *argv[:-2], "--budget", "98")
+    rows = out.splitlines()[1:]
+    assert code == 0 and sum(not line.rstrip().endswith("-") for line in rows) == 1
+    # below the starts of the F_7 paraboloid, the table is refused, not printed
+    code, out, err = run_cli(capsys, *argv[:-2], "--budget", "97")
+    assert (code, out) == (2, "")
+    assert err == "error: ascent start entries restarts |S| = 98 exceeds the budget 97\n"
 
 
 def test_cli_figure1_exits_1_when_a_lower_exceeds_its_upper(capsys, monkeypatch):

@@ -1,6 +1,7 @@
 """Restriction-constant certificates: closed forms, counting uppers, witnesses."""
 
 import math
+import re
 import sys
 import threading
 from fractions import Fraction
@@ -162,6 +163,13 @@ ASCENT_SURFACES = {
 }
 
 
+def force_block_rows(monkeypatch, rows, surface):
+    """Make every power-ascent block ``rows`` rows wide, whatever the thread count."""
+    entries = rows * surface.field.order**surface.n
+    monkeypatch.setattr(rl, "POWER_BLOCK_ENTRIES", entries)
+    monkeypatch.setattr(rl, "POWER_BLOCK_CAP", entries)
+
+
 @pytest.mark.parametrize("name,p,q", [
     ("paraboloid F_5", 2, 4),
     ("paraboloid F_5", 1, 3),
@@ -198,7 +206,7 @@ def test_power_blocks_match_one_at_a_time(monkeypatch, name, p, q):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     for width in (1, 3, 32):
         for cpus in (1, 2):
-            monkeypatch.setattr(rl, "POWER_BLOCK_ENTRIES", width * surface.field.order**surface.n)
+            force_block_rows(monkeypatch, width, surface)
             monkeypatch.setattr(rl, "_cpu_count", lambda: cpus)
             cert = rstar_lower_power(surface, p, q, restarts=restarts, max_iters=iters, seed=5)
             assert cert.meta["restart_iterations"] == it1.tolist()
@@ -216,7 +224,7 @@ def test_power_many_workers_match_one_worker(monkeypatch, f7):
     # interval, so the threads interleave as much as they can
     surface = paraboloid(f7, 3)
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    monkeypatch.setattr(rl, "POWER_BLOCK_ENTRIES", 1)
+    force_block_rows(monkeypatch, 1, surface)
     monkeypatch.setattr(rl, "_cpu_count", lambda: 1)
     serial = rstar_lower_power(surface, 2, 3, restarts=24, max_iters=40, seed=9)
     monkeypatch.setattr(rl, "_cpu_count", lambda: 8)
@@ -233,7 +241,8 @@ def test_power_many_workers_match_one_worker(monkeypatch, f7):
 
 def test_power_workers_call_no_traced_function(monkeypatch, capsys):
     # the benchmark's tracer keeps one span stack, so every function it wraps
-    # must run on the main thread; F_13, n = 3 makes 5 blocks of the 32 restarts
+    # must run on the main thread; F_13, n = 3 on two threads makes 3 blocks
+    # of the 32 restarts (14, 14 and 4 rows: 2^15 // 13^3 = 14)
     def main_thread_only(fn):
         def guarded(*args, **kwargs):
             assert threading.current_thread() is threading.main_thread(), fn.__name__
@@ -265,7 +274,7 @@ def test_power_workers_call_no_traced_function(monkeypatch, capsys):
             "--p", "2", "--q", "4"]
     assert cli.main(argv) == 0
     assert "[pass] lower_recheck" in capsys.readouterr().out
-    assert len(on_main) == 5 and not any(on_main)
+    assert len(on_main) == 3 and not any(on_main)
 
 
 @pytest.mark.parametrize("env,workers", [
@@ -289,7 +298,7 @@ def test_ascent_threads_only_with_blas_pinned(monkeypatch, f7, env, workers):
     assert rl._ascent_workers(2) == min(workers, 2)
     # 7 one-row blocks: the certificate does not depend on the thread count
     surface = paraboloid(f7, 2)
-    monkeypatch.setattr(rl, "POWER_BLOCK_ENTRIES", 1)
+    force_block_rows(monkeypatch, 1, surface)
     started = []
     ascent = rl._power_ascent
 
@@ -304,6 +313,86 @@ def test_ascent_threads_only_with_blas_pinned(monkeypatch, f7, env, workers):
     monkeypatch.setattr(rl, "_cpu_count", lambda: 1)
     serial = rstar_lower_power(surface, 2, 4, restarts=7, max_iters=30, seed=3)
     assert (cert.witness, cert.meta, cert.value) == (serial.witness, serial.meta, serial.value)
+
+
+@pytest.mark.parametrize("width", [5**3, 7**3, 11**3, 13**3, 17**3, 19**3, 31**3])
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("restarts", [1, 6, 32])
+def test_power_blocks_follow_the_thread_count(monkeypatch, width, cpus, restarts):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(rl, "_cpu_count", lambda: cpus)
+    workers = rl._ascent_workers(restarts)
+    layout = rl._power_blocks(restarts, width, workers)
+    sizes = [b.stop - b.start for b in layout]
+    # the blocks cover the restarts once and in order
+    assert [i for b in layout for i in range(b.start, b.stop)] == list(range(restarts))
+    assert min(sizes) >= 1
+    # no block past the cap unless a single row is
+    assert all(rows * width <= rl.POWER_BLOCK_CAP or rows == 1 for rows in sizes)
+    share = -(-restarts // workers) * width
+    if share >= rl.POWER_BLOCK_ENTRIES:
+        # one block per thread, more only where the cap cuts a share
+        assert len(layout) >= workers
+    if share <= rl.POWER_BLOCK_CAP:
+        assert len(layout) <= workers
+    if restarts * width <= rl.POWER_BLOCK_ENTRIES:
+        assert len(layout) == 1
+
+
+def test_power_blocks_on_two_threads():
+    # the 32 default restarts on two threads, by grid size |F|^3
+    rows = {
+        q: [b.stop - b.start for b in rl._power_blocks(32, q**3, 2)]
+        for q in (5, 7, 11, 13, 19, 31)
+    }
+    assert rows == {
+        5: [32], 7: [32], 11: [16, 16], 13: [14, 14, 4], 19: [4] * 8, 31: [1] * 32,
+    }
+
+
+def test_small_ascent_runs_on_the_calling_thread(monkeypatch):
+    # F_7, n = 3: all 32 restarts fit in 2^14 entries, so two CPUs get one block
+    surface = paraboloid(make_field(7), 3)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(rl, "_cpu_count", lambda: 2)
+    started = []
+    ascent = rl._power_ascent
+
+    def recorded(*args, **kwargs):
+        started.append(threading.current_thread() is threading.main_thread())
+        return ascent(*args, **kwargs)
+
+    monkeypatch.setattr(rl, "_power_ascent", recorded)
+    rstar_lower_power(surface, 2, 4, max_iters=5)
+    assert started == [True]
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("ran before the refusal")
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    ({"max_iters": 0}, "need at least one iteration, got 0"),
+    ({"max_iters": -1}, "need at least one iteration, got -1"),
+    ({"tol": -1.0}, "need a tolerance >= 0, got -1.0"),
+    ({"tol": math.nan}, "need a tolerance >= 0, got nan"),
+])
+def test_power_refuses_bad_iterations_and_tolerance_first(monkeypatch, f5, kwargs, message):
+    monkeypatch.setattr(rl, "_transform_plan", refuse)
+    monkeypatch.setattr(rl, "_starts", refuse)
+    with pytest.raises(FFLabError, match=f"^{re.escape(message)}$"):
+        rstar_lower_power(paraboloid(f5, 3), 2, 4, **kwargs)
+
+
+def test_power_budget_charges_the_starts(monkeypatch, f5):
+    surface = paraboloid(f5, 3)
+    work = 3 * surface.size  # restarts * |S| start entries
+    cert = rstar_lower_power(surface, 2, 4, restarts=3, max_iters=20, budget=work)
+    assert cert.meta["restarts"] == 3
+    monkeypatch.setattr(rl, "_starts", refuse)
+    message = f"ascent start entries restarts |S| = {work} exceeds the budget {work - 1}"
+    with pytest.raises(BudgetExceededError, match=f"^{re.escape(message)}$"):
+        rstar_lower_power(surface, 2, 4, restarts=3, max_iters=20, budget=work - 1)
 
 
 TRANSFORM_PATH = (

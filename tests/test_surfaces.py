@@ -284,6 +284,74 @@ def test_direct_blocks_hold_the_whole_grid(monkeypatch):
     np.testing.assert_allclose(res, one_res, rtol=0, atol=1e-13 * np.abs(one_res).max())
 
 
+def lift_oracle(surface, values, merge=True):
+    """``_extend_rows`` with every point through one ``reduceat`` over all head
+    runs, as one dense write; merge=False drops the reduction, so the last
+    point of a shared head overwrites the others."""
+    fld, n, q = surface.field, surface.n, surface.field.order
+    kernel = grid_module._transform_matrices(fld)
+    coords = surface.points[:, : n - 1]
+    heads = grid_module.flat_points(fld, coords if kernel.perm is None else kernel.perm[coords])
+    order = np.argsort(heads, kind="stable")
+    heads = heads[order]
+    tau = surface.points[order, n - 1]
+    wave = fld.character[fld.mul_arrays(np.arange(q)[:, None], tau[None, :])]
+    cols = wave * (1.0 / surface.size) * values[:, None, order]
+    dense = np.zeros((len(values), q, q ** (n - 1)), dtype=np.complex128)
+    if merge:
+        first = np.flatnonzero(np.concatenate([[True], heads[1:] != heads[:-1]]))
+        dense[:, :, heads[first]] = np.add.reduceat(cols, first, axis=2)
+    else:
+        dense[:, :, heads] = cols
+    out = grid_module.transform_axes(dense, kernel.plus, kernel.size, (n - 1) * kernel.digits)
+    return out.reshape(q ** (n - 1), len(values), q)
+
+
+def _square_sum(f, c):
+    """x_2^2 - (x_0 + x_1): two points on each head whose sum is a nonzero square."""
+    return f.sub_arrays(f.mul_arrays(c[:, 2], c[:, 2]), f.add_arrays(c[:, 0], c[:, 1]))
+
+
+LIFT_SURFACES = {
+    "cone F_5": lambda mp: cone(make_field(5)),
+    "cone F_5 with origin": lambda mp: cone(make_field(5), include_origin=True),
+    "cone F_7": lambda mp: cone(make_field(7)),
+    "cone F_7 with origin": lambda mp: cone(make_field(7), include_origin=True),
+    "cone F_13": lambda mp: cone(make_field(13)),
+    "cone F_13 with origin": lambda mp: cone(make_field(13), include_origin=True),
+    "factored cone F_25": lambda mp: cone(_factored_field(5, 2, mp)),
+    "x_2^2 = x_0 + x_1 over F_7": lambda mp: custom_variety(make_field(7), 3, [_square_sum]),
+    # every head shared: no point is alone on its head
+    "x_2^2 = 1 over F_5": lambda mp: custom_variety(
+        make_field(5), 3, [lambda f, c: f.sub_arrays(f.mul_arrays(c[:, 2], c[:, 2]), 1)]
+    ),
+}
+
+
+@pytest.mark.parametrize("rows", [1, 3, 7])
+@pytest.mark.parametrize("name", sorted(LIFT_SURFACES))
+def test_lift_matches_the_all_points_reduction(monkeypatch, name, rows):
+    surface = LIFT_SURFACES[name](monkeypatch)
+    plan = surfaces._transform_plan(surface)
+    assert len(plan.shared_heads) >= 1
+    rng = np.random.default_rng(rows)
+    g = rng.standard_normal((rows, surface.size)) + 1j * rng.standard_normal((rows, surface.size))
+    lifted = surfaces._extend_rows(surface, g)
+    assert np.array_equal(lifted, lift_oracle(surface, g))
+    # the oracle without the shared-head sums is wrong, so the comparison sees them
+    assert not np.array_equal(lifted, lift_oracle(surface, g, merge=False))
+
+
+def test_lift_splits_the_cone_at_its_vertex_head():
+    # only the head (0, 0) is shared: |F| - 1 points, |F| with the origin
+    for include_origin, shared in ((False, 12), (True, 13)):
+        surface = cone(make_field(13), include_origin=include_origin)
+        plan = surfaces._transform_plan(surface)
+        assert plan.shared_heads.tolist() == [0] and plan.shared_starts.tolist() == [0]
+        assert len(plan.shared) == shared and len(plan.single) == 13 * 12
+        assert np.all(surface.points[plan.shared, :2] == 0)
+
+
 @pytest.mark.parametrize("pk", [(13, 2), (3, 5)])
 def test_stacked_rows_are_adjoint_in_the_rotated_layout(pk):
     # factored kernels: F_{13^2} and F_{3^5}, paraboloid n = 2, three stacked rows
