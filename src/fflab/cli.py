@@ -470,7 +470,8 @@ def _figure1_rows(fields, seed, restarts, iters, budget):
     """One row per headline surface: the sharp or best-known exponent pairs
     with measured certificates, and the conjectured pair's witness ratio.
     Also returns whether every lower certificate passed its recheck and every
-    lower sits below its upper (certificate_consistency over all of them)."""
+    lower sits below its upper (certificate_consistency over all of them).
+    A lower or upper over budget is None, and such a lower is not rechecked."""
     rows = []
     rechecked = True
     certs = []
@@ -522,17 +523,20 @@ def _figure1_rows(fields, seed, restarts, iters, budget):
                 upper = rl.rstar_upper_even(surface, p, q, budget)
             except (NoClosedFormError, BudgetExceededError):
                 upper = None
-            lower = rl.rstar_lower_power(
-                surface, p, q, restarts=restarts, max_iters=iters, seed=seed, budget=budget,
-            )
-            rechecked &= rl.verify_lower(lower)
-            certs += [lower] if upper is None else [lower, upper]
+            try:
+                lower = rl.rstar_lower_power(
+                    surface, p, q, restarts=restarts, max_iters=iters, seed=seed, budget=budget,
+                )
+            except BudgetExceededError:
+                lower = None
+            rechecked &= lower is None or rl.verify_lower(lower)
+            certs += [c for c in (lower, upper) if c is not None]
             entries.append(
                 {
                     "label": label,
                     "p": exponent_str(p),
                     "q": exponent_str(q),
-                    "lower": repr(lower.value),
+                    "lower": None if lower is None else repr(lower.value),
                     "upper": None if upper is None else repr(upper.value),
                 }
             )
@@ -557,10 +561,9 @@ def _render_figure1(rows, fmt: str) -> str:
                 out.append(f"{row['surface']},,,skipped:{row['skipped']},,,,")
                 continue
             for e in row["entries"]:
-                up = e["upper"] or ""
                 out.append(
                     f"{row['surface']},{row['n']},{row['field']},{e['label']},"
-                    f"{e['p']},{e['q']},{e['lower']},{up}"
+                    f"{e['p']},{e['q']},{e['lower'] or ''},{e['upper'] or ''}"
                 )
         return "\n".join(out) + "\n"
     width = max(len(r["surface"]) for r in rows) + 2
@@ -578,8 +581,7 @@ def _render_figure1(rows, fmt: str) -> str:
             nval = str(row["n"]) if first else ""
             fval = row["field"] if first else ""
             pair = f"{e['label']}: ({e['p']} -> {e['q']})"
-            lo = f"{float(e['lower']):.6f}"
-            up = "-" if e["upper"] is None else f"{float(e['upper']):.6f}"
+            lo, up = ("-" if v is None else f"{float(v):.6f}" for v in (e["lower"], e["upper"]))
             lines.append(
                 f"{name:<{width}}{nval:>2}  {fval:>6}  {pair:<{pairw}}{lo:>12}  {up:>12}"
             )

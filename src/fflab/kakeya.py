@@ -70,7 +70,7 @@ def line_flats(field: Field, x0, v) -> np.ndarray:
     return flat
 
 
-def _require_lines(field: Field, n: int, budget: int | None) -> None:
+def _require_lines(field: Field | None, n: int, budget: int | None) -> None:
     """Refuse n < 2, as a line needs a height and at least one base
     coordinate; then, unless budget is None, refuse |F|^{2n-1} line-point
     gathers above budget."""
@@ -869,7 +869,9 @@ def slices_construction(witness: BesicovitchWitness, t0: int, t_inf: int, slopes
 def incidence_to_kakeya_exponents(a, b, c, n: int) -> tuple[Fraction, Fraction]:
     """(p, q) such that an incidence bound |I| <~ |P|^a |L|^b |F|^c yields a
     K(p -> q) estimate: p = ((n-1)b + c)/a, q = min((n-1)p', ((n-1)b + c)/b).
+    At p = 1, p' = inf and q = ((n-1)b + c)/b.  n < 2 is refused, as for lines.
     """
+    _require_lines(None, n, None)
     a, b, c = Fraction(a), Fraction(b), Fraction(c)
     if not (0 <= a <= 1 and 0 <= b <= 1 and 0 <= c <= 1):
         raise FFLabError("exponents must lie in [0, 1]")
@@ -882,6 +884,5 @@ def incidence_to_kakeya_exponents(a, b, c, n: int) -> tuple[Fraction, Fraction]:
     if weight < 1:
         raise FFLabError("need (n-1)b + c >= 1")
     p = weight / a
-    p_dual = holder_dual(p)
-    q = min((n - 1) * Fraction(p_dual), weight / b)
+    q = min((n - 1) * holder_dual(p), weight / b)
     return p, q

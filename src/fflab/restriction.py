@@ -91,19 +91,9 @@ POWER_BLOCK_CAP = 2**15
 # -- certificate plumbing -----------------------------------------------------------
 
 
-def _surface_meta(surface: SurfaceMeasure) -> dict:
-    meta = {"surface_kind": surface.kind.value}
-    if surface.kind == SurfaceKind.CONE:
-        meta["include_origin"] = bool(np.all(surface.points[-1] == 0)) and int(
-            surface.size
-        ) == surface.field.order**2
-    return meta
-
-
 def _base_cert(surface, kind, method, p, q, value, witness=None, meta=None) -> NormCertificate:
-    m = _surface_meta(surface)
-    if meta:
-        m.update(meta)
+    """A certificate whose meta names ``surface`` by ``surface_kind`` alone, which
+    with char, degree and n is all ``rebuild_surface`` reads; then ``meta``."""
     return NormCertificate(
         quantity="rstar",
         kind=kind,
@@ -116,19 +106,18 @@ def _base_cert(surface, kind, method, p, q, value, witness=None, meta=None) -> N
         q=q,
         value=value,
         witness=witness,
-        meta=m,
+        meta={"surface_kind": surface.kind.value, **(meta or {})},
     )
 
 
 def rebuild_surface(cert: NormCertificate) -> SurfaceMeasure:
-    """Reconstruct the surface a certificate refers to from its metadata."""
+    """Build the certificate's ``surface_kind`` over F_{char^degree} at n (n // 2 for
+    the double paraboloid, n being ambient); a custom surface is refused."""
     kind = cert.meta.get("surface_kind")
     if kind is None or kind == SurfaceKind.CUSTOM.value:
         raise FFLabError("certificate does not name a rebuildable surface")
     fld = make_field(cert.char, cert.degree)
-    if kind == SurfaceKind.CONE.value:
-        return build_surface(kind, fld, cert.n, include_origin=cert.meta.get("include_origin", False))
-    if kind == SurfaceKind.DOUBLE_PARABOLOID.value:  # cert.n is the ambient 2 x base n
+    if kind == SurfaceKind.DOUBLE_PARABOLOID.value:
         return build_surface(kind, fld, cert.n // 2)
     return build_surface(kind, fld, cert.n)
 
@@ -603,8 +592,8 @@ class ExponentRegion:
     def constraints(self) -> list[tuple[str, Callable[[Exponent, Exponent], bool]]]:
         n, d = self.n, Fraction(self.d)
         items: list[tuple[str, Callable[[Exponent, Exponent], bool]]] = [
-            (f"q >= 2n/d = {2 * n / d}", lambda p, q: _exp_ge(q, Fraction(2 * n) / d)),
-            (f"q >= ({n}/{d}) p'", lambda p, q: _exp_ge(q, _exp_scale(Fraction(n) / d, holder_dual(p)))),
+            (f"q >= 2n/d = {2 * n / d}", lambda p, q: q >= Fraction(2 * n) / d),
+            (f"q >= ({n}/{d}) p'", lambda p, q: q >= Fraction(n) / d * holder_dual(p)),
         ]
         if self.k_subspace is not None:
             k = self.k_subspace
@@ -612,22 +601,10 @@ class ExponentRegion:
             items.append(
                 (
                     f"q >= ({n - k}/{d - k}) p'  [contains a {k}-subspace]",
-                    lambda p, q: _exp_ge(q, _exp_scale(coeff, holder_dual(p))),
+                    lambda p, q: q >= coeff * holder_dual(p),
                 )
             )
         return items
-
-
-def _exp_scale(c: Fraction, e: Exponent) -> Exponent:
-    return math.inf if e == math.inf else c * Fraction(e)
-
-
-def _exp_ge(a: Exponent, b: Exponent) -> bool:
-    if a == math.inf:
-        return True
-    if b == math.inf:
-        return False
-    return Fraction(a) >= Fraction(b)
 
 
 # -- self-dot incidences ---------------------------------------------------------------

@@ -112,24 +112,19 @@ def paraboloid(field: Field, n: int) -> SurfaceMeasure:
     return SurfaceMeasure(field, n, pts, SurfaceKind.PARABOLOID, name)
 
 
-def cone(field: Field, include_origin: bool = False) -> SurfaceMeasure:
+def cone(field: Field) -> SurfaceMeasure:
     """{(xi, u, v) in F^3 : uv = xi^2} minus the origin; |S| = |F|^2 - 1.
 
-    include_origin reinstates (0,0,0), giving |F|^2 points.
+    The points with u != 0 come first, xi-major, then (0, 0, v) for v != 0.
     """
     q = field.order
-    rows = []
     inv = np.array([0] + [field.inv(u) for u in range(1, q)], dtype=np.int64)
     xi = np.repeat(np.arange(q, dtype=np.int64), q - 1)
     u = np.tile(np.arange(1, q, dtype=np.int64), q)
     v = field.mul_arrays(field.mul_arrays(xi, xi), inv[u])
-    rows.append(np.stack([xi, u, v], axis=1))
     vz = np.arange(1, q, dtype=np.int64)
     zero = np.zeros(q - 1, dtype=np.int64)
-    rows.append(np.stack([zero, zero, vz], axis=1))
-    if include_origin:
-        rows.append(np.zeros((1, 3), dtype=np.int64))
-    pts = np.concatenate(rows, axis=0)
+    pts = np.concatenate([np.stack([xi, u, v], axis=1), np.stack([zero, zero, vz], axis=1)])
     return SurfaceMeasure(field, 3, pts, SurfaceKind.CONE, "cone")
 
 
@@ -174,14 +169,16 @@ def double_paraboloid_index(field: Field, n: int, eta_flat: int, theta_flat: int
     return eta_flat + field.order ** (n - 1) * theta_flat
 
 
-def build_surface(kind, field: Field, n: int, include_origin=False):
+def build_surface(kind, field: Field, n: int) -> SurfaceMeasure:
+    """The ``kind`` surface over ``field`` at n (base n for the double paraboloid).
+    A named surface has no other setting, so its kind, field and n rebuild it."""
     kind = SurfaceKind(kind)
     if kind == SurfaceKind.PARABOLOID:
         return paraboloid(field, n)
     if kind == SurfaceKind.CONE:
         if n != 3:
             raise FFLabError("the cone lives in F^3")
-        return cone(field, include_origin=include_origin)
+        return cone(field)
     if kind == SurfaceKind.MOMENT_CURVE:
         return moment_curve(field, n)
     if kind == SurfaceKind.DOUBLE_PARABOLOID:

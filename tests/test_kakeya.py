@@ -1145,6 +1145,10 @@ def test_incidence_exponent_map():
         Fraction(9, 2),
     )
     assert incidence_to_kakeya_exponents(1, 1, 0, 3) == (Fraction(2), Fraction(2))
+    # weight (n-1)b + c = 1 = a gives p = 1 and p' = inf, so q is weight / b
+    for a, b, c, n in ((1, "1/2", 0, 3), (1, "1/2", "1/2", 2)):
+        p, q = incidence_to_kakeya_exponents(a, b, c, n)
+        assert (p, q) == (1, 2) and type(q) is Fraction
 
 
 def test_incidence_exponent_rejections():
@@ -1156,3 +1160,5 @@ def test_incidence_exponent_rejections():
         incidence_to_kakeya_exponents(1, 1, 2, 3)
     with pytest.raises(FFLabError, match=r"need \(n-1\)b \+ c >= 1"):
         incidence_to_kakeya_exponents("1/4", "1/4", "1/4", 2)
+    with pytest.raises(FFLabError, match="need n >= 2"):
+        incidence_to_kakeya_exponents(1, 1, 1, 1)  # (n-1)p' would be 0 * inf

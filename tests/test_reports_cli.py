@@ -296,10 +296,6 @@ REFUSALS = [
         "restriction estimate --field 5 --dim 3 --surface paraboloid --p 2 --q 3 --budget 799",
         "ascent start entries restarts |S| = 800 exceeds the budget 799",
     ),
-    (
-        "table figure1 --fields 5,7 --budget 1",
-        "ascent start entries restarts |S| = 30 exceeds the budget 1",
-    ),
 ]
 
 
@@ -658,10 +654,32 @@ def test_cli_figure1_budget(capsys):
     code, out, _ = run_cli(capsys, *argv[:-2], "--budget", "98")
     rows = out.splitlines()[1:]
     assert code == 0 and sum(not line.rstrip().endswith("-") for line in rows) == 1
-    # below the starts of the F_7 paraboloid, the table is refused, not printed
-    code, out, err = run_cli(capsys, *argv[:-2], "--budget", "97")
-    assert (code, out) == (2, "")
-    assert err == "error: ascent start entries restarts |S| = 98 exceeds the budget 97\n"
+    # below the starts of the F_7 paraboloid, its three lowers print `-` like an
+    # upper over budget (null in JSON, empty in csv), and every other lower runs
+    code, out, err = run_cli(capsys, *argv, "--budget", "97")
+    lowers = {
+        (row["surface"], e["p"], e["q"]): e["lower"]
+        for row in json.loads(out)["rows"] for e in row["entries"]
+    }
+    assert (code, err) == (0, "")
+    assert sorted(key for key, v in lowers.items() if v is None) == [
+        ("paraboloid (-1 non-square)", "2", "18/5"),
+        ("paraboloid (-1 non-square)", "2", "3"),
+        ("paraboloid (-1 non-square)", "8/5", "4"),
+    ]
+    code, out, _ = run_cli(capsys, *argv[:-2], "--budget", "97")
+    rows = [line.split() for line in out.splitlines()[1:]]
+    assert code == 0 and sum(row[-2:] == ["-", "-"] for row in rows) == 3
+    code, out, _ = run_cli(capsys, *argv[:-2], "--budget", "97", "--format", "csv")
+    assert code == 0 and sum(line.endswith(",,") for line in out.splitlines()) == 3
+
+
+def test_cli_figure1_budget_1_prints_every_cell_as_dash(capsys):
+    # at budget 1 no certificate runs: every cell prints `-`, and the table exits 0
+    code, out, err = run_cli(capsys, "table", "figure1", "--fields", "5,7", "--budget", "1")
+    rows = [line.split() for line in out.splitlines()[1:]]
+    assert (code, err) == (0, "") and len(rows) == 8
+    assert all(row[-2:] == ["-", "-"] for row in rows)
 
 
 def test_cli_figure1_exits_1_when_a_lower_exceeds_its_upper(capsys, monkeypatch):

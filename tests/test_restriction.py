@@ -630,7 +630,11 @@ def test_recheck_uses_independent_path(f5):
 def test_rebuild_surface_returns_the_producers_points(name, n):
     # every surface the command line builds, rebuilt from one of its certificates
     surface = cli.build_surface_arg(name, make_field(5), n)
-    again = rebuild_surface(rstar_exact_closed(surface, 2, math.inf))
+    cert = rstar_exact_closed(surface, 2, math.inf)
+    # the surface is named by its kind alone: no other meta key describes it
+    assert cert.meta["surface_kind"] == surface.kind.value
+    assert set(cert.meta) == {"surface_kind", "derivation"}
+    again = rebuild_surface(cert)
     assert again.kind == surface.kind and again.n == surface.n
     assert np.array_equal(again.points, surface.points)
 
@@ -681,6 +685,43 @@ def test_region_membership():
     sharpened = ExponentRegion(3, Fraction(2), k_subspace=1)
     assert not inside(sharpened, 2, "7/2")
     assert inside(ExponentRegion(3, Fraction(2)), 2, "7/2")
+
+
+def region_oracle(region, p, q) -> list[bool]:
+    """Each constraint's verdict with infinity handled by hand: q = inf meets
+    every bound, a finite q misses an infinite one, else compare exactly."""
+
+    def scale(c, e):
+        return math.inf if e == math.inf else c * Fraction(e)
+
+    def ge(a, b):
+        if a == math.inf:
+            return True
+        if b == math.inf:
+            return False
+        return Fraction(a) >= Fraction(b)
+
+    n, d, k = region.n, Fraction(region.d), region.k_subspace
+    bounds = [Fraction(2 * n) / d, scale(Fraction(n) / d, holder_dual(p))]
+    if k is not None:
+        bounds.append(scale(Fraction(n - k) / (d - k), holder_dual(p)))
+    return [ge(q, b) for b in bounds]
+
+
+REGION_EXPONENTS = [parse_exponent(e) for e in (
+    1, "8/7", "4/3", "3/2", "8/5", 2, "8/3", 3, "7/2", 4, 6, "inf",
+)]
+
+
+@pytest.mark.parametrize("n,d,k", [
+    (2, 1, None), (3, 2, None), (3, 2, 1), (3, 1, 0), (4, 3, 2), (4, Fraction(5, 2), None),
+])
+def test_region_constraints_match_the_oracle(n, d, k):
+    region = ExponentRegion(n, Fraction(d), k)
+    for p in REGION_EXPONENTS:
+        for q in REGION_EXPONENTS:
+            verdicts = [check(p, q) for _, check in region.constraints()]
+            assert verdicts == region_oracle(region, p, q), (p, q)
 
 
 def test_region_constraint_labels():

@@ -62,7 +62,6 @@ def test_cone_points(f7):
     for xi, u, v in s.points:
         assert f7.mul(int(u), int(v)) == f7.mul(int(xi), int(xi))
     assert not any((row == 0).all() for row in s.points)
-    assert cone(f7, include_origin=True).size == 49
 
 
 def test_moment_curve_points(f7):
@@ -141,11 +140,18 @@ def _circle_cone(field):
     )
 
 
+def cone_with_origin(field):
+    """The cone's points and the origin, a custom surface: its vertex head (0, 0)
+    holds |F| points, one more than the cone's."""
+    pts = np.concatenate([cone(field).points, np.zeros((1, 3), dtype=np.int64)])
+    return SurfaceMeasure(field, 3, pts, SurfaceKind.CUSTOM, "cone with origin")
+
+
 PLAN_SURFACES = {
     "paraboloid": lambda f: paraboloid(f, 3),
     "parabola": lambda f: paraboloid(f, 2),
     "cone": cone,
-    "cone_with_origin": lambda f: cone(f, include_origin=True),
+    "cone_with_origin": cone_with_origin,
     "moment_curve": lambda f: moment_curve(f, 3 if f.p > 3 else 2),
     "double_paraboloid": lambda f: double_paraboloid(f, 2),
     "custom": _circle_cone,
@@ -314,11 +320,11 @@ def _square_sum(f, c):
 
 LIFT_SURFACES = {
     "cone F_5": lambda mp: cone(make_field(5)),
-    "cone F_5 with origin": lambda mp: cone(make_field(5), include_origin=True),
+    "cone F_5 with origin": lambda mp: cone_with_origin(make_field(5)),
     "cone F_7": lambda mp: cone(make_field(7)),
-    "cone F_7 with origin": lambda mp: cone(make_field(7), include_origin=True),
+    "cone F_7 with origin": lambda mp: cone_with_origin(make_field(7)),
     "cone F_13": lambda mp: cone(make_field(13)),
-    "cone F_13 with origin": lambda mp: cone(make_field(13), include_origin=True),
+    "cone F_13 with origin": lambda mp: cone_with_origin(make_field(13)),
     "factored cone F_25": lambda mp: cone(_factored_field(5, 2, mp)),
     "x_2^2 = x_0 + x_1 over F_7": lambda mp: custom_variety(make_field(7), 3, [_square_sum]),
     # every head shared: no point is alone on its head
@@ -344,8 +350,7 @@ def test_lift_matches_the_all_points_reduction(monkeypatch, name, rows):
 
 def test_lift_splits_the_cone_at_its_vertex_head():
     # only the head (0, 0) is shared: |F| - 1 points, |F| with the origin
-    for include_origin, shared in ((False, 12), (True, 13)):
-        surface = cone(make_field(13), include_origin=include_origin)
+    for surface, shared in ((cone(make_field(13)), 12), (cone_with_origin(make_field(13)), 13)):
         plan = surfaces._transform_plan(surface)
         assert plan.shared_heads.tolist() == [0] and plan.shared_starts.tolist() == [0]
         assert len(plan.shared) == shared and len(plan.single) == 13 * 12
