@@ -366,7 +366,8 @@ def _wolff_family(args, field: Field) -> tuple[np.ndarray, np.ndarray]:
         return rep.x0, rep.v
     if args.family == "distinct-directions":
         v = field.grid_coords(2)
-        return np.stack([v[:, 0] * v[:, 1] % q, (v[:, 0] + v[:, 1]) % q], axis=1), v
+        x0 = [field.mul_arrays(v[:, 0], v[:, 1]), field.add_arrays(v[:, 0], v[:, 1])]
+        return np.stack(x0, axis=1), v
     if args.family == "random":
         if args.count < 1:
             raise ValueError("need at least one random line")

@@ -8,21 +8,20 @@ and for c < p the index c is the image of the integer c in the prime subfield.
 The modulus is the lexicographically smallest monic irreducible of degree k,
 coefficients compared constant-term first (degree 1 gets the polynomial x, so
 prime fields are plain residues mod p); for k > 1 the scan starts at c_0 = 1,
-since x divides every candidate with c_0 = 0.  Multiplication in extension
-fields runs through log/antilog tables against the fixed generator: the
-smallest index of multiplicative order p^k - 1, scanned from index p, since
+since x divides every candidate with c_0 = 0.  Multiplication in every field
+runs through log/antilog tables against the fixed generator: the smallest
+index of multiplicative order p^k - 1, scanned from index p when k > 1, since
 the indices below p are F_p, whose units have orders dividing p - 1.
 
 Construction builds only that multiplication core: the modulus, the generator
-and, for k > 1, the log and antilog tables.  Every other per-element table is
-built in one pass on its first read and kept on the field: the base-p digit
-table, the trace, the character, the squares, the Frobenius map and the
-addition table.  Array addition is one gather from a flat int16 q x q addition
-table up to ADD_TABLE_MAX_ORDER = 2^11 elements (8 MiB at the cap), prime
-fields included.  Above the cap a prime field adds (a + b) mod p, and an
-extension field gathers its base-p digit rows, adds them mod p and packs them
-with the powers of p.  Scalar add and neg, (a + b) mod p or the base-p digits
-taken by integer division, stay the reference for every path.
+and the log and antilog tables.  Every other per-element table is built in one
+pass on its first read and kept on the field: the base-p digit table, the
+trace, the character, the squares, the Frobenius map and the addition table.
+Array addition is one gather from a flat int16 q x q addition table up to
+ADD_TABLE_MAX_ORDER = 2^11 elements (8 MiB at the cap).  Above the cap every
+field, prime or not, gathers its base-p digit rows, adds them mod p and packs
+them with the powers of p.  Scalar add and neg, on the base-p digits taken by
+integer division, stay the reference for every path.
 
 The additive character is e(a) = exp(2*pi*i * lift(trace(a)) / p) with the
 absolute trace down to F_p, a gather from the p values exp(2*pi*i * c / p);
@@ -124,8 +123,7 @@ class Field:
         self._powers = np.array([p**i for i in range(k)], dtype=np.int64)
         self.modulus = self._smallest_irreducible()
         self.generator = self._find_generator()
-        if k > 1:
-            self._build_log_tables()
+        self._build_log_tables()
         self._coords_cache: dict[int, np.ndarray] = {}
 
     # -- construction helpers -------------------------------------------------
@@ -197,21 +195,24 @@ class Field:
         g^(2m-1) are the same block times g^m, written in place into one
         (k, q - 1) array, and squaring ``step`` turns g^m into g^2m: about
         log2(q) matrix products instead of q scalar products.  The columns
-        are int16 (p < 2^11 when k > 1) and ``step`` int32, which holds every
-        column sum of k (p - 1)^2 < 2^22.  Horner's rule packs the columns
-        into the first quarter of ``_exp_ext``, and ``_exp`` is a view of it.
+        are int16 and ``step`` int32 while p < 2^15, so that every column sum
+        k (p - 1)^2 stays below 2^31; only primes reach p >= 2^15, and there
+        both are int64.  Horner's rule packs the columns into the first
+        quarter of ``_exp_ext``, and ``_exp`` is a view of it.
 
         ``_log[0]`` is the sentinel 2(q - 1): any sum of two logs that
         involves it lands in the zero tail of ``_exp_ext``, so a product is
         one gather ``_exp_ext[_log[a] + _log[b]]`` with no mask and no modulo.
         """
         p, k, n = self.p, self.k, self.order - 1
+        small = p < 1 << 15
         gen = self._coeffs(self.generator)
         step = np.array(
             [_poly_mul_mod(tuple(row), gen, self.modulus, p) for row in np.eye(k, dtype=int)],
-            dtype=np.int32,
+            dtype=np.int32 if small else np.int64,
         )
-        cols = np.zeros((k, n), dtype=np.int16)  # column j: the coefficients of g^j
+        # column j: the coefficients of g^j
+        cols = np.zeros((k, n), dtype=np.int16 if small else np.int64)
         cols[0, 0] = 1
         m = 1
         while m < n:
@@ -237,15 +238,13 @@ class Field:
     # -- tables built on first use ----------------------------------------------
 
     @functools.cached_property
-    def _digits(self) -> np.ndarray | None:
-        """(q, k) base-p digits of every element; None over a prime field.
+    def _digits(self) -> np.ndarray:
+        """(q, k) base-p digits of every element; a prime field's is (p, 1).
 
         Digit i runs along axis k - 1 - i of a (p, ..., p, k) view, so each
         column is ``arange(p)`` broadcast, with no division.
         """
         p, k = self.p, self.k
-        if k == 1:
-            return None
         digits = np.empty((self.order, k), dtype=np.int64)
         view = digits.reshape((p,) * k + (k,))
         for i in range(k):
@@ -254,10 +253,8 @@ class Field:
 
     @functools.cached_property
     def _frob(self) -> np.ndarray:
-        """a^p for every a: the log times p, mod q - 1, back through the antilog."""
+        """a^p for every a (the identity on F_p): the log times p, mod q - 1, via the antilog."""
         q = self.order
-        if self.k == 1:
-            return np.arange(q, dtype=np.int64)
         t = np.zeros(q, dtype=np.int64)
         t[self._exp] = self._exp[(np.arange(q - 1) * self.p) % (q - 1)]
         return t
@@ -272,8 +269,6 @@ class Field:
         reduced mod p once.
         """
         p, k, n = self.p, self.k, self.order - 1
-        if k == 1:
-            return np.arange(p, dtype=np.int64)
         table = np.zeros(1, dtype=np.int64)
         for i in range(k - 1, -1, -1):
             log = int(self._log[p**i])
@@ -297,16 +292,10 @@ class Field:
     def squares(self) -> np.ndarray:
         """squares[a] is True exactly when a = t*t for some t.
 
-        Over an extension field the nonzero squares are the even powers of the
-        generator, and the zero sentinel log 2(q - 1) is even, so 0 is one too.
-        A prime field scatters t*t mod p.
+        The nonzero squares are the even powers of the generator, since q - 1
+        is even, and the zero sentinel log 2(q - 1) is even, so 0 is one too.
         """
-        if self.k == 1:
-            t = np.arange(self.p, dtype=np.int64)
-            table = np.zeros(self.p, dtype=bool)
-            table[t * t % self.p] = True
-        else:
-            table = self._log % 2 == 0
+        table = self._log % 2 == 0
         table.setflags(write=False)
         return table
 
@@ -329,29 +318,24 @@ class Field:
     # -- scalar arithmetic ----------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        if self.k == 1:
-            return (a + b) % self.p
-        p = self.p
-        return self._pack((x + y) % p for x, y in zip(self._coeffs(a), self._coeffs(b)))
+        a, b, p, out, unit = int(a), int(b), self.p, 0, 1
+        for _ in range(self.k):  # digit i of a + b is (a_i + b_i) mod p
+            (a, x), (b, y) = divmod(a, p), divmod(b, p)
+            out, unit = out + (x + y) % p * unit, unit * p
+        return out
 
     def neg(self, a: int) -> int:
-        if self.k == 1:
-            return (-a) % self.p
         return self._pack(-x % self.p for x in self._coeffs(a))
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
-        if self.k == 1:
-            return (a * b) % self.p
         return int(self._exp_ext[self._log[a] + self._log[b]])
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
-        if self.k == 1:
-            return pow(a, self.p - 2, self.p)
         return int(self._exp[(-self._log[a]) % (self.order - 1)])
 
     def dot(self, xs, ys) -> int:
@@ -374,14 +358,9 @@ class Field:
         b = np.asarray(b, dtype=np.int64)
         if self.order <= ADD_TABLE_MAX_ORDER:
             return self._add_table[a * self.order + b].astype(np.int64)
-        if self.k == 1:
-            return (a + b) % self.p
         return ((self._digits[a] + self._digits[b]) % self.p) @ self._powers
 
     def neg_arrays(self, a) -> np.ndarray:
-        a = np.asarray(a, dtype=np.int64)
-        if self.k == 1:
-            return (-a) % self.p
         return self.mul_arrays(a, self.p - 1)  # -a = a (p - 1)
 
     def sub_arrays(self, a, b) -> np.ndarray:
@@ -390,8 +369,6 @@ class Field:
     def mul_arrays(self, a, b) -> np.ndarray:
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
-        if self.k == 1:
-            return (a * b) % self.p
         return self._exp_ext[self._log[a] + self._log[b]]
 
     def dot_arrays(self, a, b) -> np.ndarray:

@@ -617,13 +617,15 @@ def selfdot_incidence_count(
 
     Each xi != 0 contributes the line {eta : xi.eta = xi.xi} = {xi + t xi^perp},
     xi^perp = (-xi_2, xi_1), distinct when -1 is a non-square (else xi.xi can
-    vanish), so incidence_count counts them; budget caps their |P| |F| points.
+    vanish), so incidence_count counts them; budget caps their |P| |F| points
+    before the first field operation.
     """
     if field.is_square(field.minus_one):
         raise FFLabError("-1 is a square; the self-dot lines degenerate")
     pts = np.asarray(points, dtype=np.int64)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("points must be an (m, 2) array over F^2")
+    require_budget(len(pts) * field.order, budget, "line points L |F|")
     perp = np.stack([field.neg_arrays(pts[:, 1]), pts[:, 0]], axis=1)  # 0 for xi = 0: refused
     return incidence_count(field, pts, pts, perp, budget=budget)
 

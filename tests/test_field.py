@@ -1,6 +1,8 @@
 """Field arithmetic: exhaustive axioms on small fields, properties on larger ones."""
 
+import ast
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -174,7 +176,9 @@ def test_trace_lift_is_frobenius_sum(p, k):
 DERIVED_TABLES = ("_digits", "trace_lift", "character", "squares", "_frob", "_add_table")
 
 
-@pytest.mark.parametrize("p,k", [(3, 1), (7, 1), (5, 2), (509, 2), (3, 7)])
+@pytest.mark.parametrize(
+    "p,k", [(3, 1), (7, 1), (2053, 1), (1048573, 1), (5, 2), (509, 2), (3, 7)]
+)
 def test_construction_builds_no_derived_table(p, k):
     field = Field(p, k)
     assert [name for name in DERIVED_TABLES if name in vars(field)] == []
@@ -199,7 +203,8 @@ def _scalar_trace(field, a: int) -> int:
 
 
 @pytest.mark.parametrize(
-    "p,k", [(3, 1), (7, 1), (3, 2), (5, 2), (5, 3), (7, 3), (3, 5), (509, 2)]
+    "p,k",
+    [(3, 1), (7, 1), (2053, 1), (1048573, 1), (3, 2), (5, 2), (5, 3), (7, 3), (3, 5), (509, 2)],
 )
 def test_on_demand_tables_match_eager_formulas(p, k):
     field = Field(p, k)
@@ -216,7 +221,7 @@ def test_on_demand_tables_match_eager_formulas(p, k):
     squares = np.zeros(q, dtype=bool)
     squares[field.mul_arrays(elems, elems)] = True
     assert np.array_equal(field.squares, squares) and not field.squares.flags.writeable
-    # trace: the scalar conjugate sum, or F_p-linearly from the basis x^i at 509^2
+    # trace: the scalar conjugate sum, or F_p-linearly from the basis x^i above 400
     if q <= 400:
         trace = np.array([_scalar_trace(field, a) for a in range(q)])
     else:
@@ -245,11 +250,15 @@ def test_cli_commands_build_only_the_tables_they_read(capsys):
 # in _build_log_tables: either the int16 (k, q - 1) coefficient columns with the
 # last doubling block's int32 cast and product, at most three times the
 # columns' bytes, or, once the columns are freed, the kept tables and the
-# q-entry arange that fills _log.  256 KiB covers the interpreter objects made
-# on the way.  On CPython 3.11 with numpy 2.4 the peaks read 12,438,840 B at
-# F_{509^2} (31,352,297 B when construction also built the digit, Frobenius,
-# trace, character and square tables) and 37,928,144 B at F_{3^12}
-# (136,059,376 B then, 51 MB of it the (q, 12) int64 digit table).
+# q-entry arange that fills _log.  The int64 columns of a prime above 2^15 are
+# one row of q - 1 entries, freed before that arange, so the second term
+# bounds them too.  256 KiB covers the interpreter objects made on the way.
+# On CPython 3.11 with numpy 2.4 the peaks read 12,438,840 B at F_{509^2}
+# (31,352,297 B when construction also built the digit, Frobenius, trace,
+# character and square tables), 37,928,144 B at F_{3^12} (136,059,376 B then,
+# 51 MB of it the (q, 12) int64 digit table) and 50,333,016 B at F_1,048,573
+# (600 B when a prime field built no table), against bounds of 12,698,024 B,
+# 38,525,824 B and 50,593,632 B.
 
 
 def _assert_construction_peak(p: int, k: int):
@@ -277,6 +286,10 @@ def test_field_3_12_construction_peak():
     _assert_construction_peak(3, 12)
 
 
+def test_field_1048573_construction_peak():
+    _assert_construction_peak(1048573, 1)
+
+
 def _poly_product(field, a: int, b: int) -> int:
     """a * b as one schoolbook product of base-p digit vectors, packed back."""
     p, k = field.p, field.k
@@ -285,7 +298,14 @@ def _poly_product(field, a: int, b: int) -> int:
     return sum(c * p**i for i, c in enumerate(prod))
 
 
-@pytest.mark.parametrize("p,k", [(3, 2), (3, 3), (5, 3), (7, 2), (13, 3), (61, 2), (509, 2)])
+# F_1,048,573, the largest prime under MAX_ORDER, is the one field that builds its
+# log tables in int64; every other field here takes the int16 columns
+TABLE_PRIMES = [(7, 1), (2053, 1), (1048573, 1)]
+
+
+@pytest.mark.parametrize(
+    "p,k", TABLE_PRIMES + [(3, 2), (3, 3), (5, 3), (7, 2), (13, 3), (61, 2), (509, 2)]
+)
 def test_mul_arrays_matches_polynomial_products(p, k):
     field = make_field(p, k)
     q = field.order
@@ -314,7 +334,7 @@ def test_mul_arrays_matches_polynomial_products(p, k):
     assert np.array_equal(np.sort(exp), np.arange(1, q))
 
 
-@pytest.mark.parametrize("p,k", [(3, 2), (13, 3), (509, 2)])
+@pytest.mark.parametrize("p,k", TABLE_PRIMES + [(3, 2), (13, 3), (509, 2)])
 def test_log_tables_take_at_most_k_polynomial_products(p, k, monkeypatch):
     field = Field(p, k)
     exp, log = field._exp.copy(), field._log.copy()
@@ -491,3 +511,76 @@ def test_grid_coords_little_endian(f5):
     assert list(coords[25]) == [0, 0, 1]
     flat = coords[:, 0] + 5 * coords[:, 1] + 25 * coords[:, 2]
     assert np.array_equal(flat, np.arange(125))
+
+
+# -- one arithmetic for every field ---------------------------------------------------
+#
+# Prime and extension fields share every table and every operation.  Only the
+# construction's scans (the modulus x, the generator from 2, the builtin pow)
+# and the name look at whether k = 1; a branch on it anywhere else is a second
+# implementation of something the general form already computes.
+
+KEEPS_PRIME_BRANCH = {"_smallest_irreducible", "_pow_noinv", "_find_generator", "__repr__"}
+
+# (operator, constant) pairs that split k = 1 from k > 1, written with k on the left
+PRIME_TESTS = {(ast.Eq, 1), (ast.NotEq, 1), (ast.Gt, 1), (ast.LtE, 1), (ast.GtE, 2), (ast.Lt, 2)}
+FLIPPED = {ast.Eq: ast.Eq, ast.NotEq: ast.NotEq, ast.Gt: ast.Lt, ast.Lt: ast.Gt,
+           ast.GtE: ast.LtE, ast.LtE: ast.GtE}
+
+
+def _is_degree(node: ast.expr) -> bool:
+    """k, or self.k."""
+    return (isinstance(node, ast.Name) and node.id == "k") or (
+        isinstance(node, ast.Attribute) and node.attr == "k"
+        and isinstance(node.value, ast.Name) and node.value.id == "self"
+    )
+
+
+def _tests_prime(node: ast.Compare) -> bool:
+    if len(node.ops) != 1:
+        return False
+    left, right, op = node.left, node.comparators[0], type(node.ops[0])
+    if _is_degree(right):
+        left, right, op = right, left, FLIPPED.get(op)
+    return (
+        _is_degree(left) and isinstance(right, ast.Constant) and (op, right.value) in PRIME_TESTS
+    )
+
+
+def prime_branches(source: str) -> list[str]:
+    """The Field methods holding a comparison that splits prime fields from the rest."""
+    tree = ast.parse(source)
+    cls = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Field")
+    return sorted(
+        method.name
+        for method in cls.body
+        if isinstance(method, ast.FunctionDef)
+        and any(isinstance(n, ast.Compare) and _tests_prime(n) for n in ast.walk(method))
+    )
+
+
+FIELD_SOURCE = Path(field_module.__file__).read_text()
+
+
+def test_no_field_method_branches_on_a_prime_field():
+    assert [m for m in prime_branches(FIELD_SOURCE) if m not in KEEPS_PRIME_BRANCH] == []
+
+
+def test_prime_branch_allowlist_holds_only_branches():
+    assert set(prime_branches(FIELD_SOURCE)) == KEEPS_PRIME_BRANCH
+
+
+def test_a_planted_prime_branch_fails():
+    planted = (
+        "    def _planted(self, a):\n"
+        "        if 1 < self.k:\n"
+        "            return a\n"
+        "        return a % self.p\n\n"
+        "    def _refusal(self, k):\n"
+        "        if k < 1:\n"
+        "            raise ValueError(k)\n\n"
+    )
+    source = FIELD_SOURCE.replace("    def sub(self, a: int, b: int) -> int:\n",
+                                  planted + "    def sub(self, a: int, b: int) -> int:\n")
+    assert [m for m in prime_branches(source) if m not in KEEPS_PRIME_BRANCH] == ["_planted"]
+    assert "__init__" not in prime_branches(FIELD_SOURCE)  # its k < 1 refusal is no branch

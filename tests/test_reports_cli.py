@@ -458,6 +458,16 @@ def test_cli_cordoba_budget_boundary(capsys, monkeypatch):
     assert code == 0 and err == ""
 
 
+def test_cli_wolff_distinct_directions_base_points_are_field_arithmetic():
+    # x0 = (v_0 v_1, v_0 + v_1) in F_{3^2}, not integer products and sums mod 9
+    field = make_field(3, 2)
+    args = cli.build_parser().parse_args(["kakeya", "wolff-check", "--field", "3^2"])
+    x0, v = cli._wolff_family(args, field)
+    assert v.tolist() == field.grid_coords(2).tolist()
+    pairs = [(int(a), int(b)) for a, b in v]
+    assert x0.tolist() == [[field.mul(a, b), field.add(a, b)] for a, b in pairs]
+
+
 @pytest.mark.parametrize("count", ["0", "-3"])
 def test_cli_wolff_refuses_an_empty_random_family(capsys, monkeypatch, count):
     argv = ["kakeya", "wolff-check", "--field", "5", "--family", "random"]

@@ -771,19 +771,19 @@ def test_selfdot_closed_form(p):
 
 
 def test_selfdot_budget_refuses_before_arithmetic(monkeypatch):
-    # the budget caps the |P| |F| points of the self-dot lines
-    field = make_field(23)
-    pts = field.grid_coords(2)[1:]
-
+    # the budget caps the |P| |F| points of the self-dot lines, before the
+    # perpendiculars -xi_2 are taken, over a prime and an extension field
     def refuse(*args, **kwargs):
         raise AssertionError("field arithmetic ran before the budget check")
 
-    monkeypatch.setattr(field, "mul_arrays", refuse)
-    monkeypatch.setattr(field, "add_arrays", refuse)
-    with pytest.raises(BudgetExceededError):
-        selfdot_incidence_count(field, pts, budget=len(pts) * 23 - 1)
-    with pytest.raises(AssertionError):
-        selfdot_incidence_count(field, pts, budget=len(pts) * 23)
+    for field in (make_field(23), make_field(3, 3)):
+        pts = field.grid_coords(2)[1:]
+        for name in ("mul_arrays", "add_arrays", "neg_arrays"):
+            monkeypatch.setattr(field, name, refuse)
+        with pytest.raises(BudgetExceededError, match="line points L"):
+            selfdot_incidence_count(field, pts, budget=len(pts) * field.order - 1)
+        with pytest.raises(AssertionError):
+            selfdot_incidence_count(field, pts, budget=len(pts) * field.order)
 
 
 def test_selfdot_uneven_blocks(monkeypatch):
