@@ -28,6 +28,7 @@ from . import kakeya as kk
 from . import restriction as rl
 from . import surfaces as sf
 from .certificates import (
+    NormCertificate,
     certificate_consistency,
     exponent_str,
     parse_exponent,
@@ -146,25 +147,16 @@ def cmd_restriction_estimate(args) -> tuple[int, str]:
     p = parse_exponent(args.p)
     q = parse_exponent(args.q)
 
-    certs = []
-    checks = []
-    method = args.method
-    even = functools.partial(rl.rstar_upper_even, budget=args.budget)
-    for name, produce in (("closed", rl.rstar_exact_closed), ("even", even)):
-        if method == name or (method == "auto" and not certs):
-            try:
-                certs.append(produce(surface, p, q))
-            except NoClosedFormError:
-                if method == name:
-                    raise
-    if method == "power" or (method == "auto" and not any(c.kind == "exact" for c in certs)):
-        cert = rl.rstar_lower_power(
-            surface, p, q,
-            restarts=args.restarts, max_iters=args.iters, tol=args.tol, seed=args.seed,
-            budget=args.budget,
-        )
+    certs, checks = [], []
+    for cert in rl.certify(
+        surface, p, q, method=args.method, restarts=args.restarts, max_iters=args.iters,
+        tol=args.tol, seed=args.seed, budget=args.budget,
+    ):
+        if isinstance(cert, BudgetExceededError):
+            raise cert
         certs.append(cert)
-        checks.append(CheckResult("lower_recheck", rl.verify_lower(cert), None))
+        if cert.kind == "lower":
+            checks.append(CheckResult("lower_recheck", rl.verify_lower(cert), None))
 
     violations = certificate_consistency(certs)
     checks.append(CheckResult("certificate_consistency", not violations, None))
@@ -458,103 +450,60 @@ def cmd_kakeya_slices(args) -> tuple[int, str]:
 # -- figure 1 table -------------------------------------------------------------------
 
 
-def _pick_field(fields, want) -> tuple[int, int] | None:
-    """Smallest listed prime field matching a residue/size predicate."""
-    primes = sorted(pk for pk in fields if pk[1] == 1)
-    for pk in primes:
-        if want(pk[0]):
-            return pk
-    return None
+# surface, n, the primes it may be built over, and its (label, p, q) pairs: the
+# sharp or best-known exponent pairs and the conjectured ones
+FIGURE1 = (
+    ("moment_curve", 3, lambda p: p > 3, [("theorem (sharp)", 2, 6)]),
+    ("parabola", 2, lambda p: True, [("theorem (sharp)", 2, 4)]),
+    ("paraboloid (-1 non-square)", 3, lambda p: p % 4 == 3, [
+        ("theorem", Fraction(8, 5), 4),
+        ("theorem (endpoint open)", 2, Fraction(18, 5)),
+        ("conjecture", 2, 3),
+    ]),
+    ("paraboloid (-1 square)", 3, lambda p: p % 4 == 1, [("theorem", 2, 4), ("conjecture", 3, 3)]),
+    ("cone", 3, lambda p: True, [("theorem (sharp)", 2, 4)]),
+)
 
 
 def _figure1_rows(fields, seed, restarts, iters, budget):
-    """One row per headline surface: the sharp or best-known exponent pairs
-    with measured certificates, and the conjectured pair's witness ratio.
-    Also returns whether every lower certificate passed its recheck and every
-    lower sits below its upper (certificate_consistency over all of them).
-    A lower or upper over budget is None, and such a lower is not rechecked."""
-    rows = []
-    rechecked = True
-    certs = []
-    specs = [
-        {
-            "surface": "moment_curve", "n": 3,
-            "pick": lambda p: p > 3,
-            "pairs": [("theorem (sharp)", Fraction(2), Fraction(6))],
-        },
-        {
-            "surface": "parabola", "n": 2,
-            "pick": lambda p: True,
-            "pairs": [("theorem (sharp)", Fraction(2), Fraction(4))],
-        },
-        {
-            "surface": "paraboloid (-1 non-square)", "n": 3,
-            "pick": lambda p: p % 4 == 3,
-            "pairs": [
-                ("theorem", Fraction(8, 5), Fraction(4)),
-                ("theorem (endpoint open)", Fraction(2), Fraction(18, 5)),
-                ("conjecture", Fraction(2), Fraction(3)),
-            ],
-        },
-        {
-            "surface": "paraboloid (-1 square)", "n": 3,
-            "pick": lambda p: p % 4 == 1,
-            "pairs": [
-                ("theorem", Fraction(2), Fraction(4)),
-                ("conjecture", Fraction(3), Fraction(3)),
-            ],
-        },
-        {
-            "surface": "cone", "n": 3,
-            "pick": lambda p: True,
-            "pairs": [("theorem (sharp)", Fraction(2), Fraction(4))],
-        },
-    ]
-    for spec in specs:
-        pk = _pick_field(fields, spec["pick"])
+    """One row per FIGURE1 surface, over the smallest listed prime it takes: at
+    each pair the greatest lower and least upper that ``certify`` gives, and
+    every certificate behind them, which only JSON renders (by ``to_dict``).
+    Also returns whether every lower passed its recheck and sits below every
+    upper (certificate_consistency over all of them).  A producer over budget
+    leaves its certificate out, so a cell with none is None."""
+    rows, certs, rechecked = [], [], True
+    for name, n, pick, pairs in FIGURE1:
+        pk = min((pk for pk in fields if pk[1] == 1 and pick(pk[0])), default=None)
         if pk is None:
-            rows.append({"surface": spec["surface"], "skipped": "no suitable field listed"})
+            rows.append({"surface": name, "skipped": "no suitable field listed"})
             continue
-        field = make_field(*pk)
-        base_kind = spec["surface"].split(" ")[0]
-        surface = build_surface_arg(base_kind, field, spec["n"])
+        surface = build_surface_arg(name.split(" ")[0], make_field(*pk), n)
         entries = []
-        for label, p, q in spec["pairs"]:
-            try:
-                upper = rl.rstar_upper_even(surface, p, q, budget)
-            except (NoClosedFormError, BudgetExceededError):
-                upper = None
-            try:
-                lower = rl.rstar_lower_power(
-                    surface, p, q, restarts=restarts, max_iters=iters, seed=seed, budget=budget,
-                )
-            except BudgetExceededError:
-                lower = None
-            rechecked &= lower is None or rl.verify_lower(lower)
-            certs += [c for c in (lower, upper) if c is not None]
-            entries.append(
-                {
-                    "label": label,
-                    "p": exponent_str(p),
-                    "q": exponent_str(q),
-                    "lower": None if lower is None else repr(lower.value),
-                    "upper": None if upper is None else repr(upper.value),
-                }
-            )
-        rows.append(
-            {
-                "surface": spec["surface"],
-                "n": spec["n"],
-                "field": f"{pk[0]}" + (f"^{pk[1]}" if pk[1] > 1 else ""),
-                "entries": entries,
-            }
-        )
+        for label, p, q in pairs:
+            run = rl.certify(surface, p, q, restarts=restarts, max_iters=iters, seed=seed,
+                             budget=budget)
+            found = [c for c in run if not isinstance(c, BudgetExceededError)]  # `-` cells
+            rechecked &= all([rl.verify_lower(c) for c in found if c.kind == "lower"])
+            certs += found
+            lows = [c.value for c in found if c.kind != "upper"]
+            ups = [c.value for c in found if c.kind != "lower"]
+            entries.append({
+                "label": label, "p": exponent_str(p), "q": exponent_str(q),
+                "lower": repr(max(lows)) if lows else None,
+                "upper": repr(min(ups)) if ups else None,
+                "certificates": found,
+            })
+        rows.append({"surface": name, "n": n, "field": str(pk[0]), "entries": entries})
     return rows, rechecked and not certificate_consistency(certs)
 
 
 def _render_figure1(rows, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps({"table": "figure1", "rows": rows}, indent=2, sort_keys=True)
+        return json.dumps(
+            {"table": "figure1", "rows": rows}, indent=2, sort_keys=True,
+            default=NormCertificate.to_dict,  # each entry's certificates
+        )
     if fmt == "csv":
         out = ["surface,n,field,label,p,q,lower,upper"]
         for row in rows:
@@ -618,7 +567,7 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--surface", required=True)
     est.add_argument("--p", required=True)
     est.add_argument("--q", required=True)
-    est.add_argument("--method", choices=("closed", "power", "even", "auto"), default="auto")
+    est.add_argument("--method", choices=(*rl.PRODUCERS, "auto"), default="auto")
     est.add_argument("--restarts", type=int, default=rl.DEFAULT_RESTARTS)
     est.add_argument("--iters", type=int, default=rl.DEFAULT_MAX_ITERS)
     est.add_argument("--tol", type=float, default=rl.DEFAULT_TOL)

@@ -325,7 +325,11 @@ class Field:
         return out
 
     def neg(self, a: int) -> int:
-        return self._pack(-x % self.p for x in self._coeffs(a))
+        a, p, out, unit = int(a), self.p, 0, 1
+        for _ in range(self.k):  # digit i of -a is -a_i mod p
+            a, x = divmod(a, p)
+            out, unit = out + -x % p * unit, unit * p
+        return out
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))

@@ -6,10 +6,10 @@ Three certificate grades are produced: Exact from closed forms (q = oo, and
 q = 2 with p >= 2 where the extension is a scaled isometry), Upper from the
 even-exponent counting identity, and Lower from explicit witnesses or a
 nonlinear power iteration.  Each Exact or Upper producer refuses the pairs it
-does not cover with NoClosedFormError.  `restriction estimate` tries
-rstar_exact_closed and rstar_upper_even, `table figure1` only rstar_upper_even,
-so widening a producer's pairs needs no command change, but a new producer
-must be named in each command that should try it.
+does not cover with NoClosedFormError.  `certify` is the one policy every
+command uses: it tries the producers of PRODUCERS in order, skips those that
+refuse the pair, and stops at the first Exact certificate, so a new producer
+is one PRODUCERS entry and both restriction commands run it.
 Every Lower certificate embeds its witness and is re-evaluated through the
 direct-summation path, by the same ratio helper with another operator.
 
@@ -24,7 +24,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .certificates import (
     parse_exponent,
     recheck_agrees,
 )
-from .errors import DEFAULT_BUDGET, FFLabError, NoClosedFormError, require_budget
+from .errors import DEFAULT_BUDGET, BudgetExceededError, FFLabError, NoClosedFormError, require_budget
 from .field import Field, make_field
 from .kakeya import IncidenceReport, incidence_count, line_flats
 from .grid import (
@@ -456,6 +456,50 @@ def rstar_lower_power(
             "transform_value": float(vals[idx]),
         },
     )
+
+
+# -- the one certificate path ----------------------------------------------------------
+
+# The producers ``certify`` runs by method name, in the order "auto" tries them.
+# Each entry looks its producer up in this module when called, so a rebound
+# module attribute (the benchmark tracer's wrapper, a test's stub) is the one that runs.
+PRODUCERS: dict[str, Callable[..., NormCertificate]] = {
+    "closed": lambda surface, p, q, run: rstar_exact_closed(surface, p, q),
+    "even": lambda surface, p, q, run: rstar_upper_even(surface, p, q, run["budget"]),
+    "power": lambda surface, p, q, run: rstar_lower_power(surface, p, q, **run),
+}
+
+
+def certify(
+    surface: SurfaceMeasure, p, q, *, method: str = "auto", restarts: int = DEFAULT_RESTARTS,
+    max_iters: int = DEFAULT_MAX_ITERS, tol: float = DEFAULT_TOL, seed: int = 0,
+    budget: int = DEFAULT_BUDGET,
+) -> Iterator[NormCertificate | BudgetExceededError]:
+    """Yield the certificates of R*(p -> q) from PRODUCERS, one producer at a time.
+
+    "auto" runs them in order, skips one that refuses the pair with
+    NoClosedFormError and stops after the first Exact certificate; another
+    method runs its producer alone, and its NoClosedFormError propagates.  A
+    producer over ``budget`` is yielded as its BudgetExceededError: a caller
+    that raises it ends the generator before the next producer starts.
+    """
+    p = parse_exponent(p)
+    q = parse_exponent(q)
+    run = {"restarts": restarts, "max_iters": max_iters, "tol": tol, "seed": seed, "budget": budget}
+    for name in PRODUCERS if method == "auto" else (method,):
+        if name not in PRODUCERS:
+            raise FFLabError(f"no certificate method named {name!r}")
+        try:
+            cert = PRODUCERS[name](surface, p, q, run)
+        except NoClosedFormError:
+            if name == method:
+                raise
+            continue
+        except BudgetExceededError as exc:
+            cert = exc
+        yield cert
+        if isinstance(cert, NormCertificate) and cert.kind == "exact":
+            return
 
 
 # -- explicit witnesses --------------------------------------------------------------

@@ -79,19 +79,19 @@ def test_allowlist_holds_only_unused_imports():
 def test_an_added_unused_import_fails():
     sources = package_sources()
     sources["kakeya"] = "import json\n" + sources["kakeya"]
-    sources["restriction"] = sources["restriction"].replace(
+    sources["surfaces"] = sources["surfaces"].replace(
         "from .errors import ", "from .errors import BudgetExceededError, ", 1
     )
     sources["grid"] += "\nfrom .field import make_field as _unused_alias\n"
     sources["field"] += "\nimport os.path\n"
     assert [q for q in unused_imports(sources) if q not in ALLOWED_UNUSED] == [
-        "field.os", "grid._unused_alias", "kakeya.json", "restriction.BudgetExceededError",
+        "field.os", "grid._unused_alias", "kakeya.json", "surfaces.BudgetExceededError",
     ]
     # a use anywhere in the module, or a listing in __all__, clears it
     sources["kakeya"] += "\n__all__ = ['json']\n"
     sources["field"] += "\nSEP = os.path.sep\n"
     assert [q for q in unused_imports(sources) if q not in ALLOWED_UNUSED] == [
-        "grid._unused_alias", "restriction.BudgetExceededError",
+        "grid._unused_alias", "surfaces.BudgetExceededError",
     ]
 
 

@@ -1,10 +1,12 @@
 """Report serialization, the one file a run writes, and the command-line surface."""
 
+import ast
 import dataclasses
 import json
 import math
 import shlex
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +15,8 @@ import pytest
 from fflab import cli, grid
 from fflab import restriction as rl
 from fflab import surfaces
-from fflab.certificates import NormCertificate
+from fflab.certificates import NormCertificate, exponent_str
+from fflab.errors import NoClosedFormError
 from fflab.field import make_field
 from fflab.reports import CheckResult, ExperimentReport, store_report
 from fflab.restriction import rstar_lower_witness
@@ -774,6 +777,113 @@ def test_cli_has_no_cache_command(capsys):
     with pytest.raises(SystemExit) as exit_:
         cli.main(["cache", "gc"])
     assert exit_.value.code == 2 and "invalid choice: 'cache'" in capsys.readouterr().err
+
+
+# -- one certificate path: restriction.certify picks every producer ----------------------
+
+PRODUCER_NAMES = {"rstar_exact_closed", "rstar_upper_even", "rstar_lower_power"}
+FIGURE1_JSON = ("table", "figure1", "--fields", "5,7", "--restarts", "2", "--iters", "40",
+                "--format", "json")
+
+
+def producer_mentions(source: str) -> list[str]:
+    """'line: name' for every restriction producer that ``source`` names, as a
+    bare name, an attribute or an import."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found += [f"{node.lineno}: {a.name}" for a in node.names if a.name in PRODUCER_NAMES]
+            continue
+        else:
+            continue
+        if name in PRODUCER_NAMES:
+            found.append(f"{node.lineno}: {name}")
+    return found
+
+
+CLI_SOURCE = Path(cli.__file__).read_text()
+
+
+def test_no_command_names_a_producer():
+    assert producer_mentions(CLI_SOURCE) == []
+
+
+def test_a_planted_producer_call_fails():
+    planted = (
+        "def _planted(surface, p, q):\n"
+        "    return rl.rstar_upper_even(surface, p, q)\n\n\n"
+    )
+    source = CLI_SOURCE.replace("def _render_figure1(", planted + "def _render_figure1(", 1)
+    assert [m.split(": ")[1] for m in producer_mentions(source)] == ["rstar_upper_even"]
+    source = CLI_SOURCE.replace("import numpy as np\n", "from .restriction import rstar_lower_power\n", 1)
+    assert [m.split(": ")[1] for m in producer_mentions(source)] == ["rstar_lower_power"]
+
+
+@pytest.mark.parametrize("how", ["rebound producer", "new entry"])
+def test_a_planted_upper_reaches_both_commands(capsys, monkeypatch, how):
+    """An upper at (2 -> 18/5) shows in both commands with no command edit,
+    whether it comes from ``rstar_upper_even`` rebound on ``restriction``
+    (certify looks producers up when it runs, as the benchmark tracer needs)
+    or from a new PRODUCERS entry."""
+    original = rl.rstar_upper_even
+
+    def planted(surface, p, q, budget):
+        if (p, q) == (2, Fraction(18, 5)):
+            return rl._base_cert(surface, "upper", "planted", p, q, 99.0)
+        if how == "new entry":
+            raise NoClosedFormError("the planted upper covers (2, 18/5) only")
+        return original(surface, p, q, budget)
+
+    estimate = ("restriction", "estimate", "--field", "7", "--dim", "3", "--surface", "paraboloid",
+                "--p", "2", "--q", "18/5", "--restarts", "2", "--iters", "40", "--format", "json")
+    cell = ("paraboloid (-1 non-square)", "2", "18/5")
+
+    def run_both():
+        code, out, _ = run_cli(capsys, *estimate)
+        assert code == 0
+        methods = sorted((c["method"], c["value"]) for c in json.loads(out)["certificates"])
+        code, out, _ = run_cli(capsys, *FIGURE1_JSON)
+        assert code == 0
+        cells = {(r["surface"], e["p"], e["q"]): e for r in json.loads(out)["rows"]
+                 for e in r["entries"]}
+        code, text, _ = run_cli(capsys, *FIGURE1_JSON[:-2])
+        assert code == 0
+        (line,) = [ln for ln in text.splitlines() if "(2 -> 18/5)" in ln]
+        return [m for m, _ in methods], dict(methods).get("planted"), cells[cell]["upper"], line
+
+    methods, _, upper, line = run_both()
+    assert methods == ["power_iteration"] and upper is None and line.endswith(" -")
+    if how == "new entry":
+        monkeypatch.setitem(rl.PRODUCERS, "planted", lambda s, p, q, run: planted(s, p, q, 0))
+    else:
+        monkeypatch.setattr(rl, "rstar_upper_even", planted)
+    methods, value, upper, line = run_both()
+    assert methods == ["planted", "power_iteration"] and value == "99.0"
+    assert upper == "99.0" and line.endswith(" 99.000000")
+
+
+@pytest.mark.parametrize("budget", ["1000000000", "97"])
+def test_figure1_certificates_round_trip(capsys, budget):
+    code, out, _ = run_cli(capsys, *FIGURE1_JSON, "--budget", budget)
+    assert code == 0
+    lowers = 0
+    for row in json.loads(out)["rows"]:
+        for e in row["entries"]:
+            certs = [NormCertificate.from_dict(d) for d in e["certificates"]]
+            for side, best in (("lower", max), ("upper", min)):
+                values = [c.value for c in certs if c.kind in (side, "exact")]
+                assert e[side] == (repr(best(values)) if values else None)
+            for cert in certs:
+                assert repr(cert.value) in (e["lower"], e["upper"])
+                assert (exponent_str(cert.p), exponent_str(cert.q)) == (e["p"], e["q"])
+                if cert.kind == "lower":
+                    assert rl.verify_lower(cert)
+                    lowers += 1
+    assert lowers == (8 if budget == "1000000000" else 5)
 
 
 # -- one report path: every report subcommand over F_5, F_7 and F_9 ----------------------

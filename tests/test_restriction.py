@@ -112,6 +112,41 @@ def test_lower_stays_below_upper(f5):
     assert certificate_consistency([lower, upper]) == []
 
 
+# -- the one certificate path ------------------------------------------------------------
+
+
+def test_certify_runs_the_producers_in_order(f5):
+    surface = paraboloid(f5, 2)
+
+    def methods(p, q, **kw):
+        return [c.method for c in rl.certify(surface, p, q, restarts=2, max_iters=40, **kw)]
+
+    assert methods(2, 2) == ["closed_form"]  # exact, so no ascent
+    assert methods(2, 4) == ["even_counting", "power_iteration"]
+    assert methods(2, 3) == ["power_iteration"]
+    assert methods(2, 2, method="power") == ["power_iteration"]
+    with pytest.raises(NoClosedFormError, match="covers only"):
+        methods(2, 3, method="even")
+    with pytest.raises(FFLabError, match="no certificate method named 'nosuch'"):
+        methods(2, 4, method="nosuch")
+
+
+def test_certify_yields_a_budget_refusal_and_goes_on(f5):
+    # |S|^2 = 25 pair sums are over the budget, 2 restarts * |S| = 10 start entries are not
+    run = rl.certify(paraboloid(f5, 2), 2, 4, restarts=2, max_iters=40, budget=24)
+    refusal = next(run)
+    assert isinstance(refusal, BudgetExceededError) and "|S|^2 = 25" in str(refusal)
+    assert next(run).method == "power_iteration"
+    assert next(run, None) is None
+
+
+def test_estimate_runs_no_producer_after_a_refusal(monkeypatch, capsys):
+    monkeypatch.setattr(rl, "rstar_lower_power", lambda *a, **kw: pytest.fail("ascent ran"))
+    argv = "restriction estimate --field 5 --dim 2 --surface parabola --p 2 --q 4 --budget 24"
+    assert cli.main(argv.split()) == 2
+    assert capsys.readouterr().err == "error: |S|^2 = 25 exceeds the budget 24\n"
+
+
 # -- power iteration -------------------------------------------------------------------
 
 
