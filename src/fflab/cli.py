@@ -189,7 +189,7 @@ def cmd_restriction_witness(args) -> tuple[int, str]:
     surface = build_surface_arg(args.surface, field, args.dim)
     p = parse_exponent(args.p)
     q = parse_exponent(args.q)
-    cert = rl.rstar_lower_witness(surface, p, q, args.witness, budget=args.budget)
+    cert = rl.rstar_lower_witness(surface, p, q, args.witness)
     checks = [CheckResult("witness_recheck", rl.verify_lower(cert), None)]
     return _report(
         args, t0, checks,

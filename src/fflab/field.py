@@ -335,12 +335,13 @@ class Field:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
-        return int(self._exp_ext[self._log[a] + self._log[b]])
+        # ndarray.item reads a Python int with no numpy scalar made per call
+        return self._exp_ext.item(self._log.item(a) + self._log.item(b))
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
-        return int(self._exp[(-self._log[a]) % (self.order - 1)])
+        return self._exp.item(-self._log.item(a) % (self.order - 1))
 
     def dot(self, xs, ys) -> int:
         """Inner product sum_i xs[i]*ys[i] of two coordinate tuples."""

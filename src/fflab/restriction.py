@@ -505,52 +505,45 @@ def certify(
 # -- explicit witnesses --------------------------------------------------------------
 
 
-def find_affine_line(surface: SurfaceMeasure, budget: int = DEFAULT_BUDGET):
-    """Search the surface for a fully contained affine line {a + tb}.
+def find_affine_line(surface: SurfaceMeasure):
+    """The line {0 + tb} inside a named surface, built from its equation.
 
-    Base points run over the surface, directions over projective
-    representatives (first nonzero coordinate scaled to 1) in flat order;
-    each base point tests a block of directions at a time against a
-    membership array over F^n, gathering whole lines only for the directions
-    b with a + b on the surface.  budget caps the |F|^n membership array
-    before it is allocated, and the points tested so far, n per direction
-    tried (the a + b test) and |F| per direction kept (its line), before
-    each block's test and before its line gather: a line is often found
-    early, so the whole scan is not refused up front.  Returns (a, b) as
-    coordinate arrays; raises SubspaceNotFound when no line exists.
+    Paraboloid: b = (w, 0) with w != 0 and w.w = 0 (a quadratic in t that
+    vanishes on F has zero coefficients), w = (1, i) when -1 = i^2, else
+    (1, x, y) with x the first element that leaves -1 - x^2 = y^2 a square.
+    Double paraboloid: the theta axis at eta = 0.  Moment curve at n = 1: F.
     """
     fld, n = surface.field, surface.n
-    q = fld.order
-    require_budget(q**n, budget, "membership array |F|^n")
-    member = np.zeros(q**n, dtype=bool)
-    member[surface.flat] = True
-    # first nonzero coordinate j scaled to 1: flats q^j + q^{j+1} r, r < q^{n-1-j}
-    flats = np.sort(np.concatenate([
-        q**j + q ** (j + 1) * np.arange(q ** (n - 1 - j), dtype=np.int64) for j in range(n)
-    ]))
-    reps = flats[:, None] // q ** np.arange(n, dtype=np.int64) % q
-    tested, what = 0, "points tested n (directions tried) + |F| (directions kept)"
-    for a in surface.points:
-        for rows in blocks(len(reps), q):
-            tested += n * (rows.stop - rows.start)
-            require_budget(tested, budget, what)
-            b = reps[rows]
-            b = b[member[flat_points(fld, fld.add_arrays(a, b))]]  # a + b on the surface
-            tested += q * len(b)
-            require_budget(tested, budget, what)
-            inside = member[affine_flats(fld, a, b)].all(axis=1)
-            if inside.any():
-                return a.copy(), b[inside.argmax()]
-    raise FFLabError("no affine line inside the surface")
+    b = np.zeros(n, dtype=np.int64)
+    if surface.kind == SurfaceKind.PARABOLOID:
+        t = np.arange(fld.order, dtype=np.int64)
+        squares = fld.mul_arrays(t, t)
+        rest = fld.sub_arrays(fld.minus_one, squares)  # -1 - x^2 at x = t
+        x = int(fld.squares[rest].argmax())  # 0 exactly when -1 is a square
+        y = int(t[squares == rest[x]][0])
+        w = [1, y] if x == 0 else [1, x, y]
+        if len(w) < n:
+            b[: len(w)] = w
+        reason = f"no nonzero w in F^{n - 1} has w.w = 0"
+    elif surface.kind == SurfaceKind.DOUBLE_PARABOLOID:
+        b[n // 2] = 1  # (eta, eta.eta, theta, eta.theta) at eta = 0, theta = t e_1
+    elif surface.kind == SurfaceKind.MOMENT_CURVE:
+        b[0] = int(n == 1)  # the curve at n = 1 is all of F
+        reason = "a moment curve at n >= 2 meets a line in at most 2 points"
+    elif surface.kind == SurfaceKind.CONE:
+        reason = "the cone's lines all pass through its excluded vertex"
+    else:
+        reason = "a custom point list has no line construction"
+    if not b.any():
+        raise FFLabError(f"no affine line inside the surface: {reason}")
+    return np.zeros(n, dtype=np.int64), b
 
 
-def rstar_lower_witness(
-    surface: SurfaceMeasure, p, q, name: str, budget: int = DEFAULT_BUDGET
-) -> NormCertificate:
+def rstar_lower_witness(surface: SurfaceMeasure, p, q, name: str) -> NormCertificate:
     """Lower bound from a named explicit witness.
 
     dirac and constant test the extension directly; subspace uses the
-    indicator of an affine line inside the surface, whose search budget caps;
+    indicator of the affine line that find_affine_line builds on the surface;
     dual_cone_X tests the dual form with the half-dimension set X whose
     transform is large on the cone.
     """
@@ -581,9 +574,13 @@ def rstar_lower_witness(
         g = SurfaceFunction.constant(surface)
         extra = {}
     elif name == "subspace":
-        a, b = find_affine_line(surface, budget)
+        a, b = find_affine_line(surface)
         g = SurfaceFunction(surface, np.isin(surface.flat, affine_flats(fld, a, b)))
-        extra = {"line_base": [int(x) for x in a], "line_dir": [int(x) for x in b]}
+        # E1_L(x) = e(x.a) (|F|/|S|) 1[x.b = 0] for every line L on S
+        closed = (fld.order / surface.size) ** (1 - 1 / as_float(p)) * fld.order ** (
+            (surface.n - 1) / as_float(q)
+        )
+        extra = {"line_base": a.tolist(), "line_dir": b.tolist(), "closed_form": closed}
     else:
         raise FFLabError(f"no witness named {name!r}")
     return _surface_lower(g, p, q, extension, "witness", {"witness_name": name, **extra})

@@ -258,7 +258,20 @@ REFUSALS = [
     (
         "restriction witness --field 7 --dim 3 --surface paraboloid --p 2 --q 4"
         " --witness subspace",
-        "no affine line inside the surface",
+        "no affine line inside the surface: no nonzero w in F^2 has w.w = 0",
+    ),
+    (
+        "restriction witness --field 7 --dim 2 --surface parabola --p 2 --q 4 --witness subspace",
+        "no affine line inside the surface: no nonzero w in F^1 has w.w = 0",
+    ),
+    (
+        "restriction witness --field 7 --dim 3 --surface cone --p 2 --q 4 --witness subspace",
+        "no affine line inside the surface: the cone's lines all pass through its excluded vertex",
+    ),
+    (
+        "restriction witness --field 7 --dim 3 --surface moment --p 2 --q 4 --witness subspace",
+        "no affine line inside the surface:"
+        " a moment curve at n >= 2 meets a line in at most 2 points",
     ),
     (
         "restriction witness --field 7 --dim 3 --surface paraboloid --p 2 --q 4"
@@ -420,19 +433,23 @@ def test_cli_refusals_exit_before_arithmetic(capsys, monkeypatch):
     ("kakeya heisenberg --field 3^2 --budget 728", "|F|^3 = 729"),
     ("kakeya besicovitch --field 7 --budget 342", "|F|^{2n-1} = 343"),
     ("kakeya wolff-check --field 3^2 --family heisenberg --budget 728", "|F|^3 = 729"),
-    (
-        "restriction witness --field 7 --dim 3 --surface paraboloid --p 2 --q 4"
-        " --witness subspace --budget 342", "|F|^n = 343",
-    ),
-    (
-        "restriction witness --field 7 --dim 3 --surface paraboloid --p 2 --q 4"
-        " --witness subspace --budget 11122",
-        "points tested n (directions tried) + |F| (directions kept) = 11123",
-    ),
 ])
 def test_cli_membership_and_line_search_gates_exit_2(capsys, argv, gate):
     code, out, err = run_cli(capsys, *argv.split())
     assert code == 2 and out == "" and gate in err and "budget" in err
+
+
+def test_cli_subspace_witness_builds_its_line_under_any_budget(capsys):
+    # the line is built, not searched, so --budget has nothing to cap
+    code, out, _ = run_cli(
+        capsys, *"restriction witness --field 5 --dim 3 --surface paraboloid --p 2 --q 4"
+        " --witness subspace --budget 1 --format json".split(),
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert [c["pass"] for c in report["checks"]] == [True]
+    (cert,) = report["certificates"]
+    assert cert["value"] == "1.0" and cert["meta"]["closed_form"] == "1.0"
 
 
 @pytest.mark.parametrize("argv,message", [

@@ -19,7 +19,7 @@ from fflab.certificates import (
     parse_exponent,
 )
 from fflab.errors import BudgetExceededError, FFLabError, NoClosedFormError
-from fflab.field import Field, make_field
+from fflab.field import make_field
 from fflab.grid import Grid, Side, flat_points, fourier_forward, fourier_inverse
 from fflab.restriction import (
     ExponentRegion,
@@ -529,16 +529,27 @@ def affine_line_scan(surface):
     return None
 
 
-@pytest.mark.parametrize(
-    "p,k,n,kind",
-    [
-        (5, 1, 3, "paraboloid"), (13, 1, 3, "paraboloid"), (17, 1, 3, "paraboloid"),
-        (3, 2, 3, "paraboloid"), (5, 1, 4, "paraboloid"),
-        (7, 1, 3, "paraboloid"), (13, 1, 3, "cone"),  # no line
-        (7, 1, 3, "paraboloid+line"),  # the line's only paraboloid point is 9th in order
-    ],
-)
-def test_find_affine_line_against_scan(p, k, n, kind, monkeypatch):
+LINE_CASES = list(dict.fromkeys([  # the first eight, then every kind on small fields
+    (5, 1, 3, "paraboloid"), (13, 1, 3, "paraboloid"), (17, 1, 3, "paraboloid"),
+    (3, 2, 3, "paraboloid"), (5, 1, 4, "paraboloid"),
+    (7, 1, 3, "paraboloid"), (13, 1, 3, "cone"),  # no line
+    (7, 1, 3, "paraboloid+line"),  # a custom point list: refused whatever it holds
+] + [
+    (p, k, n, kind)
+    for p, k in [(3, 1), (5, 1), (7, 1), (11, 1), (3, 2)]
+    for n, kind in [
+        (2, "paraboloid"), (3, "paraboloid"), (4, "paraboloid"), (3, "cone"),
+        (1, "moment_curve"), (2, "moment_curve"), (3, "moment_curve"), (2, "double_paraboloid"),
+    ]
+    if kind != "moment_curve" or p > n
+] + [  # F_{5^2} and F_{3^3}: -1 a square and not one, on cases the scan ends fast
+    (5, 2, 2, "paraboloid"), (5, 2, 3, "moment_curve"),
+    (3, 3, 2, "paraboloid"), (3, 3, 4, "paraboloid"), (3, 3, 2, "moment_curve"),
+]))
+
+
+@pytest.mark.parametrize("p,k,n,kind", LINE_CASES)
+def test_find_affine_line_against_scan(p, k, n, kind):
     field = make_field(p, k)
     if kind == "paraboloid+line":  # the F_7 paraboloid with the line (1, 1, t) added
         pts = surfaces.paraboloid(field, n).points
@@ -546,92 +557,50 @@ def test_find_affine_line_against_scan(p, k, n, kind, monkeypatch):
         surface = surfaces.SurfaceMeasure(
             field, n, np.vstack([pts, extra]), surfaces.SurfaceKind.CUSTOM
         )
-    else:
-        surface = surfaces.build_surface(kind, field, n)
-    want = affine_line_scan(surface)
-    if want is None:
-        with pytest.raises(FFLabError, match="no affine line inside the surface"):
+        assert affine_line_scan(surface) == ([1, 1, 2], [0, 0, 1])
+        with pytest.raises(FFLabError, match="no affine line inside the surface: a custom"):
             find_affine_line(surface)
-        monkeypatch.setattr(grid, "BLOCK_ENTRIES", 5 * surface.field.order + 2)
-        with pytest.raises(FFLabError, match="no affine line inside the surface"):
-            find_affine_line(surface)  # blocks of 5 directions
+        return
+    surface = surfaces.build_surface(kind, field, n)
+    if affine_line_scan(surface) is None:
+        with pytest.raises(FFLabError, match="no affine line inside the surface: "):
+            find_affine_line(surface)
         return
     a, b = find_affine_line(surface)
-    assert a.dtype == b.dtype == np.int64
-    assert (a.tolist(), b.tolist()) == want
-    # the subspace witness is the indicator of that line on the surface
-    cert = rstar_lower_witness(surface, 2, 4, "subspace")
-    vals = np.frombuffer(cert.witness, dtype="<c16")
+    assert a.dtype == b.dtype == np.int64 and a.tolist() == [0] * surface.n and b.any()
     fld = surface.field
     on_line = {tuple(fld.add(x, fld.mul(t, y)) for x, y in zip(a.tolist(), b.tolist()))
                for t in range(fld.order)}
+    assert on_line <= {tuple(pt) for pt in surface.points.tolist()}
+    # the subspace witness is the indicator of that line on the surface
+    cert = rstar_lower_witness(surface, 2, 4, "subspace")
+    vals = np.frombuffer(cert.witness, dtype="<c16")
     assert vals.tolist() == [complex(tuple(pt) in on_line) for pt in surface.points.tolist()]
-    monkeypatch.setattr(grid, "BLOCK_ENTRIES", 5 * surface.field.order + 2)
-    assert [x.tolist() for x in find_affine_line(surface)] == list(want)  # blocks of 5
 
 
-def points_tested(surface):
-    """The whole scan's work in scalar arithmetic: n points per direction tried
-    (the a + b test) plus |F| per direction kept (a + b on the surface)."""
-    fld, n, q = surface.field, surface.n, surface.field.order
-    on = {tuple(pt) for pt in surface.points.tolist()}
-    dirs = [[flat // q**j % q for j in range(n)] for flat in range(1, q**n)]
-    reps = [b for b in dirs if next(c for c in b if c) == 1]
-    kept = sum(
-        tuple(fld.add(x, y) for x, y in zip(a, b)) in on
-        for a in surface.points.tolist() for b in reps
-    )
-    return n * surface.size * len(reps) + q * kept
-
-
-def test_find_affine_line_budget_boundaries(monkeypatch):
-    field = Field(7)  # not the cached field, so the patches below stay local
-    surface = paraboloid(field, 3)  # no line, so the whole scan runs
-    work = points_tested(surface)
-    assert work == 3 * 49 * 57 + 7 * 392  # 392 of the 49 x 57 a + b tests land on S
-    with pytest.raises(FFLabError, match="no affine line inside the surface"):
-        find_affine_line(surface, budget=work)
-    with pytest.raises(BudgetExceededError, match=rf"kept\) = {work} exceeds the budget {work - 1}"):
-        find_affine_line(surface, budget=work - 1)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("field arithmetic ran before the refusal")
-
-    for name in ("add_arrays", "mul_arrays"):
-        monkeypatch.setattr(field, name, refuse)
-    # the |F|^n membership array is refused before any arithmetic
-    with pytest.raises(BudgetExceededError, match=r"\|F\|\^n = 343 exceeds the budget 342"):
-        find_affine_line(surface, budget=7**3 - 1)
-
-    # over F_3 a block's a + b tests (3 x 13 points) outweigh the 27 membership
-    # entries, so both in-scan gates can refuse the first block
-    f3 = Field(3)
-    surface = paraboloid(f3, 3)
-    assert points_tested(surface) == 3 * 9 * 13 + 3 * 36
-    for name in ("add_arrays", "mul_arrays"):
-        monkeypatch.setattr(f3, name, refuse)
-    with pytest.raises(BudgetExceededError, match=r"kept\) = 39 exceeds the budget 38"):
-        find_affine_line(surface, budget=38)
-    monkeypatch.undo()
-
-    def no_gather(*args, **kwargs):
-        raise AssertionError("a line was gathered before the refusal")
-
-    monkeypatch.setattr(rl, "affine_flats", no_gather)
-    # the base point 0 keeps its 4 directions b on S: 39 + 3 x 4 line points
-    with pytest.raises(BudgetExceededError, match=r"kept\) = 51 exceeds the budget 50"):
-        find_affine_line(surface, budget=50)
-
-
-def test_find_affine_line_scans_the_moment_curve_at_the_default_budget():
-    # n = 3 moment curve over F_179: no line, about 1.7e7 points tested (the
-    # old count of |F| per direction tried, 1.03e9, was refused)
-    with pytest.raises(FFLabError, match="no affine line inside the surface"):
-        find_affine_line(moment_curve(make_field(179), 3))
+@pytest.mark.parametrize("p,k,n,kind", [
+    (5, 1, 3, "paraboloid"), (5, 1, 4, "paraboloid"), (5, 1, 5, "paraboloid"),  # -1 a square
+    (3, 1, 4, "paraboloid"), (7, 1, 4, "paraboloid"), (3, 1, 5, "paraboloid"),  # -1 not one
+    (3, 2, 3, "paraboloid"), (5, 1, 2, "double_paraboloid"), (3, 1, 3, "double_paraboloid"),
+    (7, 1, 1, "moment_curve"),
+])
+def test_subspace_witness_equals_its_closed_form(p, k, n, kind):
+    # E1_L = e(x.a) (|F|/|S|) 1[x.b = 0] for a line L on S, so the ratio is
+    # (|F|/|S|)^{1 - 1/p} |F|^{(N - 1)/q} in the ambient dimension N
+    surface = surfaces.build_surface(kind, make_field(p, k), n)
+    ratio = surface.field.order / surface.size
+    for ep in ["1", "8/5", "2", "inf"]:
+        for eq in ["10/3", "4", "inf"]:
+            cert = rstar_lower_witness(surface, ep, eq, "subspace")
+            want = ratio ** (1 - 1 / as_float(parse_exponent(ep))) * float(
+                surface.field.order
+            ) ** ((surface.n - 1) / as_float(parse_exponent(eq)))
+            assert cert.meta["closed_form"] == pytest.approx(want, rel=1e-12)
+            assert cert.value == pytest.approx(cert.meta["closed_form"], rel=1e-12)
 
 
 def test_subspace_witness_runs_at_the_default_budget():
-    # the first base point of the F_97, n = 3 paraboloid holds a line
+    # -1 is a square in F_97, so the line is (t, i t, 0) through the origin
     surface = paraboloid(make_field(97), 3)
     cert = rstar_lower_witness(surface, 2, 4, "subspace")
     assert cert.meta["line_base"] == [0, 0, 0] and cert.value == pytest.approx(1.0, rel=1e-12)
