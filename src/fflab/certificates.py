@@ -72,6 +72,11 @@ def _float_out(x: float) -> str:
     return repr(float(x))
 
 
+def field_label(char: int, degree: int) -> str:
+    """F_p, or F_p^k for a proper extension."""
+    return f"F_{char}" + (f"^{degree}" if degree > 1 else "")
+
+
 @dataclass
 class NormCertificate:
     """One certified statement about R*(p -> q) or K(p -> q).
@@ -118,10 +123,10 @@ class NormCertificate:
     def describe(self) -> str:
         sym = {"exact": "=", "lower": ">=", "upper": "<="}[self.kind]
         name = "R*" if self.quantity == "rstar" else "K"
-        fld = f"F_{self.char}" if self.degree == 1 else f"F_{self.char}^{self.degree}"
         return (
             f"{name}({exponent_str(self.p)} -> {exponent_str(self.q)}) {sym} "
-            f"{self.value:.12g}  [{self.surface}, {fld}, n={self.n}, {self.method}]"
+            f"{self.value:.12g}  [{self.surface}, {field_label(self.char, self.degree)}, "
+            f"n={self.n}, {self.method}]"
         )
 
     def to_dict(self) -> dict:
@@ -160,6 +165,16 @@ class NormCertificate:
             witness=base64.b64decode(wit) if wit else None,
             meta=dict(d.get("meta", {})),
         )
+
+
+def make_certificate(
+    quantity, field, n, surface, kind, method, p, q, value, witness=None, meta=None
+) -> NormCertificate:
+    """The certificate of ``quantity`` over ``field`` (its char and degree) at
+    n on the ``surface`` label: the one constructor of the package."""
+    return NormCertificate(
+        quantity, kind, method, field.p, field.k, n, surface, p, q, value, witness, meta or {}
+    )
 
 
 def recheck_agrees(cert: NormCertificate, value: float) -> bool:

@@ -31,6 +31,7 @@ from .certificates import (
     NormCertificate,
     certificate_consistency,
     exponent_str,
+    field_label,
     parse_exponent,
 )
 from .errors import (
@@ -76,10 +77,6 @@ def parse_fields(arg: str) -> list[tuple[int, int]]:
     if not out:
         raise ValueError(f"no fields in {arg!r}")
     return out
-
-
-def field_label(field: Field) -> str:
-    return f"F_{field.p}" + (f"^{field.k}" if field.k > 1 else "")
 
 
 def build_surface_arg(name: str, field: Field, n: int) -> sf.SurfaceMeasure:
@@ -162,7 +159,7 @@ def cmd_restriction_estimate(args) -> tuple[int, str]:
     checks.append(CheckResult("certificate_consistency", not violations, None))
     return _report(
         args, t0, checks,
-        field=field, n=args.dim, surface=args.surface, p=p, q=q, certificates=certs,
+        field=field, n=surface.n, surface=args.surface, p=p, q=q, certificates=certs,
     )
 
 
@@ -193,7 +190,7 @@ def cmd_restriction_witness(args) -> tuple[int, str]:
     checks = [CheckResult("witness_recheck", rl.verify_lower(cert), None)]
     return _report(
         args, t0, checks,
-        field=field, n=args.dim, surface=args.surface, p=p, q=q, certificates=[cert],
+        field=field, n=surface.n, surface=args.surface, p=p, q=q, certificates=[cert],
     )
 
 
@@ -206,7 +203,7 @@ def _suite_gauss(fields, checks, rng) -> None:
     smallest non-square (no transform on that path)."""
     for pk in fields:
         field = make_field(*pk)
-        label = field_label(field)
+        label = field_label(field.p, field.k)
         t = np.arange(field.order, dtype=np.int64)
         sums = sf.gauss_sum(field, t)
         worst = float(np.abs(np.abs(sums[1:]) ** 2 - field.order).max())
@@ -233,7 +230,7 @@ def _suite_parseval(fields, checks, rng) -> None:
             dev = parseval_defect(f, g) / scale
             back = fourier_inverse(fourier_forward(f))
             rt = float(np.abs(back.values - f.values).max())
-            name = f"parseval:{field_label(field)}:n={n}"
+            name = f"parseval:{field_label(field.p, field.k)}:n={n}"
             checks.append(CheckResult(name, dev <= 1e-9 and rt <= 1e-10, max(dev, rt)))
 
 
@@ -305,7 +302,8 @@ def cmd_kakeya_maximal(args) -> tuple[int, str]:
     checks.append(CheckResult("certificate_consistency", not violations, None))
     return _report(
         args, t0, checks,
-        field=field, n=n, surface=f"lines(n={n})", p=p, q=q, certificates=certs,
+        field=field, n=n, surface=certs[0].surface, p=certs[0].p, q=certs[0].q,
+        certificates=certs,
     )
 
 
@@ -329,8 +327,7 @@ def cmd_kakeya_cordoba(args) -> tuple[int, str]:
     t0 = time.perf_counter()
     field = make_field(*parse_field_token(args.field))
     n = args.dim
-    if n < 2:
-        raise FFLabError("need n >= 2")
+    upper = kk.kakeya_upper_overlap(field, n, 2, 2 * n - 2)  # refuses n < 2 before any check
     if args.trials < 1:
         raise ValueError("need at least one trial")
     require_budget(args.trials * field.order**n, args.budget, "line points trials |F|^n")
@@ -345,8 +342,7 @@ def cmd_kakeya_cordoba(args) -> tuple[int, str]:
     checks = [CheckResult("deficit_nonnegative", worst >= -1e-9, worst)]
     return _report(
         args, t0, checks,
-        field=field, n=n, surface=f"lines(n={n})", p=Fraction(2), q=Fraction(2 * n - 2),
-        certificates=[kk.kakeya_upper_overlap(field, n, 2, 2 * n - 2)],
+        field=field, n=n, surface=upper.surface, p=upper.p, q=upper.q, certificates=[upper],
     )
 
 
@@ -617,7 +613,7 @@ def build_parser() -> argparse.ArgumentParser:
     kmax.add_argument("--dim", type=int, default=2)
     kmax.add_argument("--p", default=None)
     kmax.add_argument("--q", default=None)
-    kmax.add_argument("--witnesses", default="point,line,full_space,random_sets")
+    kmax.add_argument("--witnesses", default=",".join(kk.WITNESSES))
     _add_common(kmax)
     kmax.set_defaults(func=cmd_kakeya_maximal)
 

@@ -36,7 +36,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .certificates import (
-    NormCertificate, as_float, exponent_str, holder_dual, parse_exponent, recheck_agrees,
+    NormCertificate, as_float, exponent_str, holder_dual, make_certificate, parse_exponent,
+    recheck_agrees,
 )
 from .errors import DEFAULT_BUDGET, FFLabError, NoClosedFormError, require_budget
 from .field import Field
@@ -54,6 +55,7 @@ from .grid import (
 )
 
 RANDOM_SET_TRIES = 8  # seeded indicators drawn by the random_sets witness
+WITNESSES = ("point", "line", "full_space", "random_sets")  # the default Kakeya witnesses
 
 # -- lines ---------------------------------------------------------------------------
 
@@ -78,6 +80,13 @@ def _require_lines(field: Field | None, n: int, budget: int | None) -> None:
         raise FFLabError("need n >= 2")
     if budget is not None:
         require_budget(field.order ** (2 * n - 1), budget, "line-point gathers |F|^{2n-1}")
+
+
+def _height_slices(field: Field, n: int, flat) -> np.ndarray:
+    """Membership of the flat set in F^n as a [base-space flat, height] array."""
+    member = np.zeros(field.order**n, dtype=bool)
+    member[np.asarray(flat, dtype=np.int64)] = True
+    return member.reshape(-1, field.order, order="F")
 
 
 def _require_distinct(x0, v) -> None:
@@ -142,9 +151,7 @@ def verify_besicovitch(field: Field, n: int, flat: np.ndarray, budget: int = DEF
     _require_lines(field, n, budget)
     q = field.order
     m = q ** (n - 1)
-    member = np.zeros(q**n, dtype=bool)
-    member[np.asarray(flat, dtype=np.int64)] = True
-    slices = member.reshape(m, q, order="F")  # [base-space flat, height]
+    slices = _height_slices(field, n, flat)
     v = field.grid_coords(n - 1)
     axis = np.arange(q, dtype=np.int64)
     add = field.add_arrays(axis[:, None], axis).ravel()  # a + b at a q + b: one gather, no %
@@ -246,21 +253,14 @@ def kakeya_maximal_direct(*fs: Grid) -> np.ndarray:
 # -- Kakeya certificates ---------------------------------------------------------------
 
 
-def _kakeya_cert(field, n, kind, method, p, q, value, witness=None, meta=None) -> NormCertificate:
-    return NormCertificate(
-        quantity="kakeya",
-        kind=kind,
-        method=method,
-        char=field.p,
-        degree=field.k,
-        n=n,
-        surface=f"lines(n={n})",
-        p=p,
-        q=q,
-        value=value,
-        witness=witness,
-        meta=meta or {},
-    )
+def _kakeya_cert(field, n, *args, **kwargs) -> NormCertificate:
+    """A certificate of K on the lines of F^n, labelled ``lines(n=...)``."""
+    return make_certificate("kakeya", field, n, f"lines(n={n})", *args, **kwargs)
+
+
+def _line_ratio(star: np.ndarray, f: Grid, p, q) -> float:
+    """||f*||_{L^q(dv)} / ||f||_{L^p(dx)}, f* the maximal function of f."""
+    return mean_lp_norm(star, q) / lp_norm(f, p)
 
 
 def kakeya_norm_certificates(
@@ -268,7 +268,7 @@ def kakeya_norm_certificates(
     n: int,
     p,
     q,
-    witnesses: Iterable[str] = ("point", "line", "full_space"),
+    witnesses: Iterable[str] = WITNESSES,
     seed: int = 0,
     budget: int = DEFAULT_BUDGET,
 ) -> list[NormCertificate]:
@@ -330,7 +330,7 @@ def kakeya_norm_certificates(
     stars = iter(kakeya_maximal(*stack, budget=budget))
     out = []
     for meta, fs in drawn:
-        ratios = [mean_lp_norm(next(stars), q) / lp_norm(f, p) for f in fs]
+        ratios = [_line_ratio(next(stars), f, p, q) for f in fs]
         best = ratios.index(max(ratios))  # the first of equal ratios
         if meta["witness_name"] == "random_sets":
             meta.update({"seed": seed, "tried": RANDOM_SET_TRIES, "best_index": best})
@@ -374,7 +374,7 @@ def _recheck_values(certs: Sequence[NormCertificate]) -> list[float]:
         return []
     fs = [grid_from_bytes(cert.witness) for cert in certs]
     stars = kakeya_maximal_direct(*fs)
-    return [mean_lp_norm(s, c.q) / lp_norm(f, c.p) for s, c, f in zip(stars, certs, fs)]
+    return [_line_ratio(s, f, c.p, c.q) for s, c, f in zip(stars, certs, fs)]
 
 
 def recheck_lower(cert: NormCertificate) -> float:
@@ -837,10 +837,7 @@ def slices_construction(witness: BesicovitchWitness, t0: int, t_inf: int, slopes
     p1 = field.add_arrays(x0, field.mul_arrays(coords, np.int64(t_inf)))
     pairs = np.stack([flat_points(field, p0), flat_points(field, p1)], axis=1)
     injective = len(np.unique(flat_points(field, field.sub_arrays(p0, p1)))) == m
-
-    member = np.zeros(q**n, dtype=bool)
-    member[witness.flat] = True
-    slices = member.reshape(m, q, order="F")
+    slices = _height_slices(field, n, witness.flat)
 
     checks = []
     for s in slopes:

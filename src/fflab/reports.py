@@ -17,7 +17,7 @@ from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
 from . import __version__
-from .certificates import NormCertificate, exponent_str, parse_exponent
+from .certificates import NormCertificate, exponent_str, field_label, parse_exponent
 
 
 def _stringify_floats(obj):
@@ -88,9 +88,7 @@ class ExperimentReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
     def to_text(self) -> str:
-        ftxt = "-" if self.char == 0 else f"F_{self.char}" + (
-            f"^{self.degree}" if self.degree > 1 else ""
-        )
+        ftxt = "-" if self.char == 0 else field_label(self.char, self.degree)
         lines = [
             f"experiment: {self.experiment}",
             f"field: {ftxt}",

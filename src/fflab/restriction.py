@@ -34,6 +34,7 @@ from .certificates import (
     as_float,
     exponent_str,
     holder_dual,
+    make_certificate,
     parse_exponent,
     recheck_agrees,
 )
@@ -94,19 +95,9 @@ POWER_BLOCK_CAP = 2**15
 def _base_cert(surface, kind, method, p, q, value, witness=None, meta=None) -> NormCertificate:
     """A certificate whose meta names ``surface`` by ``surface_kind`` alone, which
     with char, degree and n is all ``rebuild_surface`` reads; then ``meta``."""
-    return NormCertificate(
-        quantity="rstar",
-        kind=kind,
-        method=method,
-        char=surface.field.p,
-        degree=surface.field.k,
-        n=surface.n,
-        surface=surface.describe(),
-        p=p,
-        q=q,
-        value=value,
-        witness=witness,
-        meta={"surface_kind": surface.kind.value, **(meta or {})},
+    return make_certificate(
+        "rstar", surface.field, surface.n, surface.describe(), kind, method, p, q, value,
+        witness, {"surface_kind": surface.kind.value, **(meta or {})},
     )
 
 
@@ -136,7 +127,7 @@ def _surface_lower(g: SurfaceFunction, p, q, extend, method: str, meta: dict) ->
     """The Lower certificate witnessed by the surface function g."""
     return _base_cert(
         g.surface, "lower", method, p, q, _surface_ratio(g, p, q, extend),
-        witness=g.values.tobytes(),
+        witness=g.values.astype("<c16").tobytes(),  # the byte order recheck_lower reads
         meta={"witness_form": "surface_function", **meta},
     )
 
@@ -632,16 +623,17 @@ class ExponentRegion:
 
     def constraints(self) -> list[tuple[str, Callable[[Exponent, Exponent], bool]]]:
         n, d = self.n, Fraction(self.d)
+        ratio = n / d  # each coefficient prints as one reduced fraction
         items: list[tuple[str, Callable[[Exponent, Exponent], bool]]] = [
-            (f"q >= 2n/d = {2 * n / d}", lambda p, q: q >= Fraction(2 * n) / d),
-            (f"q >= ({n}/{d}) p'", lambda p, q: q >= Fraction(n) / d * holder_dual(p)),
+            (f"q >= 2n/d = {2 * ratio}", lambda p, q: q >= 2 * ratio),
+            (f"q >= ({ratio}) p'", lambda p, q: q >= ratio * holder_dual(p)),
         ]
         if self.k_subspace is not None:
             k = self.k_subspace
             coeff = Fraction(n - k) / (d - k)
             items.append(
                 (
-                    f"q >= ({n - k}/{d - k}) p'  [contains a {k}-subspace]",
+                    f"q >= ({coeff}) p'  [contains a {k}-subspace]",
                     lambda p, q: q >= coeff * holder_dual(p),
                 )
             )

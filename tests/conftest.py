@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -10,6 +12,15 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("fflab")
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fflab"
+
+
+@pytest.fixture
+def sources() -> dict[str, str]:
+    """Each module of ``src/fflab`` by name, as the AST meta-tests read the
+    package; a fresh dict per test, so a planted edit stays in its test."""
+    return {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
 
 
 @pytest.fixture(scope="session")

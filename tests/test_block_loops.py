@@ -8,15 +8,8 @@ block loop.
 """
 
 import ast
-from pathlib import Path
-
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fflab"
 
 ALLOWED = {"grid.blocks"}
-
-
-def package_sources() -> dict[str, str]:
-    return {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
 
 
 def _constant(node: ast.expr) -> bool:
@@ -56,16 +49,15 @@ def block_loops(sources: dict[str, str]) -> list[str]:
     return sorted(out)
 
 
-def test_every_block_loop_is_grid_blocks():
-    assert [loc for loc in block_loops(package_sources()) if loc not in ALLOWED] == []
+def test_every_block_loop_is_grid_blocks(sources):
+    assert [loc for loc in block_loops(sources) if loc not in ALLOWED] == []
 
 
-def test_allowlist_holds_only_block_loops():
-    assert ALLOWED <= set(block_loops(package_sources()))
+def test_allowlist_holds_only_block_loops(sources):
+    assert ALLOWED <= set(block_loops(sources))
 
 
-def test_a_planted_block_loop_fails():
-    sources = package_sources()
+def test_a_planted_block_loop_fails(sources):
     sources["kakeya"] += (
         "\n\ndef _planted(m, step):\n"
         "    return [slice(lo, lo + step) for lo in range(0, m, step)]\n"

@@ -9,11 +9,6 @@ import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-PACKAGE = ROOT / "src" / "fflab"
-
-
-def package_sources() -> dict[str, str]:
-    return {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
 
 
 def _what(call: ast.Call) -> ast.expr | None:
@@ -42,12 +37,11 @@ def gate_faults(sources: dict[str, str], readme: str) -> list[str]:
     return sorted(out)
 
 
-def test_every_budget_gate_is_named_in_readme():
-    assert gate_faults(package_sources(), (ROOT / "README.md").read_text()) == []
+def test_every_budget_gate_is_named_in_readme(sources):
+    assert gate_faults(sources, (ROOT / "README.md").read_text()) == []
 
 
-def test_a_planted_gate_fails():
-    sources = package_sources()
+def test_a_planted_gate_fails(sources):
     readme = (ROOT / "README.md").read_text()
     # against an empty README every real gate is reported: the scan reaches them all
     calls = sum(text.count("require_budget(") for text in sources.values())

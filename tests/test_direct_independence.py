@@ -12,9 +12,6 @@ fails on any name of the path that root rechecks.
 """
 
 import ast
-from pathlib import Path
-
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fflab"
 
 ROOTS = ("surfaces.extension_direct", "surfaces.restriction_direct")
 FORBIDDEN = {
@@ -23,10 +20,6 @@ FORBIDDEN = {
 }
 KAKEYA_ROOTS = ("kakeya.kakeya_maximal_direct",)
 KAKEYA_FORBIDDEN = {"translate_flats", "kakeya_maximal"}
-
-
-def package_sources() -> dict[str, str]:
-    return {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
 
 
 def _forbidden(name: str) -> bool:
@@ -72,15 +65,14 @@ def direct_path(
     return sorted(reached), sorted(hits)
 
 
-def test_direct_sums_name_no_transform():
-    reached, hits = direct_path(package_sources())
+def test_direct_sums_name_no_transform(sources):
+    reached, hits = direct_path(sources)
     assert hits == []
     # the walk reaches the shared helpers, so it is not vacuous
     assert {*ROOTS, "surfaces._point_waves", "grid.blocks"} <= set(reached)
 
 
-def test_a_planted_reference_fails():
-    sources = package_sources()
+def test_a_planted_reference_fails(sources):
     sources["grid"] += (
         "\n\ndef blocks(count, width, entries=None, floor=0):\n"
         "    _transform_matrices(None)\n"
@@ -97,14 +89,13 @@ def test_a_planted_reference_fails():
     ]
 
 
-def test_kakeya_recheck_names_no_line_table():
-    reached, hits = direct_path(package_sources(), KAKEYA_ROOTS, KAKEYA_FORBIDDEN.__contains__)
+def test_kakeya_recheck_names_no_line_table(sources):
+    reached, hits = direct_path(sources, KAKEYA_ROOTS, KAKEYA_FORBIDDEN.__contains__)
     assert hits == []
     assert {*KAKEYA_ROOTS, "kakeya._common_space", "grid.blocks"} <= set(reached)
 
 
-def test_a_planted_kakeya_reference_fails():
-    sources = package_sources()
+def test_a_planted_kakeya_reference_fails(sources):
     sources["grid"] += (
         "\n\ndef blocks(count, width, entries=None, floor=0):\n"
         "    translate_flats(None, count)\n"

@@ -19,17 +19,12 @@ from pathlib import Path
 
 from fflab import grid, kakeya, reports, surfaces
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fflab"
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 # Imports kept although their module does not use them, with the reason.
 ALLOWED_UNUSED = {
     "surfaces.fourier_inverse": "the benchmark tracer rebinds it in this module by name",
 }
-
-
-def package_sources() -> dict[str, str]:
-    return {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
 
 
 def _bound_names(stmt: ast.stmt) -> list[str]:
@@ -66,18 +61,17 @@ def unused_imports(sources: dict[str, str]) -> list[str]:
     return sorted(out)
 
 
-def test_every_import_is_used():
-    assert [q for q in unused_imports(package_sources()) if q not in ALLOWED_UNUSED] == []
+def test_every_import_is_used(sources):
+    assert [q for q in unused_imports(sources) if q not in ALLOWED_UNUSED] == []
 
 
-def test_allowlist_holds_only_unused_imports():
-    unused = unused_imports(package_sources())
+def test_allowlist_holds_only_unused_imports(sources):
+    unused = unused_imports(sources)
     for qual in ALLOWED_UNUSED:
         assert qual in unused, f"{qual} is used; drop its entry"
 
 
-def test_an_added_unused_import_fails():
-    sources = package_sources()
+def test_an_added_unused_import_fails(sources):
     sources["kakeya"] = "import json\n" + sources["kakeya"]
     sources["surfaces"] = sources["surfaces"].replace(
         "from .errors import ", "from .errors import BudgetExceededError, ", 1
@@ -158,14 +152,13 @@ def budget_defaults(sources: dict[str, str]) -> dict[str, str]:
     return out
 
 
-def test_every_budget_defaults_to_default_budget():
-    defaults = budget_defaults(package_sources())
+def test_every_budget_defaults_to_default_budget(sources):
+    defaults = budget_defaults(sources)
     assert len(defaults) > 10 and "kakeya.incidence_chain_counts" in defaults
     assert {k: v for k, v in defaults.items() if v != "DEFAULT_BUDGET"} == {}
 
 
-def test_a_literal_budget_default_fails():
-    sources = package_sources()
+def test_a_literal_budget_default_fails(sources):
     sources["surfaces"] += "\n\ndef orphan(surface, *, budget: int = 10**9):\n    return budget\n"
     defaults = budget_defaults(sources)
     assert {k: v for k, v in defaults.items() if v != "DEFAULT_BUDGET"} == {

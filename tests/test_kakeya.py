@@ -464,7 +464,8 @@ def test_maximal_budget_boundary(f5):
     assert np.all(kakeya_maximal(f, budget=gathers) == 5.0)
     with pytest.raises(BudgetExceededError):
         kakeya_maximal(f, budget=gathers - 1)
-    assert len(kakeya_norm_certificates(f5, 3, 2, 4, budget=gathers)) == 3
+    certs = kakeya_norm_certificates(f5, 3, 2, 4, budget=gathers)  # the default witnesses
+    assert [c.meta["witness_name"] for c in certs] == list(kakeya.WITNESSES)
     with pytest.raises(BudgetExceededError):
         kakeya_norm_certificates(f5, 3, 2, 4, budget=gathers - 1)
 

@@ -24,9 +24,7 @@ subclass earns its place only where code tells it apart.
 import ast
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
-from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fflab"
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 DEFINITIONS = (*FUNCTIONS, ast.ClassDef)
 
@@ -131,10 +129,6 @@ def _defined_names(stmt: ast.stmt) -> list[str]:
     return [t.id for t in targets if isinstance(t, ast.Name)]
 
 
-def package_sources() -> dict[str, str]:
-    return {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
-
-
 def root_names(sources: dict[str, str]) -> set[str]:
     """``main`` itself and the names ``cli.main`` mentions."""
     tree = ast.parse(sources["cli"])
@@ -196,21 +190,18 @@ def unreached(sources: dict[str, str], roots: set[str], allowed) -> list[str]:
     return sorted(q for q in public if q not in reached and q not in allowed)
 
 
-def test_every_public_definition_is_reached():
-    sources = package_sources()
+def test_every_public_definition_is_reached(sources):
     assert unreached(sources, root_names(sources), ALLOWED_UNREACHED) == []
 
 
-def test_allowlist_holds_only_unreached_definitions():
-    sources = package_sources()
+def test_allowlist_holds_only_unreached_definitions(sources):
     roots = root_names(sources)
     for qual in ALLOWED_UNREACHED:
         rest = {k: v for k, v in ALLOWED_UNREACHED.items() if k != qual}
         assert qual in unreached(sources, roots, rest), f"{qual} is reached; drop its entry"
 
 
-def test_an_added_unreached_definition_fails():
-    sources = package_sources()
+def test_an_added_unreached_definition_fails(sources):
     roots = root_names(sources)
     sources["kakeya"] += "\n\ndef orphan_helper(field):\n    return field.order\n"
     sources["grid"] += "\n\nclass OrphanReport:\n    count: int = 0\n"
@@ -230,8 +221,7 @@ def test_an_added_unreached_definition_fails():
     assert unreached(sources, root_names(sources), ALLOWED_UNREACHED) == ["grid.OrphanReport"]
 
 
-def test_a_same_named_orphan_in_a_second_module_fails():
-    sources = package_sources()
+def test_a_same_named_orphan_in_a_second_module_fails(sources):
     # kakeya.verify_lowers is reached as kk.verify_lowers; a namesake elsewhere is not
     sources["restriction"] += (
         "\n\ndef verify_lowers(certs):\n    return [verify_lower(c) for c in certs]\n"
@@ -270,12 +260,11 @@ def uncaught_exceptions(sources: dict[str, str]) -> list[str]:
     return sorted(bases[name][0] for name in errors & set(bases) if name not in caught)
 
 
-def test_every_exception_class_is_caught():
-    assert uncaught_exceptions(package_sources()) == []
+def test_every_exception_class_is_caught(sources):
+    assert uncaught_exceptions(sources) == []
 
 
-def test_an_added_uncaught_exception_fails():
-    sources = package_sources()
+def test_an_added_uncaught_exception_fails(sources):
     sources["errors"] += "\n\nclass OrphanError(FFLabError):\n    pass\n"
     sources["kakeya"] += "\n\ndef _orphan(n):\n    raise OrphanError(f'n = {n}')\n"
     assert uncaught_exceptions(sources) == ["errors.OrphanError"]

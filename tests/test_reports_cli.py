@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import inspect
 import json
 import math
 import shlex
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fflab import cli, grid
+from fflab import cli, grid, kakeya
 from fflab import restriction as rl
 from fflab import surfaces
 from fflab.certificates import NormCertificate, exponent_str
@@ -584,6 +585,35 @@ def test_cli_kakeya_maximal_defaults(capsys):
     assert "[pass]" in out
 
 
+def test_cli_kakeya_maximal_default_witnesses_are_the_library_default():
+    args = cli.build_parser().parse_args(["kakeya", "maximal", "--field", "5"])
+    library = inspect.signature(kakeya.kakeya_norm_certificates).parameters["witnesses"].default
+    assert tuple(args.witnesses.split(",")) == library == kakeya.WITNESSES
+    assert kakeya.WITNESSES == ("point", "line", "full_space", "random_sets")
+
+
+@pytest.mark.parametrize("argv", [
+    "maximal --field 5 --dim 3", "maximal --field 5 --witnesses line,point",
+    "cordoba --field 5 --dim 3 --trials 2",
+])
+def test_cli_kakeya_reports_read_surface_and_pair_from_their_certificates(
+    capsys, monkeypatch, argv
+):
+    original = kakeya._kakeya_cert
+
+    def relabelled(*args, **kwargs):
+        cert = original(*args, **kwargs)
+        return dataclasses.replace(cert, surface="planted", p=Fraction(3), q=Fraction(5))
+
+    monkeypatch.setattr(kakeya, "_kakeya_cert", relabelled)
+    _, out, err = run_cli(capsys, "kakeya", *argv.split(), "--format", "json")
+    report = json.loads(out)
+    assert err == "" and (report["surface"], report["p"], report["q"]) == ("planted", "3", "5")
+    assert {(c["surface"], c["p"], c["q"]) for c in report["certificates"]} == {
+        ("planted", "3", "5")
+    }
+
+
 @pytest.mark.parametrize("argv", ["--p 2 --q 2", "--p 2 --q 2 --witnesses line"])
 def test_cli_kakeya_maximal_refuses_lines_in_one_dimension(capsys, argv):
     argv = ("kakeya", "maximal", "--field", "5", "--dim", "1", *argv.split())
@@ -741,6 +771,22 @@ def test_cli_estimate_rechecks_the_double_paraboloid(capsys, p):
     assert code == 0 and err == ""
     checks = {c["name"]: c["pass"] for c in json.loads(out)["checks"]}
     assert checks == {"lower_recheck": True, "certificate_consistency": True}
+
+
+@pytest.mark.parametrize("command,surface,n", [
+    ("estimate", "double_paraboloid", 4), ("witness", "double_paraboloid", 4),
+    ("estimate", "paraboloid", 2), ("witness", "paraboloid", 2),
+])
+def test_cli_report_n_is_its_certificates_n(capsys, command, surface, n):
+    # --dim 2 names the double paraboloid's base F^2: it lies in F^2 x F^2
+    code, out, err = run_cli(
+        capsys, "restriction", command, "--field", "3", "--dim", "2", "--surface", surface,
+        "--p", "2", "--q", "4", *(("--witness", "dirac") if command == "witness" else ()),
+        "--format", "json",
+    )
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["n"] == n and {c["n"] for c in report["certificates"]} == {n}
 
 
 def test_cli_estimate_runs_one_direct_sum(capsys, monkeypatch):

@@ -616,6 +616,18 @@ def test_dual_cone_witness_frozen(f7):
         rstar_lower_witness(cone(f7), 2, 4, "no_such_thing")
 
 
+@pytest.mark.parametrize("name", ["dirac", "constant", "subspace"])
+def test_surface_witness_bytes_are_little_endian(f5, name):
+    surface = paraboloid(f5, 3)
+    cert = rstar_lower_witness(surface, 2, 4, name)
+    # the same function held big-endian is written in the byte order recheck_lower reads
+    g = SurfaceFunction(surface, np.frombuffer(cert.witness, dtype="<c16"))
+    g.values = g.values.astype(">c16")
+    swapped = rl._surface_lower(g, 2, 4, extension, "witness", {"witness_name": name})
+    assert swapped.witness == g.values.astype("<c16").tobytes() == cert.witness
+    assert swapped.value == cert.value and verify_lower(swapped)
+
+
 def test_recheck_uses_independent_path(f5):
     surface = paraboloid(f5, 2)
     cert = rstar_lower_witness(surface, 2, 4, "constant")
@@ -732,6 +744,25 @@ def test_region_constraint_labels():
     labels = [name for name, _ in ExponentRegion(3, Fraction(2), 1).constraints()]
     assert len(labels) == 3
     assert any("subspace" in s for s in labels)
+
+
+@pytest.mark.parametrize("n,d,k,labels", [
+    (3, Fraction(2), None, ["q >= 2n/d = 3", "q >= (3/2) p'"]),
+    (3, Fraction(199, 100), None, ["q >= 2n/d = 600/199", "q >= (300/199) p'"]),
+    (3, Fraction(2), 1, ["q >= 2n/d = 3", "q >= (3/2) p'", "q >= (2) p'  [contains a 1-subspace]"]),
+    (4, Fraction(5, 2), 1, [
+        "q >= 2n/d = 16/5", "q >= (8/5) p'", "q >= (2) p'  [contains a 1-subspace]",
+    ]),
+])
+def test_region_labels_print_each_coefficient_as_one_reduced_fraction(n, d, k, labels):
+    assert [name for name, _ in ExponentRegion(n, d, k).constraints()] == labels
+
+
+def test_cli_region_label_at_a_fractional_surface_dimension(capsys):
+    argv = "restriction region --dim 3 --surface-dim 1.99 --p 2 --q 3"
+    assert cli.main(argv.split()) == 0
+    out = capsys.readouterr().out
+    assert "q >= (300/199) p'" in out and "q >= 2n/d = 600/199" in out
 
 
 # -- incidences ------------------------------------------------------------------------
